@@ -8,23 +8,4 @@ filter bank — and measures PAPR statistics, per-subband error, PSD, ACLR
 and emission-mask margin.
 """
 
-from .scenario import (BwpSpec, DerivedDims, FcConfig, MeasureConfig,
-                       METHOD_E_ICEF_WOLA, METHOD_FC_F_OFDM, METHOD_FC_ICEF,
-                       METHOD_I_ICEF, METHOD_NONE, METHODS, ScenarioError,
-                       ScenarioSpec, default_scenario_dict, derive_dims,
-                       load_scenario, scenario_from_dict)
-from .ofdm import (ComplexSignal, ResourceGrid, generate_grid, ofdm_demodulate,
-                   ofdm_modulate, qam_map, read_waveform, write_waveform)
-from .wola import WolaParams, aggregate, modulate_wola
-from .icef import (ClipConfig, clip_polar, compute_ini, icef_symbol, run_e_icef,
-                   run_i_icef, run_none, threshold_from_target)
-from .fc import (FcBlocks, FcWindow, combine, design_window, ols_extract,
-                 run_fc_f_ofdm, segment, subband_forward)
-from .fc_icef import BinSets, block_iterate, build_bin_sets, run_fc_icef
-from .metrics import (CcdfCurve, MetricsReport, PsdEstimate, aclr, ccdf,
-                      mask_margin, measure_all, mse_per_bwp, papr_at_probability,
-                      papr_per_sample, psd_welch)
-
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,35 +17,14 @@ without changing the result.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
-from .fc import FcWindow, design_window, fc_subband_spectra
-from .icef import ClipConfig, clip_polar
+from .fc import FcWindow, fc_subband_spectra
+from .icef import clip_polar
 from .ofdm import ComplexSignal, ResourceGrid, dft, idft
 from .scenario import DerivedDims, ScenarioSpec, derive_dims
 from . import ofdm
-
-
-@dataclass
-class BinSets:
-    """Partition of the inverse-transform bins, all in standard DFT order.
-
-    ``k_e``: bins covered by any subband window (allocations + transitions)
-    where clipping noise is allowed to land.  ``k_f``: in-channel bins
-    outside every window, kept clean.  ``k_null``: out-of-channel bins,
-    kept clean.  The three sets are disjoint and cover every bin.
-    """
-
-    k_e: np.ndarray
-    k_f: np.ndarray
-    k_null: np.ndarray
-
-    @property
-    def counts(self) -> tuple[int, int, int]:
-        return (int(self.k_e.sum()), int(self.k_f.sum()),
-                int(self.k_null.sum()))
 
 
 def window_weights(windows: list[FcWindow], n: int) -> np.ndarray:
@@ -61,82 +40,6 @@ def window_weights(windows: list[FcWindow], n: int) -> np.ndarray:
         l = w.weights.size
         weights[np.mod(w.center_bin + signed, n)] = w.weights[l // 2 + signed]
     return weights
-
-
-def build_bin_sets(dims: DerivedDims,
-                   windows: list[FcWindow] | None = None) -> BinSets:
-    """Classify every output bin by its role in noise shaping."""
-    fcd = dims.fc
-    if fcd is None:
-        raise ValueError("scenario has no fast-convolution geometry")
-    if windows is None:
-        windows = [design_window(bd, fcd) for bd in dims.bwps]
-    n = fcd.inverse_len
-    k_e = window_weights(windows, n) > 0.0
-    signed_all = ((np.arange(n) + n // 2) % n) - n // 2
-    freq = signed_all * fcd.bin_spacing_hz
-    k_active = np.abs(freq) <= dims.channel_bw_hz / 2 + 1e-6
-    return BinSets(k_e=k_e, k_f=k_active & ~k_e, k_null=~k_active & ~k_e)
-
-
-def clip_noise_filter(bin_sets: BinSets) -> np.ndarray:
-    """Boolean pass mask for clipping noise: unity on K_E, zero elsewhere."""
-    return bin_sets.k_e.copy()
-
-
-def _column_ceilings(v_t: np.ndarray, cfg: ClipConfig,
-                     power_slice: slice | None) -> np.ndarray:
-    """Per-column clip amplitudes for the current time blocks.
-
-    With a PAPR target configured, each column's ceiling tracks the mean
-    power of its ``power_slice`` portion (the samples that survive into
-    the output); otherwise the fixed ceiling applies everywhere.
-    """
-    n_cols = v_t.shape[1]
-    if cfg.papr_target_db is None:
-        return np.full(n_cols, cfg.threshold_amp)
-    seg = v_t if power_slice is None else v_t[power_slice, :]
-    p_cur = np.mean(np.abs(seg) ** 2, axis=0)
-    return np.sqrt(p_cur * 10.0 ** (cfg.papr_target_db / 10.0))
-
-
-def _iterate_columns(v_f: np.ndarray, h_idx: np.ndarray, cfg: ClipConfig,
-                     power_slice: slice | None = None,
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Clip-and-filter a batch of blocks (one per column) to convergence.
-
-    Returns (time blocks, processed spectra, iteration counts).  Bins not
-    in ``h_idx`` are never written, so they keep their original values
-    bit-exactly.  Each column converges on its own: once a block's peak
-    power is within the stop margin of its ceiling it is left alone.
-    """
-    cur = v_f.copy()
-    v_t = idft(cur, axis=0)
-    n_cols = v_f.shape[1]
-    iters = np.zeros(n_cols, dtype=np.int64)
-    amps = _column_ceilings(v_t, cfg, power_slice)
-    peaks = np.max(np.abs(v_t) ** 2, axis=0)
-    active = np.flatnonzero(peaks > amps ** 2 * cfg.stop_factor)
-    for _ in range(cfg.max_iterations):
-        if active.size == 0:
-            break
-        iters[active] += 1
-        clipped_f = dft(clip_polar(v_t[:, active], amps[None, active]), axis=0)
-        cur[np.ix_(h_idx, active)] = clipped_f[h_idx, :]
-        v_t[:, active] = idft(cur[:, active], axis=0)
-        amps[active] = _column_ceilings(v_t[:, active], cfg, power_slice)
-        peaks = np.max(np.abs(v_t[:, active]) ** 2, axis=0)
-        active = active[peaks > amps[active] ** 2 * cfg.stop_factor]
-    return v_t, cur, iters
-
-
-def block_iterate(v_f: np.ndarray, h: np.ndarray, cfg: ClipConfig,
-                  power_slice: slice | None = None,
-                  ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Process a single frequency-domain block; see ``_iterate_columns``."""
-    v_t, cur, iters = _iterate_columns(np.asarray(v_f).reshape(-1, 1),
-                                       np.flatnonzero(h), cfg, power_slice)
-    return v_t[:, 0], cur[:, 0], int(iters[0])
 
 
 def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
@@ -171,9 +74,9 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
     discard = (n - keep) // 2
     keep_slice = slice(discard, discard + keep)
 
-    bin_sets = build_bin_sets(dims, windows)
-    h_idx = np.flatnonzero(bin_sets.k_e)
-    h_w = window_weights(windows, n)[h_idx, None]
+    weights = window_weights(windows, n)
+    h_idx = np.flatnonzero(weights)
+    h_w = weights[h_idx, None]
     keep_spectra = bool(info.get("keep_spectra")) if info is not None else False
     v_f_orig = v_f.data.copy() if keep_spectra else None
 
@@ -220,7 +123,6 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
         info["iterations"] = iters
         info["threshold_amp"] = amp0
         info["final_amp"] = amp
-        info["bin_sets"] = bin_sets
         info["windows"] = windows
         if keep_spectra:
             info["v_f_orig"] = v_f_orig

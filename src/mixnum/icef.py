@@ -16,53 +16,12 @@ subcarriers; nothing is ever written outside the allocation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ofdm import (ComplexSignal, ResourceGrid, dft, grid_to_spectrum, idft,
-                   ofdm_modulate, subband_carrier)
-from .scenario import BwpDims, DerivedDims, ScenarioSpec, derive_dims
+                   ofdm_demodulate, ofdm_modulate)
+from .scenario import DerivedDims, ScenarioSpec, derive_dims
 from . import ofdm, wola
-
-
-@dataclass
-class ClipConfig:
-    """Clipping ceiling plus iteration control.
-
-    ``threshold_amp`` is the amplitude ceiling derived from the signal
-    handed in before the first iteration.  When ``papr_target_db`` is set,
-    each subsequent clipping pass re-references the ceiling to the
-    signal's *current* mean power, so the achieved peak-to-average ratio
-    lands on the target even though clipping itself removes some power
-    (for targets below the signal's own unclipped peak-to-average ratio;
-    a ceiling above every peak leaves the signal as it is); with
-    ``papr_target_db`` unset the ceiling stays fixed.
-    """
-
-    threshold_amp: float
-    max_iterations: int
-    stop_epsilon_db: float = 0.01
-    papr_target_db: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.threshold_amp <= 0:
-            raise ValueError("clipping threshold must be positive")
-        if self.max_iterations < 0:
-            raise ValueError("iteration budget must be non-negative")
-
-    @property
-    def stop_factor(self) -> float:
-        """Linear power factor applied to the threshold for early stops."""
-        return 10.0 ** (self.stop_epsilon_db / 10.0)
-
-
-def threshold_from_target(signal: ComplexSignal | np.ndarray,
-                          papr_target_db: float) -> float:
-    """Clipping amplitude giving the target ratio over this signal's power."""
-    samples = signal.samples if isinstance(signal, ComplexSignal) else np.asarray(signal)
-    p_avg = float(np.mean(np.abs(samples) ** 2))
-    return float(np.sqrt(p_avg * 10.0 ** (papr_target_db / 10.0)))
 
 
 def clip_polar(x: np.ndarray, threshold_amp) -> np.ndarray:
@@ -76,115 +35,6 @@ def clip_polar(x: np.ndarray, threshold_amp) -> np.ndarray:
     scale = np.minimum(1.0, np.asarray(threshold_amp)
                        / np.maximum(mag, 1e-300))
     return x * scale
-
-
-def build_subband_mask(bd: BwpDims, l: int | None = None) -> np.ndarray:
-    """Boolean noise-confinement filter over a BWP's own transform bins.
-
-    The subband is handled at baseband (its carrier is applied to the
-    sample stream, not inside the transform), so the mask marks the active
-    subcarriers centered on DC.
-    """
-    if l is None:
-        l = bd.l_ofdm_os
-    mask = np.zeros(l, dtype=bool)
-    mask[np.mod(bd.active_base, l)] = True
-    return mask
-
-
-def _strip_cp(flat: np.ndarray, stride: int, l_cp: int, n_sym: int) -> np.ndarray:
-    """Per-symbol DFT windows of a flat stream, CP dropped; shape (L, S)."""
-    return flat[: n_sym * stride].reshape(n_sym, stride).T[l_cp:, :]
-
-
-def _window_phases(bd: BwpDims) -> tuple[np.ndarray, np.ndarray]:
-    """Separable conjugate-carrier factors for the per-symbol DFT windows.
-
-    Window ``s`` starts at absolute sample ``s*stride + l_cp``; the
-    conjugate of the continuous carrier over it factors into a per-sample
-    ramp shared by all windows times a per-window start scalar.
-    """
-    l = bd.l_ofdm_os
-    ramp = subband_carrier(bd, l, 0, l, conjugate=True)
-    starts = bd.l_cp_os + bd.stride_os * np.arange(bd.num_symbols)
-    phase = np.exp(-2j * np.pi * bd.center_scs * starts / l)
-    return ramp, phase
-
-
-def compute_ini(subband_signals: list[np.ndarray], m: int, s: int,
-                dims: DerivedDims) -> np.ndarray:
-    """Other-subband spectrum seen through BWP ``m``'s receiver window.
-
-    Sums every subband stream except ``m`` over symbol ``s``'s stride
-    window, drops the CP portion, downconverts by ``m``'s carrier and
-    transforms with BWP ``m``'s (oversampled) DFT.  With a single subband
-    the result is identically zero; with equal-numerology disjoint
-    subbands it is zero on ``m``'s active bins by subcarrier orthogonality.
-    """
-    bd = dims.bwps[m]
-    stride = bd.stride_os
-    window = np.zeros(bd.l_ofdm_os, dtype=np.complex128)
-    for i, sig in enumerate(subband_signals):
-        if i == m:
-            continue
-        window += sig[s * stride + bd.l_cp_os: (s + 1) * stride]
-    start = s * stride + bd.l_cp_os
-    window = window * subband_carrier(bd, bd.l_ofdm_os, start, bd.l_ofdm_os,
-                                      conjugate=True)
-    return dft(window)
-
-
-def _observe_rows(flat: np.ndarray, bd: BwpDims, rows: np.ndarray) -> np.ndarray:
-    """Downconverted per-symbol spectra at the given rows; shape (K, S)."""
-    windows = _strip_cp(flat, bd.stride_os, bd.l_cp_os, bd.num_symbols)
-    ramp, phase = _window_phases(bd)
-    return dft(windows * ramp[:, None] * phase[None, :], axis=0)[rows, :]
-
-
-def _synthesize(values: np.ndarray, bd: BwpDims, rows: np.ndarray) -> np.ndarray:
-    """Flat upconverted CP-OFDM stream from active-row values (oversampled)."""
-    spec = np.zeros((bd.l_ofdm_os, values.shape[1]), dtype=np.complex128)
-    spec[rows, :] = values
-    body = idft(spec, axis=0)
-    sym = np.concatenate([body[bd.l_ofdm_os - bd.l_cp_os:, :], body], axis=0)
-    flat = sym.T.reshape(-1)
-    return flat * subband_carrier(bd, bd.l_ofdm_os, 0, flat.size)
-
-
-def icef_symbol(column: np.ndarray, mask: np.ndarray | None, bd: BwpDims,
-                cfg: ClipConfig) -> tuple[np.ndarray, int]:
-    """Clip-and-filter one OFDM symbol until its peak meets the threshold.
-
-    ``mask`` is the boolean noise-confinement filter over the oversampled
-    transform bins (defaults to the BWP's active subcarriers).  Returns
-    the modified active-subcarrier column and the number of clipping
-    iterations actually spent.
-    """
-    if mask is None:
-        rows = np.mod(bd.active_base, bd.l_ofdm_os)
-    else:
-        rows = np.flatnonzero(mask)
-    x_f = np.zeros(bd.l_ofdm_os, dtype=np.complex128)
-    x_f[rows] = column
-    orig = x_f.copy()
-    x_t = idft(x_f)
-    tau = (None if cfg.papr_target_db is None
-           else 10.0 ** (cfg.papr_target_db / 10.0))
-    iterations = 0
-    for _ in range(cfg.max_iterations):
-        if tau is None:
-            amp = cfg.threshold_amp
-        else:
-            amp = float(np.sqrt(np.mean(np.abs(x_t) ** 2) * tau))
-        if np.max(np.abs(x_t) ** 2) <= amp ** 2 * cfg.stop_factor:
-            break
-        iterations += 1
-        clipped_f = dft(clip_polar(x_t, amp))
-        # error vs. the original symbol, confined to the active bins
-        x_f = orig.copy()
-        x_f[rows] = orig[rows] + (clipped_f[rows] - orig[rows])
-        x_t = idft(x_f)
-    return x_f[rows], iterations
 
 
 def run_i_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
@@ -238,7 +88,7 @@ def run_i_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
                 np.mean(np.abs(bodies[:, active]) ** 2, axis=0) * tau)
             peaks = np.max(np.abs(bodies[:, active]) ** 2, axis=0)
             active = active[peaks > amps[active] ** 2 * stop]
-        out_grids.append(ResourceGrid(bwp_index=m, values=vals_cur, is_reference=False))
+        out_grids.append(ResourceGrid(bwp_index=m, values=vals_cur))
         all_iters.append(iters)
         shaped.append(wola.modulate_wola(out_grids[-1], dims,
                                          spec.wola_extension_factor))
@@ -254,14 +104,14 @@ def run_e_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
     """Aggregate clipping with per-subband interference cancellation.
 
     Per iteration: the plain-CP composite is clipped to the target ratio
-    over its current mean power; per (subband, symbol) the
-    clipped composite is observed through the subband's CP-stripped DFT
-    window; subtracting the subband's own payload and the current
-    inter-numerology interference estimate isolates the clipping noise,
-    which is confined to the active bins and folded back into the grid.
-    The subband streams are then regenerated and the interference
-    estimates refreshed.  The iteration stops early once the composite
-    peak-to-average ratio meets the target.
+    over its current mean power; per (subband, symbol) the clipped
+    composite is observed through the subband's CP-stripped DFT window
+    (``ofdm_demodulate``); subtracting the subband's own payload and the
+    current inter-numerology interference estimate isolates the clipping
+    noise, which is confined to the active bins and folded back into the
+    grid.  The subband streams are then regenerated (``ofdm_modulate``)
+    and the interference estimates refreshed.  The iteration stops early
+    once the composite peak-to-average ratio meets the target.
 
     The shaped output applies the per-BWP WOLA windows to the final grids
     and sums the streams.  ``cancel_ini=False`` disables the interference
@@ -270,21 +120,24 @@ def run_e_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
     dims = dims or derive_dims(spec)
     grids = grids or [ofdm.generate_grid(dims, m, spec.seed) for m in range(dims.num_bwps)]
     n_bwp = dims.num_bwps
-    rows = [np.mod(dims.bwps[m].active_base, dims.bwps[m].l_ofdm_os)
-            for m in range(n_bwp)]
     vals_orig = [g.values for g in grids]
-    vals_cur = [v.copy() for v in vals_orig]
-    streams = [_synthesize(vals_cur[m], dims.bwps[m], rows[m]) for m in range(n_bwp)]
+    out_grids = [ResourceGrid(bwp_index=m, values=vals_orig[m].copy())
+                 for m in range(n_bwp)]
+
+    def observe(samples: np.ndarray, m: int) -> np.ndarray:
+        sig = ComplexSignal(samples=samples, sample_rate_hz=dims.fs_oversampled_hz)
+        return ofdm_demodulate(sig, dims, m).values
+
+    streams = [ofdm_modulate(g, dims).samples for g in out_grids]
     composite = np.sum(streams, axis=0)
 
-    a0 = threshold_from_target(composite, spec.papr_target_db)
     target_lin = 10.0 ** (spec.papr_target_db / 10.0)
     stop_lin = target_lin * 10.0 ** (spec.stop_epsilon_db / 10.0)
 
     def ini(m: int) -> np.ndarray:
         if not cancel_ini or n_bwp == 1:
-            return np.zeros_like(vals_cur[m])
-        return _observe_rows(composite - streams[m], dims.bwps[m], rows[m])
+            return np.zeros_like(vals_orig[m])
+        return observe(composite - streams[m], m)
 
     z = [ini(m) for m in range(n_bwp)]
 
@@ -301,21 +154,17 @@ def run_e_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
         a = float(np.sqrt(np.mean(np.abs(composite) ** 2) * target_lin))
         clipped = clip_polar(composite, a)
         for m in range(n_bwp):
-            observed = _observe_rows(clipped, dims.bwps[m], rows[m])
-            noise = observed - vals_orig[m] - z[m]
-            vals_cur[m] = vals_orig[m] + noise
-        streams = [_synthesize(vals_cur[m], dims.bwps[m], rows[m]) for m in range(n_bwp)]
+            noise = observe(clipped, m) - vals_orig[m] - z[m]
+            out_grids[m] = ResourceGrid(bwp_index=m, values=vals_orig[m] + noise)
+        streams = [ofdm_modulate(g, dims).samples for g in out_grids]
         composite = np.sum(streams, axis=0)
         z = [ini(m) for m in range(n_bwp)]
         papr = composite_papr()
         peak_trace.append(10.0 * np.log10(papr))
 
-    out_grids = [ResourceGrid(bwp_index=m, values=vals_cur[m], is_reference=False)
-                 for m in range(n_bwp)]
     if info is not None:
         info["iterations"] = iterations
         info["peak_trace_db"] = peak_trace
-        info["threshold_amp"] = a0
         info["grids"] = out_grids
     shaped = [wola.modulate_wola(g, dims, spec.wola_extension_factor)
               for g in out_grids]

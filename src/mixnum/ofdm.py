@@ -43,13 +43,10 @@ class ResourceGrid:
 
     ``values`` has shape (num_subcarriers, num_symbols): one column per OFDM
     symbol, one row per active subcarrier in ascending index order.
-    ``is_reference`` marks the unmodified payload used as the receiver
-    reference (PAPR processing produces modified copies).
     """
 
     bwp_index: int
     values: np.ndarray
-    is_reference: bool = True
 
     @property
     def num_symbols(self) -> int:
@@ -135,7 +132,7 @@ def generate_grid(dims: DerivedDims, bwp_index: int, seed: int) -> ResourceGrid:
         rng = np.random.Generator(np.random.Philox(key=key))
         bits = rng.integers(0, 2, size=k * nbits)
         cols[:, s] = qam_map(bits, bd.modulation)
-    return ResourceGrid(bwp_index=bwp_index, values=cols, is_reference=True)
+    return ResourceGrid(bwp_index=bwp_index, values=cols)
 
 
 def _transform_dims(bd: BwpDims, oversampled: bool) -> tuple[int, int]:
@@ -223,9 +220,8 @@ def ofdm_demodulate(signal: ComplexSignal, dims: DerivedDims, bwp_index: int,
     if len(signal) < n_sym * stride:
         raise ValueError("signal too short for the symbol count")
     start = l_cp + timing_offset
-    windows = np.empty((l, n_sym), dtype=np.complex128)
-    for s in range(n_sym):
-        windows[:, s] = signal.samples[s * stride + start: s * stride + start + l]
+    frames = signal.samples[: n_sym * stride].reshape(n_sym, stride)
+    windows = frames[:, start: start + l].T
     if not at_baseband:
         # The conjugate carrier over window s factors into a per-sample ramp
         # (shared by all windows) times a per-window scalar at its start.
@@ -238,7 +234,7 @@ def ofdm_demodulate(signal: ComplexSignal, dims: DerivedDims, bwp_index: int,
     values = spec[np.mod(idx, l), :]
     if timing_offset:
         values = values * np.exp(-2j * np.pi * idx * timing_offset / l)[:, None]
-    return ResourceGrid(bwp_index=bwp_index, values=values, is_reference=False)
+    return ResourceGrid(bwp_index=bwp_index, values=values)
 
 
 def write_waveform(signal: ComplexSignal, path: str) -> None:

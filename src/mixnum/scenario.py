@@ -1,4 +1,4 @@
-"""Scenario configuration: load, validate and derive simulation dimensions.
+"""Scenario configuration: validate and derive simulation dimensions.
 
 A scenario describes a single carrier split into one or more bandwidth parts
 (BWPs), each with its own subcarrier spacing, allocation size, modulation and
@@ -10,7 +10,6 @@ index maps used by every other module.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -238,13 +237,6 @@ def default_scenario_dict() -> dict:
              "center_offset_hz": 4.98e6},
         ],
     }
-
-
-def load_scenario(path: str) -> ScenarioSpec:
-    """Load and validate a scenario from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return scenario_from_dict(raw)
 
 
 def scenario_from_dict(raw: dict) -> ScenarioSpec:

@@ -5,50 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mixnum import fc, fc_icef, metrics, ofdm
-from mixnum.fc_icef import (BinSets, block_iterate, build_bin_sets,
-                            clip_noise_filter, run_fc_icef, window_weights)
-from mixnum.icef import ClipConfig, clip_polar
+from mixnum import fc, metrics, ofdm
+from mixnum.fc_icef import run_fc_icef, window_weights
+from mixnum.icef import clip_polar
 from mixnum.scenario import derive_dims
 
-from conftest import rng, tiny_spec
-
-
-class TestBinSets:
-    def test_partition_and_counts(self, desk_dims):
-        bs = build_bin_sets(desk_dims)
-        n = desk_dims.fc.inverse_len
-        assert bs.k_e.size == bs.k_f.size == bs.k_null.size == n
-        # Every output bin belongs to exactly one of the three roles.
-        assert (bs.k_e.astype(int) + bs.k_f + bs.k_null == 1).all()
-        assert bs.counts == (1200, 133, 6859)
-
-    def test_allocation_bins_are_passthrough(self, desk_dims):
-        windows = [fc.design_window(bd, desk_dims.fc) for bd in desk_dims.bwps]
-        bs = build_bin_sets(desk_dims, windows)
-        n = desk_dims.fc.inverse_len
-        for w in windows:
-            signed = np.concatenate([w.passband, w.transition])
-            assert bs.k_e[np.mod(w.center_bin + signed, n)].all()
-
-    def test_in_channel_gap_bins_are_shaped(self, desk_dims):
-        bs = build_bin_sets(desk_dims)
-        assert bs.k_f[0]  # DC sits between the two allocations
-        # 15 MHz is inside the sampling bandwidth but outside the channel.
-        assert bs.k_null[1000] and bs.k_null[desk_dims.fc.inverse_len - 1000]
-
-    def test_requires_filter_bank_geometry(self):
-        spec = tiny_spec(method="NONE")
-        dims = derive_dims(spec)
-        with pytest.raises(ValueError):
-            build_bin_sets(dims)
-
-    def test_noise_filter_is_an_independent_copy(self, desk_dims):
-        bs = build_bin_sets(desk_dims)
-        h = clip_noise_filter(bs)
-        assert np.array_equal(h, bs.k_e)
-        h[:] = False
-        assert bs.k_e.any()
+from conftest import tiny_spec
 
 
 class TestWindowWeights:
@@ -68,73 +30,84 @@ class TestWindowWeights:
         assert np.count_nonzero(w) == support
 
 
+def _clean_blocks(spec, dims):
+    """Unprocessed time blocks and the slice overlap-save keeps of each."""
+    grids = [ofdm.generate_grid(dims, m, spec.seed)
+             for m in range(dims.num_bwps)]
+    v_f, _ = fc.fc_subband_spectra(dims, grids)
+    discard = (v_f.data.shape[0] - v_f.step_len) // 2
+    return (ofdm.idft(v_f.data, axis=0),
+            slice(discard, discard + v_f.step_len))
+
+
 class TestBlockIterate:
-    def _block(self, tag="block", n=128):
-        g = rng(tag)
-        return g.standard_normal(n) + 1j * g.standard_normal(n)
+    """FC_ICEF's block-wise clip-and-filter loop, driven through the runner."""
 
     def test_zero_budget_is_identity(self):
-        v = self._block()
-        h = np.ones(128, dtype=bool)
-        cfg = ClipConfig(threshold_amp=1e-6, max_iterations=0)
-        v_t, cur, iters = block_iterate(v, h, cfg)
-        assert iters == 0
-        assert np.array_equal(cur, v)
-        assert np.allclose(v_t, ofdm.idft(v), atol=0)
+        spec = tiny_spec(method="FC_ICEF", max_iterations=0)
+        dims = derive_dims(spec)
+        info: dict = {"keep_spectra": True}
+        out = run_fc_icef(spec, dims, info=info)
+        assert (info["iterations"] == 0).all()
+        assert np.array_equal(info["v_f_proc"], info["v_f_orig"])
+        assert np.array_equal(out.samples, fc.run_fc_f_ofdm(spec, dims).samples)
 
     def test_single_pass_matches_manual_clip_and_filter(self):
-        v = self._block("one-pass")
-        h = np.zeros(128, dtype=bool)
-        h[:64] = True
-        amp = 0.05
-        cfg = ClipConfig(threshold_amp=amp, max_iterations=1)
-        _, cur, iters = block_iterate(v, h, cfg)
-        assert iters == 1
-        manual = v.copy()
-        clipped = ofdm.dft(clip_polar(ofdm.idft(v), amp))
-        manual[:64] = clipped[:64]
-        assert np.array_equal(cur, manual)
-
-    def test_blocked_bins_never_change(self):
-        v = self._block("confine")
-        h = np.zeros(128, dtype=bool)
-        h[10:70] = True
-        cfg = ClipConfig(threshold_amp=0.02, max_iterations=12)
-        _, cur, _ = block_iterate(v, h, cfg)
-        assert np.array_equal(cur[~h], v[~h])
-        assert not np.array_equal(cur[h], v[h])
-
-    def test_all_blocked_filter_discards_every_correction(self):
-        v = self._block("discard")
-        h = np.zeros(128, dtype=bool)
-        cfg = ClipConfig(threshold_amp=0.02, max_iterations=4)
-        _, cur, _ = block_iterate(v, h, cfg)
-        assert np.array_equal(cur, v)
+        # One round adds each active block's clipping noise, weighted by the
+        # subband windows' gains, to its spectrum; a 0/1 mask on the
+        # transition bins would not match.
+        spec = tiny_spec(method="FC_ICEF", papr_target_db=8.0,
+                         max_iterations=1)
+        dims = derive_dims(spec)
+        info: dict = {"keep_spectra": True}
+        run_fc_icef(spec, dims, info=info)
+        v_f, proc = info["v_f_orig"], info["v_f_proc"]
+        w = window_weights(info["windows"], v_f.shape[0])
+        assert np.any((w > 0) & (w < 1))
+        amp = info["threshold_amp"]
+        v_t = ofdm.idft(v_f, axis=0)
+        active = (np.max(np.abs(v_t) ** 2, axis=0)
+                  > amp ** 2 * 10 ** (spec.stop_epsilon_db / 10))
+        assert active.any() and not active.all()
+        assert np.array_equal(info["iterations"] == 1, active)
+        k_e = w > 0
+        noise = ofdm.dft(clip_polar(v_t, amp) - v_t, axis=0)
+        manual = v_f + w[:, None] * noise
+        assert np.allclose(proc[np.ix_(k_e, active)],
+                           manual[np.ix_(k_e, active)], rtol=1e-12, atol=0)
+        assert np.array_equal(proc[~k_e, :], v_f[~k_e, :])
+        assert np.array_equal(proc[:, ~active], v_f[:, ~active])
 
     def test_satisfied_peak_stops_immediately(self):
-        v = self._block("stop")
-        h = np.ones(128, dtype=bool)
-        peak = float(np.max(np.abs(ofdm.idft(v))))
-        cfg = ClipConfig(threshold_amp=2 * peak, max_iterations=10)
-        _, cur, iters = block_iterate(v, h, cfg)
-        assert iters == 0
-        assert np.array_equal(cur, v)
+        # A target just above the highest block's peak-to-mean ratio leaves
+        # every block alone; just below it, that block is clipped.
+        spec = tiny_spec(method="FC_ICEF")
+        dims = derive_dims(spec)
+        v_t, kept = _clean_blocks(spec, dims)
+        peaks = np.max(np.abs(v_t) ** 2, axis=0)
+        peak_db = 10 * np.log10(peaks.max() / np.mean(np.abs(v_t[kept, :]) ** 2))
+        eps = spec.stop_epsilon_db
+        above = tiny_spec(method="FC_ICEF", papr_target_db=peak_db - eps + 0.01)
+        info: dict = {}
+        out = run_fc_icef(above, dims, info=info)
+        assert (info["iterations"] == 0).all()
+        assert np.array_equal(out.samples, fc.run_fc_f_ofdm(above, dims).samples)
+        below = tiny_spec(method="FC_ICEF", papr_target_db=peak_db - eps - 0.01)
+        run_fc_icef(below, dims, info=info)
+        assert info["iterations"][np.argmax(peaks)] > 0
 
     def test_power_slice_references_the_kept_samples(self):
-        # With a target ratio configured, the ceiling must track the mean
-        # power of the slice that survives overlap-save, not the whole
-        # block.
-        v = self._block("slice")
-        h = np.ones(128, dtype=bool)
-        sl = slice(32, 96)
-        cfg = ClipConfig(threshold_amp=1.0, max_iterations=1,
-                         papr_target_db=3.0)
-        _, cur, iters = block_iterate(v, h, cfg, power_slice=sl)
-        assert iters == 1
-        v_t = ofdm.idft(v)
-        amp = float(np.sqrt(np.mean(np.abs(v_t[sl]) ** 2) * 10 ** 0.3))
-        manual = ofdm.dft(clip_polar(v_t, amp))
-        assert np.allclose(cur, manual, rtol=1e-12, atol=0)
+        # The shared ceiling tracks the mean power of the samples that
+        # survive overlap-save, not of the whole blocks.
+        spec = tiny_spec(method="FC_ICEF", papr_target_db=3.0)
+        dims = derive_dims(spec)
+        info: dict = {}
+        run_fc_icef(spec, dims, info=info)
+        v_t, kept = _clean_blocks(spec, dims)
+        amp = np.sqrt(np.mean(np.abs(v_t[kept, :]) ** 2) * 10 ** 0.3)
+        whole = np.sqrt(np.mean(np.abs(v_t) ** 2) * 10 ** 0.3)
+        assert info["threshold_amp"] == pytest.approx(amp, rel=1e-12)
+        assert abs(whole / amp - 1) > 1e-3
 
 
 class TestRunFcIcef:
@@ -163,16 +136,16 @@ class TestRunFcIcef:
 
     def test_noise_confined_to_allocation_bins(self):
         # The processed block spectra may differ from the clean ones only
-        # on passthrough bins; shaped and out-of-channel bins keep their
-        # original values bit-exactly.
+        # on bins some subband window reaches (K_E); every other bin keeps
+        # its original value bit-exactly.
         spec = tiny_spec(method="FC_ICEF", max_iterations=8)
         dims = derive_dims(spec)
         info: dict = {"keep_spectra": True}
         run_fc_icef(spec, dims, info=info)
-        bs = info["bin_sets"]
         delta = info["v_f_proc"] - info["v_f_orig"]
-        assert np.abs(delta[bs.k_f | bs.k_null, :]).max() == 0.0
-        assert np.abs(delta[bs.k_e, :]).max() > 0.0
+        k_e = window_weights(info["windows"], delta.shape[0]) > 0
+        assert np.abs(delta[~k_e, :]).max() == 0.0
+        assert np.abs(delta[k_e, :]).max() > 0.0
 
     def test_clipping_keeps_the_clean_adjacent_channel_leakage(self):
         # The clipping noise passes through the subband windows, so the

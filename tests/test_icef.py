@@ -1,15 +1,13 @@
-"""Clip-and-filter kernels, interference observation, and the two
-grid-domain reduction pipelines."""
+"""Polar clipping, interference observation, and the two grid-domain
+reduction pipelines."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
 from mixnum import icef, ofdm, wola
-from mixnum.icef import (ClipConfig, build_subband_mask, clip_polar,
-                         compute_ini, icef_symbol, threshold_from_target)
+from mixnum.icef import clip_polar
 from mixnum.scenario import derive_dims, scenario_from_dict
 
 from conftest import make_spec, rng, tiny_spec
@@ -21,41 +19,6 @@ def _spec_dict(**top):
     d = default_scenario_dict()
     d.update(top)
     return d
-
-
-class TestClipConfig:
-    def test_rejects_nonpositive_threshold(self):
-        with pytest.raises(ValueError):
-            ClipConfig(threshold_amp=0.0, max_iterations=1)
-        with pytest.raises(ValueError):
-            ClipConfig(threshold_amp=-1.0, max_iterations=1)
-
-    def test_rejects_negative_budget(self):
-        with pytest.raises(ValueError):
-            ClipConfig(threshold_amp=1.0, max_iterations=-1)
-
-    def test_stop_factor_converts_decibels(self):
-        cfg = ClipConfig(threshold_amp=1.0, max_iterations=1, stop_epsilon_db=0.01)
-        assert cfg.stop_factor == pytest.approx(10.0 ** 0.001, rel=1e-12)
-
-
-class TestThresholdFromTarget:
-    def test_hand_computed_value(self):
-        x = np.array([3.0, 4.0j], dtype=np.complex128)  # mean power 12.5
-        a = threshold_from_target(x, 3.0)
-        assert a == pytest.approx(np.sqrt(12.5 * 10.0 ** 0.3), rel=1e-12)
-
-    def test_accepts_wrapped_signals(self):
-        x = np.ones(8, dtype=np.complex128)
-        sig = ofdm.ComplexSignal(samples=x, sample_rate_hz=1.0)
-        assert threshold_from_target(sig, 5.0) == threshold_from_target(x, 5.0)
-
-    @given(st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3))
-    def test_scales_linearly_with_the_signal(self, seed, alpha):
-        g = rng(seed)
-        x = g.standard_normal(64) + 1j * g.standard_normal(64)
-        assert threshold_from_target(alpha * x, 5.0) == pytest.approx(
-            alpha * threshold_from_target(x, 5.0), rel=1e-12)
 
 
 class TestClipPolar:
@@ -93,85 +56,86 @@ class TestClipPolar:
         assert (clip_polar(np.zeros(4, dtype=np.complex128), 1.0) == 0).all()
 
 
-class TestSubbandMask:
-    def test_marks_exactly_the_active_subcarriers(self, desk_dims):
-        for m, count in ((0, 624), (1, 132)):
-            bd = desk_dims.bwps[m]
-            mask = build_subband_mask(bd)
-            assert mask.size == bd.l_ofdm_os
-            assert int(mask.sum()) == count
-            assert mask[np.mod(bd.active_base, bd.l_ofdm_os)].all()
-
-    def test_explicit_transform_length(self, desk_dims):
-        bd = desk_dims.bwps[0]
-        mask = build_subband_mask(bd, l=2 * bd.l_ofdm_os)
-        assert mask.size == 2 * bd.l_ofdm_os
-        assert int(mask.sum()) == 624
-
-
 class TestIcefSymbol:
-    def _column(self, dims, m=0, tag="sym"):
-        bd = dims.bwps[m]
-        g = rng(tag)
-        k = len(bd.active_base)
-        return (g.standard_normal(k) + 1j * g.standard_normal(k)) / np.sqrt(2), bd
+    """I_ICEF's per-symbol clip-and-filter loop, driven through the runner."""
+
+    def _run(self, dims, grids=None, **overrides):
+        spec = tiny_spec(method="I_ICEF", **overrides)
+        if grids is None:
+            grids = [ofdm.generate_grid(dims, m, spec.seed)
+                     for m in range(dims.num_bwps)]
+        info: dict = {}
+        out = icef.run_i_icef(spec, dims, grids, info=info)
+        return out, info, grids
 
     def test_zero_budget_returns_the_input(self, tiny_dims):
-        col, bd = self._column(tiny_dims)
-        cfg = ClipConfig(threshold_amp=1.0, max_iterations=0, papr_target_db=5.0)
-        out, iters = icef_symbol(col.copy(), None, bd, cfg)
-        assert iters == 0
-        assert np.array_equal(out, col)
+        out, info, grids = self._run(tiny_dims, max_iterations=0,
+                                     papr_target_db=5.0)
+        assert (info["iterations"] == 0).all()
+        for ref, got in zip(grids, info["grids"]):
+            assert np.array_equal(got.values, ref.values)
+        none = icef.run_none(tiny_spec(), tiny_dims, grids)
+        assert np.array_equal(out.samples, none.samples)
 
     def test_generous_target_triggers_no_iteration(self, tiny_dims):
-        col, bd = self._column(tiny_dims)
-        cfg = ClipConfig(threshold_amp=1.0, max_iterations=10, papr_target_db=40.0)
-        out, iters = icef_symbol(col.copy(), None, bd, cfg)
-        assert iters == 0
-        assert np.array_equal(out, col)
+        _, info, grids = self._run(tiny_dims, max_iterations=10,
+                                   papr_target_db=40.0)
+        assert (info["iterations"] == 0).all()
+        for ref, got in zip(grids, info["grids"]):
+            assert np.array_equal(got.values, ref.values)
 
     def test_iteration_budget_is_respected_and_peak_reduced(self, tiny_dims):
-        col, bd = self._column(tiny_dims)
-        cfg = ClipConfig(threshold_amp=1.0, max_iterations=6, papr_target_db=4.0)
-        out, iters = icef_symbol(col.copy(), None, bd, cfg)
-        assert 0 < iters <= 6
+        _, info, grids = self._run(tiny_dims, max_iterations=6,
+                                   papr_target_db=4.0)
+        iters = info["iterations"]
+        assert (iters <= 6).all() and iters.max() > 0
 
-        def papr(values):
-            spec = np.zeros(bd.l_ofdm_os, dtype=np.complex128)
-            spec[np.mod(bd.active_base, bd.l_ofdm_os)] = values
-            t = ofdm.idft(spec)
-            return np.max(np.abs(t) ** 2) / np.mean(np.abs(t) ** 2)
+        def papr(grid):
+            t = ofdm.idft(ofdm.grid_to_spectrum(grid, tiny_dims, at_baseband=True),
+                          axis=0)
+            p = np.abs(t) ** 2
+            return np.max(p, axis=0) / np.mean(p, axis=0)
 
-        assert papr(out) < papr(col)
+        before = np.concatenate([papr(g) for g in grids])
+        after = np.concatenate([papr(g) for g in info["grids"]])
+        clipped = iters > 0
+        assert (after[clipped] < before[clipped]).all()
+        assert np.array_equal(after[~clipped], before[~clipped])
 
     @given(st.integers(0, 2**32 - 1))
-    def test_covariant_under_complex_scaling(self, seed):
-        spec = tiny_spec()
-        dims = derive_dims(spec)
-        bd = dims.bwps[1]
+    def test_covariant_under_complex_scaling(self, tiny_dims, seed):
         g = rng(seed)
-        k = len(bd.active_base)
-        col = g.standard_normal(k) + 1j * g.standard_normal(k)
+        grids = []
+        for m, bd in enumerate(tiny_dims.bwps):
+            shape = (bd.num_subcarriers, bd.num_symbols)
+            grids.append(ofdm.ResourceGrid(
+                bwp_index=m,
+                values=g.standard_normal(shape) + 1j * g.standard_normal(shape)))
         gain = complex(g.standard_normal() + 1j * g.standard_normal())
         if abs(gain) < 1e-3:
             gain = 1.0 + 1.0j
-        cfg = ClipConfig(threshold_amp=1.0, max_iterations=4, papr_target_db=4.0)
-        out_a, it_a = icef_symbol(col, None, bd, cfg)
-        out_b, it_b = icef_symbol(gain * col, None, bd, cfg)
-        assert it_a == it_b
-        assert np.allclose(out_b, gain * out_a, rtol=1e-10, atol=1e-12 * abs(gain))
+        scaled = [ofdm.ResourceGrid(bwp_index=r.bwp_index, values=gain * r.values)
+                  for r in grids]
+        _, info_a, _ = self._run(tiny_dims, grids, max_iterations=4,
+                                 papr_target_db=4.0)
+        _, info_b, _ = self._run(tiny_dims, scaled, max_iterations=4,
+                                 papr_target_db=4.0)
+        assert np.array_equal(info_a["iterations"], info_b["iterations"])
+        for a, b in zip(info_a["grids"], info_b["grids"]):
+            assert np.allclose(b.values, gain * a.values, rtol=1e-10,
+                               atol=1e-12 * abs(gain))
+
+
+def _interference(streams, m, dims):
+    """Other subbands' summed stream seen through BWP ``m``'s receiver."""
+    others = np.sum([x for i, x in enumerate(streams) if i != m], axis=0)
+    sig = ofdm.ComplexSignal(samples=others, sample_rate_hz=dims.fs_oversampled_hz)
+    return ofdm.ofdm_demodulate(sig, dims, m).values
 
 
 class TestComputeIni:
-    def test_single_subband_sees_nothing(self):
-        raw = _spec_dict(duration_symbols_base=4)
-        raw["bwps"] = [raw["bwps"][0]]
-        spec = scenario_from_dict(raw)
-        dims = derive_dims(spec)
-        grid = ofdm.generate_grid(dims, 0, spec.seed)
-        stream = ofdm.ofdm_modulate(grid, dims).samples
-        for s in range(4):
-            assert (compute_ini([stream], 0, s, dims) == 0).all()
+    """The interference term E_ICEF cancels: the other subbands' stream
+    observed through a subband's CP-stripped DFT window."""
 
     def test_equal_numerology_disjoint_subbands_are_orthogonal(self):
         # Two 15 kHz allocations on a common grid: whole subcarriers of one
@@ -193,11 +157,9 @@ class TestComputeIni:
             streams.append(ofdm.ofdm_modulate(grid, dims).samples)
             scale = max(scale, float(np.max(np.abs(grid.values))))
         for m in (0, 1):
-            bd = dims.bwps[m]
-            bins = np.mod(bd.active_base, bd.l_ofdm_os)
-            for s in (0, 3):
-                leak = compute_ini(streams, m, s, dims)[bins]
-                assert np.max(np.abs(leak)) <= 1e-10 * scale
+            leak = _interference(streams, m, dims)
+            assert leak.shape == (dims.bwps[m].num_subcarriers, 4)
+            assert np.max(np.abs(leak)) <= 1e-10 * scale
 
     def test_mixed_numerology_subbands_do_interfere(self, tiny_dims):
         spec = tiny_spec()
@@ -205,9 +167,7 @@ class TestComputeIni:
         for m in range(2):
             grid = ofdm.generate_grid(tiny_dims, m, spec.seed)
             streams.append(ofdm.ofdm_modulate(grid, tiny_dims).samples)
-        bd = tiny_dims.bwps[0]
-        bins = np.mod(bd.active_base, bd.l_ofdm_os)
-        leak = compute_ini(streams, 0, 0, tiny_dims)[bins]
+        leak = _interference(streams, 0, tiny_dims)[:, 0]
         assert np.max(np.abs(leak)) > 1e-4
 
 
@@ -282,7 +242,6 @@ class TestRunAggregate:
         assert np.array_equal(out.samples, rebuilt.samples)
         trace = info["peak_trace_db"]
         assert len(trace) == info["iterations"] + 1
-        assert info["threshold_amp"] > 0
         # After the first pass the running aggregate peak never rebounds by
         # more than 1 dB above its post-first-pass value.
         for later in trace[1:]:
