@@ -146,7 +146,13 @@ def _write_psd_csv(path: Path, psd: metrics.PsdEstimate) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _require_threads(threads: int) -> None:
+    if threads < 1:
+        raise ScenarioError(f"--threads must be at least 1, got {threads}")
+
+
 def cmd_run(args: argparse.Namespace) -> int:
+    _require_threads(args.threads)
     raw = load_raw_scenario(args.scenario, args.set or [])
     spec = scenario_from_dict(raw)
     out_dir = Path(args.out)
@@ -185,6 +191,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _require_threads(args.threads)
     targets = [float(t) for t in args.targets.split(",") if t]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:

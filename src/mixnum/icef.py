@@ -60,35 +60,42 @@ def run_i_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
     stop = 10.0 ** (spec.stop_epsilon_db / 10.0)
     for m, grid in enumerate(grids):
         bd = dims.bwps[m]
-        rows = np.mod(bd.active_base, bd.l_ofdm_os)
-        vals_orig = grid.values
+        l = bd.l_ofdm_os
+        rows = np.mod(bd.active_base, l)
+        # One row per symbol: (S, K) values, (S, L) spectra and bodies.
+        vals_orig = grid.values.T
         vals_cur = vals_orig.copy()
         budget = (ofdm.evm_limit(bd.modulation) ** 2
-                  * np.sum(np.abs(vals_orig) ** 2, axis=0))
-        spec_full = grid_to_spectrum(grid, dims, at_baseband=True)
-        bodies = idft(spec_full, axis=0)
+                  * np.sum(np.abs(grid.values) ** 2, axis=0))
+        bodies = idft(grid_to_spectrum(grid, dims, at_baseband=True).T)
         iters = np.zeros(bd.num_symbols, dtype=np.int64)
-        amps = np.sqrt(np.mean(np.abs(bodies) ** 2, axis=0) * tau)
-        peaks = np.max(np.abs(bodies) ** 2, axis=0)
+        power = np.abs(bodies) ** 2
+        # The initial mean power and the noise power are summed down the
+        # columns of a transposed copy: a column sum adds one element at a
+        # time, which a row reduction (pairwise) would not reproduce.
+        amps = np.sqrt(np.mean(power.T.copy(), axis=0) * tau)
+        peaks = np.max(power, axis=1)
+        del power
         active = np.flatnonzero(peaks > amps ** 2 * stop)
+        # Only the active symbols' bodies are needed from here on.
+        bodies = bodies[active]
         for _ in range(spec.max_iterations):
             if active.size == 0:
                 break
             iters[active] += 1
-            clipped_f = dft(clip_polar(bodies[:, active], amps[None, active]),
-                            axis=0)
-            noise = clipped_f[rows, :] - vals_orig[:, active]
-            noise_pow = np.sum(np.abs(noise) ** 2, axis=0)
+            clipped_f = dft(clip_polar(bodies, amps[active, None]))
+            noise = clipped_f[:, rows] - vals_orig[active]
+            noise_pow = np.sum((np.abs(noise) ** 2).T.copy(), axis=0)
             noise *= np.sqrt(np.minimum(
-                1.0, budget[active] / np.maximum(noise_pow, 1e-300)))
-            vals_cur[:, active] = vals_orig[:, active] + noise
-            spec_full[rows[:, None], active[None, :]] = vals_cur[:, active]
-            bodies[:, active] = idft(spec_full[:, active], axis=0)
-            amps[active] = np.sqrt(
-                np.mean(np.abs(bodies[:, active]) ** 2, axis=0) * tau)
-            peaks = np.max(np.abs(bodies[:, active]) ** 2, axis=0)
-            active = active[peaks > amps[active] ** 2 * stop]
-        out_grids.append(ResourceGrid(bwp_index=m, values=vals_cur))
+                1.0, budget[active] / np.maximum(noise_pow, 1e-300)))[:, None]
+            vals_cur[active] = vals = vals_orig[active] + noise
+            spec_active = np.zeros((active.size, l), dtype=np.complex128)
+            spec_active[:, rows] = vals
+            bodies = idft(spec_active)
+            amps[active] = np.sqrt(np.mean(np.abs(bodies) ** 2, axis=1) * tau)
+            keep = np.max(np.abs(bodies) ** 2, axis=1) > amps[active] ** 2 * stop
+            active, bodies = active[keep], bodies[keep]
+        out_grids.append(ResourceGrid(bwp_index=m, values=vals_cur.T))
         all_iters.append(iters)
         shaped.append(wola.modulate_wola(out_grids[-1], dims,
                                          spec.wola_extension_factor))
@@ -109,7 +116,8 @@ def run_e_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
     (``ofdm_demodulate``); subtracting the subband's own payload and the
     current inter-numerology interference estimate isolates the clipping
     noise, which is confined to the active bins and folded back into the
-    grid.  The subband streams are then regenerated (``ofdm_modulate``)
+    grid.  The subband streams are then regenerated (``ofdm_modulate`` at
+    baseband, times the subband's carrier, which is computed once per call)
     and the interference estimates refreshed.  The iteration stops early
     once the composite peak-to-average ratio meets the target.
 
@@ -128,7 +136,17 @@ def run_e_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
         sig = ComplexSignal(samples=samples, sample_rate_hz=dims.fs_oversampled_hz)
         return ofdm_demodulate(sig, dims, m).values
 
-    streams = [ofdm_modulate(g, dims).samples for g in out_grids]
+    # Each subband's carrier, computed once: a synthesis is the baseband
+    # stream times it, in the operand order ``ofdm_modulate`` uses.
+    carriers = [ofdm.subband_carrier(bd, bd.l_ofdm_os, 0,
+                                     bd.num_symbols * bd.stride_os)
+                for bd in dims.bwps]
+
+    def synthesize() -> list[np.ndarray]:
+        return [carriers[m] * ofdm_modulate(g, dims, at_baseband=True).samples
+                for m, g in enumerate(out_grids)]
+
+    streams = synthesize()
     composite = np.sum(streams, axis=0)
 
     target_lin = 10.0 ** (spec.papr_target_db / 10.0)
@@ -156,7 +174,7 @@ def run_e_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
         for m in range(n_bwp):
             noise = observe(clipped, m) - vals_orig[m] - z[m]
             out_grids[m] = ResourceGrid(bwp_index=m, values=vals_orig[m] + noise)
-        streams = [ofdm_modulate(g, dims).samples for g in out_grids]
+        streams = synthesize()
         composite = np.sum(streams, axis=0)
         z = [ini(m) for m in range(n_bwp)]
         papr = composite_papr()

@@ -6,7 +6,12 @@ Conventions used throughout the package:
   (numpy convention), so ``dft(idft(x)) == x``;
 * frequency-domain vectors are in natural DFT order, DC at bin 0; signed
   subcarrier indexes are folded with ``k mod L``;
-* a resource-grid column holds the active subcarriers of one OFDM symbol.
+* a resource-grid column holds the active subcarriers of one OFDM symbol;
+* on the modem's hot path a symbol is one contiguous row: transform
+  inputs and bodies are C-ordered (num_symbols, L) arrays, so every
+  transform runs along the last axis and a set of symbols is a set of
+  rows.  Arrays handed out in the (L, S) or (K, S) grid shape are
+  transposed views of such row-major buffers.
 """
 
 from __future__ import annotations
@@ -28,13 +33,6 @@ class ComplexSignal:
 
     def __len__(self) -> int:
         return int(self.samples.size)
-
-    def mean_power(self) -> float:
-        return float(np.mean(np.abs(self.samples) ** 2))
-
-    def require_finite(self) -> None:
-        if not np.all(np.isfinite(self.samples.view(np.float64))):
-            raise ValueError("signal contains non-finite samples")
 
 
 @dataclass
@@ -167,12 +165,16 @@ def subband_carrier(bd: BwpDims, l: int, start: int, length: int, *,
 def grid_to_spectrum(grid: ResourceGrid, dims: DerivedDims, *,
                      oversampled: bool = True,
                      at_baseband: bool = False) -> np.ndarray:
-    """Zero-padded length-L transform input per symbol, shape (L, S)."""
+    """Zero-padded length-L transform input per symbol, shape (L, S).
+
+    The result is the transpose of a C-ordered (S, L) buffer: its ``.T``
+    holds one contiguous row per symbol, ready for a last-axis transform.
+    """
     bd = dims.bwps[grid.bwp_index]
     l, _ = _transform_dims(bd, oversampled)
-    x_f = np.zeros((l, grid.num_symbols), dtype=np.complex128)
-    x_f[_active_rows(bd, l, at_baseband), :] = grid.values
-    return x_f
+    x_f = np.zeros((grid.num_symbols, l), dtype=np.complex128)
+    x_f[:, _active_rows(bd, l, at_baseband)] = grid.values.T
+    return x_f.T
 
 
 def ofdm_modulate(grid: ResourceGrid, dims: DerivedDims, *,
@@ -189,11 +191,13 @@ def ofdm_modulate(grid: ResourceGrid, dims: DerivedDims, *,
     bd = dims.bwps[grid.bwp_index]
     l, l_cp = _transform_dims(bd, oversampled)
     body = idft(grid_to_spectrum(grid, dims, oversampled=oversampled,
-                                 at_baseband=True), axis=0)
-    sym = np.concatenate([body[l - l_cp:, :], body], axis=0)
-    flat = sym.T.reshape(-1)
+                                 at_baseband=True).T)
+    flat = np.concatenate([body[:, l - l_cp:], body], axis=1).reshape(-1)
     if not at_baseband:
-        flat = flat * subband_carrier(bd, l, 0, flat.size)
+        # The carrier is the left operand: complex multiply may fuse one
+        # of its products into an FMA, so the operand order fixes the last
+        # bit.  Callers that cache the carrier multiply the same way.
+        flat = subband_carrier(bd, l, 0, flat.size) * flat
     rate = dims.fs_oversampled_hz if oversampled else dims.fs_nominal_hz
     return ComplexSignal(samples=flat, sample_rate_hz=rate)
 
@@ -221,17 +225,17 @@ def ofdm_demodulate(signal: ComplexSignal, dims: DerivedDims, bwp_index: int,
         raise ValueError("signal too short for the symbol count")
     start = l_cp + timing_offset
     frames = signal.samples[: n_sym * stride].reshape(n_sym, stride)
-    windows = frames[:, start: start + l].T
+    windows = frames[:, start: start + l]
     if not at_baseband:
         # The conjugate carrier over window s factors into a per-sample ramp
         # (shared by all windows) times a per-window scalar at its start.
         ramp = subband_carrier(bd, l, 0, l, conjugate=True)
         starts = start + stride * np.arange(n_sym)
         phase = np.exp(-2j * np.pi * bd.center_scs * starts / l)
-        windows = windows * ramp[:, None] * phase[None, :]
-    spec = dft(windows, axis=0)
+        windows = windows * ramp[None, :] * phase[:, None]
+    spec = dft(windows)
     idx = bd.active_base
-    values = spec[np.mod(idx, l), :]
+    values = spec[:, np.mod(idx, l)].T
     if timing_offset:
         values = values * np.exp(-2j * np.pi * idx * timing_offset / l)[:, None]
     return ResourceGrid(bwp_index=bwp_index, values=values)

@@ -216,6 +216,15 @@ def _require(cond: bool, msg: str) -> None:
         raise ScenarioError(msg)
 
 
+def _require_db(value: float, name: str) -> None:
+    """A finite dB value whose linear ratio ``10**(value/10)`` is a float."""
+    try:
+        ok = math.isfinite(value) and math.isfinite(10.0 ** (value / 10.0))
+    except OverflowError:
+        ok = False
+    _require(ok, f"{name} must be finite with a representable linear ratio")
+
+
 def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
@@ -306,8 +315,10 @@ def validate_scenario(spec: ScenarioSpec) -> None:
     _require(spec.oversampling >= 1, "oversampling must be >= 1")
     _require(spec.duration_symbols_base >= 1, "duration_symbols_base must be >= 1")
     _require(spec.papr_target_db > 0, "papr_target_db must be positive")
+    _require_db(spec.papr_target_db, "papr_target_db")
     _require(spec.max_iterations >= 0, "max_iterations must be >= 0")
     _require(spec.stop_epsilon_db > 0, "stop_epsilon_db must be positive")
+    _require_db(spec.stop_epsilon_db, "stop_epsilon_db")
     _require(0.0 <= spec.wola_extension_factor <= 1.0,
              "wola_extension_factor must lie in [0, 1]")
     _require(spec.seed >= 0, "seed must be non-negative")

@@ -84,40 +84,47 @@ def build_rc_window(params: WolaParams) -> np.ndarray:
 
 
 def wola_symbol(body: np.ndarray, params: WolaParams) -> np.ndarray:
-    """Cyclically extend and window one symbol body (or a (L, S) batch).
+    """Cyclically extend and window one symbol body (or a (S, L) batch).
 
     The extension places ``l_cp + l_ext/2`` tail samples of the body in
     front (CP plus half the extra extension) and ``l_ext/2`` head samples
-    behind, then multiplies by the RC window.
+    behind, then multiplies by the RC window.  A batch holds one body per
+    row.
     """
     body = np.asarray(body)
-    if body.shape[0] != params.l_ofdm:
+    if body.shape[-1] != params.l_ofdm:
         raise ValueError("body length does not match the transform size")
     half = params.l_ext // 2
-    ext = np.concatenate([body[params.l_ofdm - params.l_cp - half:],
-                          body, body[:half]], axis=0)
-    w = build_rc_window(params)
-    return ext * (w[:, None] if body.ndim == 2 else w)
+    ext = np.concatenate([body[..., params.l_ofdm - params.l_cp - half:],
+                          body, body[..., :half]], axis=-1)
+    return ext * build_rc_window(params)
 
 
 def wola_assemble(bodies: np.ndarray, params: WolaParams) -> np.ndarray:
-    """Overlap-add a (L, S) batch of symbol bodies into one sample stream.
+    """Overlap-add a (S, L) batch of symbol bodies into one sample stream.
 
     Windowed symbols are placed at the CP-OFDM stride; the half-extension
     lead-in of the first symbol (which would sit before time zero) is
     dropped so sample 0 is the nominal start of symbol 0 in every BWP and
     multi-BWP aggregation stays time aligned.  Output length is
     ``S*stride + l_ext/2``.
+
+    Since ``l_ext <= l_cp``, a window overlaps only its successor: the
+    first ``stride`` samples of every window land on one stride-long row
+    of the buffer, and the ``l_ext`` samples after them on the head of the
+    next row.  Both are added into a zero buffer, so every sample is
+    ``0.0 + x`` or ``(0.0 + x) + y``, as with one add per symbol.
     """
     if bodies.ndim != 2:
-        raise ValueError("expected a (transform, symbols) array")
+        raise ValueError("expected a (symbols, transform) array")
     windowed = wola_symbol(bodies, params)
-    n_sym = bodies.shape[1]
-    half = params.l_ext // 2
-    buf = np.zeros(n_sym * params.stride + params.l_ext, dtype=np.complex128)
-    for s in range(n_sym):
-        buf[s * params.stride: s * params.stride + params.window_len] += windowed[:, s]
-    return buf[half:]
+    n_sym = bodies.shape[0]
+    stride = params.stride
+    buf = np.zeros((n_sym + 1) * stride, dtype=np.complex128)
+    rows = buf.reshape(n_sym + 1, stride)
+    rows[:-1] += windowed[:, :stride]
+    rows[1:, :params.l_ext] += windowed[:, stride:]
+    return buf[params.l_ext // 2: n_sym * stride + params.l_ext]
 
 
 def modulate_wola(grid: ResourceGrid, dims: DerivedDims,
@@ -132,7 +139,7 @@ def modulate_wola(grid: ResourceGrid, dims: DerivedDims,
     bd = dims.bwps[grid.bwp_index]
     params = WolaParams.from_dims(bd, extension_factor)
     bodies = idft(grid_to_spectrum(grid, dims, oversampled=True,
-                                   at_baseband=True), axis=0)
+                                   at_baseband=True).T)
     flat = wola_assemble(bodies, params)
     flat *= subband_carrier(bd, bd.l_ofdm_os, 0, flat.size)
     return ComplexSignal(samples=flat, sample_rate_hz=dims.fs_oversampled_hz)

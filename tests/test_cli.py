@@ -120,6 +120,24 @@ class TestRunCommand:
                        "--scenario", str(tmp_path / "absent.json")])
         assert rc == 1
 
+    @pytest.mark.parametrize("field", ["papr_target_db", "stop_epsilon_db"])
+    def test_unrepresentable_db_value_is_a_scenario_error(self, tmp_path,
+                                                         capsys, field):
+        # 10**(1e308/10) overflows a float; the runners used to die on it
+        # with an OverflowError traceback.
+        rc = _run(tmp_path / "bad", "--set", "method=I_ICEF",
+                  "--set", f"{field}=1e308")
+        assert rc == 2
+        assert f"scenario error: {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_invalid_thread_count_is_a_scenario_error(self, tmp_path, capsys,
+                                                      threads):
+        rc = _run(tmp_path / "bad", "--threads", threads)
+        assert rc == 2
+        assert "scenario error: --threads" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
 
 class TestSweepCommand:
     def test_reduced_grid(self, tmp_path):
@@ -138,6 +156,16 @@ class TestSweepCommand:
         rc = cli.main(["sweep", "--out", str(tmp_path / "s"), *TINY,
                        "--targets", "6", "--methods", "NOPE"])
         assert rc == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_invalid_thread_count_is_a_scenario_error(self, tmp_path, capsys,
+                                                      threads):
+        rc = cli.main(["sweep", "--out", str(tmp_path / "s"), *TINY,
+                       "--targets", "6", "--methods", "NONE",
+                       "--threads", threads])
+        assert rc == 2
+        assert "scenario error: --threads" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
 
 class TestSelftestCommand:

@@ -216,6 +216,56 @@ class TestRunIndependent:
         assert dims.bwps[1].modulation == "64QAM"
         assert worst[1] >= 1 - 1e-9
 
+    def test_matches_the_symbol_per_column_loop(self):
+        # The loop on (L, S) spectra and bodies, kept as the bit-exact
+        # reference.  Its sums run in memory order: the initial mean power
+        # and the noise power add one element at a time down the columns
+        # of C-ordered arrays, the in-loop mean pairwise along each
+        # gathered (Fortran-ordered) column.
+        spec = tiny_spec(method="I_ICEF")
+        dims = derive_dims(spec)
+        grids = [ofdm.generate_grid(dims, m, spec.seed) for m in range(2)]
+        info: dict = {}
+        icef.run_i_icef(spec, dims, grids, info=info)
+        tau = 10.0 ** (spec.papr_target_db / 10.0)
+        stop = 10.0 ** (spec.stop_epsilon_db / 10.0)
+        all_iters = []
+        for m, grid in enumerate(grids):
+            bd = dims.bwps[m]
+            rows = np.mod(bd.active_base, bd.l_ofdm_os)
+            vals_orig = grid.values
+            vals_cur = vals_orig.copy()
+            budget = (ofdm.evm_limit(bd.modulation) ** 2
+                      * np.sum(np.abs(vals_orig) ** 2, axis=0))
+            spec_full = np.zeros((bd.l_ofdm_os, bd.num_symbols), dtype=np.complex128)
+            spec_full[rows, :] = vals_orig
+            bodies = ofdm.idft(spec_full, axis=0)
+            iters = np.zeros(bd.num_symbols, dtype=np.int64)
+            amps = np.sqrt(np.mean(np.abs(bodies) ** 2, axis=0) * tau)
+            peaks = np.max(np.abs(bodies) ** 2, axis=0)
+            active = np.flatnonzero(peaks > amps ** 2 * stop)
+            for _ in range(spec.max_iterations):
+                if active.size == 0:
+                    break
+                iters[active] += 1
+                clipped_f = ofdm.dft(
+                    clip_polar(bodies[:, active], amps[None, active]), axis=0)
+                noise = clipped_f[rows, :] - vals_orig[:, active]
+                noise_pow = np.sum(np.abs(noise) ** 2, axis=0)
+                noise *= np.sqrt(np.minimum(
+                    1.0, budget[active] / np.maximum(noise_pow, 1e-300)))
+                vals_cur[:, active] = vals_orig[:, active] + noise
+                spec_full[rows[:, None], active[None, :]] = vals_cur[:, active]
+                bodies[:, active] = ofdm.idft(spec_full[:, active], axis=0)
+                amps[active] = np.sqrt(
+                    np.mean(np.abs(bodies[:, active]) ** 2, axis=0) * tau)
+                peaks = np.max(np.abs(bodies[:, active]) ** 2, axis=0)
+                active = active[peaks > amps[active] ** 2 * stop]
+            all_iters.append(iters)
+            assert np.array_equal(info["grids"][m].values, vals_cur)
+        assert np.array_equal(info["iterations"], np.concatenate(all_iters))
+        assert info["iterations"].max() == spec.max_iterations
+
     def test_reduces_the_aggregate_peak(self):
         spec = tiny_spec(method="I_ICEF", max_iterations=8)
         dims = derive_dims(spec)
@@ -247,6 +297,38 @@ class TestRunAggregate:
         for later in trace[1:]:
             assert later <= trace[1] + 1.0
         assert trace[-1] < trace[0]
+
+    def test_one_round_matches_a_hand_built_round(self):
+        # One round on upconverted ``ofdm_modulate`` streams, kept as the
+        # bit-exact reference for the runner's cached-carrier synthesis.
+        spec = tiny_spec(method="E_ICEF_WOLA", max_iterations=1)
+        dims = derive_dims(spec)
+        grids = [ofdm.generate_grid(dims, m, spec.seed) for m in range(2)]
+        info: dict = {}
+        icef.run_e_icef(spec, dims, grids, info=info)
+
+        def observe(x, m):
+            sig = ofdm.ComplexSignal(samples=x, sample_rate_hz=dims.fs_oversampled_hz)
+            return ofdm.ofdm_demodulate(sig, dims, m).values
+
+        def composite_of(values):
+            return np.sum([ofdm.ofdm_modulate(ofdm.ResourceGrid(m, v), dims).samples
+                           for m, v in enumerate(values)], axis=0)
+
+        streams = [ofdm.ofdm_modulate(g, dims).samples for g in grids]
+        composite = np.sum(streams, axis=0)
+        z = [observe(composite - streams[m], m) for m in range(2)]
+        target_lin = 10.0 ** (spec.papr_target_db / 10.0)
+        a = float(np.sqrt(np.mean(np.abs(composite) ** 2) * target_lin))
+        clipped = clip_polar(composite, a)
+        values = [g.values + (observe(clipped, m) - g.values - z[m])
+                  for m, g in enumerate(grids)]
+        assert info["iterations"] == 1
+        for m in range(2):
+            assert np.array_equal(info["grids"][m].values, values[m])
+        after = np.abs(composite_of(values)) ** 2
+        assert info["peak_trace_db"][1] == 10.0 * np.log10(
+            float(np.max(after) / np.mean(after)))
 
     def test_single_subband_needs_no_cancellation(self):
         raw = _spec_dict(duration_symbols_base=8, max_iterations=4,

@@ -191,6 +191,26 @@ class TestModem:
         rec = ofdm.ofdm_demodulate(sig, tiny_dims, 1, offset, at_baseband=True)
         assert np.array_equal(rec.values, ref)
 
+    @pytest.mark.parametrize("bwp_index", [0, 1])
+    @pytest.mark.parametrize("at_baseband", [True, False])
+    def test_stream_matches_a_per_column_reference(self, tiny_dims, tiny_grids,
+                                                   bwp_index, at_baseband):
+        # The symbol-per-column modem, kept as the bit-exact reference: an
+        # (L, S) spectrum, IDFT down the columns, CP stacked on axis 0 and
+        # the stream read column by column.  The carrier is the left operand
+        # of the upconversion; for streams above 256 KiB, numpy's temporary
+        # elision turns ``flat * subband_carrier(...)`` into exactly this.
+        grid, bd = tiny_grids[bwp_index], tiny_dims.bwps[bwp_index]
+        l, l_cp = bd.l_ofdm_os, bd.l_cp_os
+        x_f = np.zeros((l, grid.num_symbols), dtype=np.complex128)
+        x_f[np.mod(bd.active_base, l), :] = grid.values
+        body = ofdm.idft(x_f, axis=0)
+        ref = np.concatenate([body[l - l_cp:, :], body], axis=0).T.reshape(-1)
+        if not at_baseband:
+            ref = ofdm.subband_carrier(bd, l, 0, ref.size) * ref
+        sig = ofdm.ofdm_modulate(grid, tiny_dims, at_baseband=at_baseband)
+        assert np.array_equal(sig.samples, ref)
+
     def test_timing_offset_outside_cp_is_rejected(self, tiny_dims, tiny_grids):
         sig = ofdm.ofdm_modulate(tiny_grids[0], tiny_dims)
         with pytest.raises(ValueError):

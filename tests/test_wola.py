@@ -108,7 +108,7 @@ class TestSymbolShaping:
         # Feed constant-one bodies; assembly must reproduce the summed
         # window profile with the leading half-extension dropped.
         p = wola.WolaParams(l_ofdm=32, l_cp=8, l_ext=4)
-        bodies = np.ones((p.l_ofdm, 3), dtype=np.complex128)
+        bodies = np.ones((3, p.l_ofdm), dtype=np.complex128)
         out = wola.wola_assemble(bodies, p)
         assert out.size == 3 * p.stride + p.l_ext // 2
         w = wola.build_rc_window(p)
@@ -117,12 +117,33 @@ class TestSymbolShaping:
             acc[s * p.stride : s * p.stride + p.window_len] += w
         assert np.allclose(out, acc[p.l_ext // 2 :], atol=1e-15)
 
+    def test_assemble_matches_a_per_symbol_overlap_add(self):
+        # The symbol-per-column assembly, kept as the bit-exact reference:
+        # one add per symbol into a zero buffer.  Bodies of negative zeros
+        # check that every output sample is still ``0.0 + x``.
+        p = wola.WolaParams(l_ofdm=32, l_cp=8, l_ext=4)
+        g = rng("overlap-add")
+        bodies = g.standard_normal((5, 32)) + 1j * g.standard_normal((5, 32))
+        bodies[1] = complex(-0.0, -0.0)
+        bodies[3, ::2] = complex(-0.0, -0.0)
+        cols = bodies.T
+        half = p.l_ext // 2
+        ext = np.concatenate([cols[p.l_ofdm - p.l_cp - half:], cols, cols[:half]],
+                             axis=0)
+        windowed = ext * wola.build_rc_window(p)[:, None]
+        buf = np.zeros(5 * p.stride + p.l_ext, dtype=np.complex128)
+        for s in range(5):
+            buf[s * p.stride: s * p.stride + p.window_len] += windowed[:, s]
+        out = wola.wola_assemble(bodies, p)
+        assert out.size == buf[half:].size
+        assert out.tobytes() == buf[half:].tobytes()
+
     @given(st.integers(0, 2**32 - 1))
     def test_overlap_add_of_constant_symbols_is_flat(self, seed):
         g = rng(seed)
         p = wola.WolaParams(l_ofdm=64, l_cp=16, l_ext=2 * int(g.integers(1, 8)))
         c = complex(g.standard_normal() + 1j * g.standard_normal())
-        bodies = np.full((p.l_ofdm, 5), c, dtype=np.complex128)
+        bodies = np.full((5, p.l_ofdm), c, dtype=np.complex128)
         out = wola.wola_assemble(bodies, p)
         interior = out[p.l_ext // 2 : 4 * p.stride]
         assert np.max(np.abs(interior - c)) <= 1e-14 * max(1.0, abs(c))
