@@ -93,21 +93,21 @@ def load_raw_scenario(path: str | None, overrides: list[str]) -> dict:
     return raw
 
 
+RUNNERS = {
+    METHOD_NONE: icef.run_none,
+    METHOD_I_ICEF: icef.run_i_icef,
+    METHOD_E_ICEF_WOLA: icef.run_e_icef,
+    METHOD_FC_F_OFDM: fc.run_fc_f_ofdm,
+    METHOD_FC_ICEF: fc_icef.run_fc_icef,
+}
+
+
 def execute(spec, threads: int = 1, info: dict | None = None):
     """Run the scenario's method; returns (signal, dims, grids)."""
     dims = derive_dims(spec)
     grids = [ofdm.generate_grid(dims, m, spec.seed)
              for m in range(dims.num_bwps)]
-    if spec.method == METHOD_FC_ICEF:
-        sig = fc_icef.run_fc_icef(spec, dims, grids, info=info, threads=threads)
-    else:
-        runner = {
-            METHOD_NONE: icef.run_none,
-            METHOD_I_ICEF: icef.run_i_icef,
-            METHOD_E_ICEF_WOLA: icef.run_e_icef,
-            METHOD_FC_F_OFDM: fc.run_fc_f_ofdm,
-        }[spec.method]
-        sig = runner(spec, dims, grids, info=info)
+    sig = RUNNERS[spec.method](spec, dims, grids, info=info, threads=threads)
     return sig, dims, grids
 
 
@@ -190,41 +190,51 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_targets(text: str) -> list[float]:
+    try:
+        return [float(t) for t in text.split(",") if t]
+    except ValueError as exc:
+        raise ScenarioError(f"--targets {text!r} is not a list of numbers") from exc
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     _require_threads(args.threads)
-    targets = [float(t) for t in args.targets.split(",") if t]
+    targets = _parse_targets(args.targets)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in METHODS:
             raise ScenarioError(f"unknown method {m!r} in --methods")
     base = load_raw_scenario(args.scenario, args.set or [])
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    rows = []
-    header: list[str] | None = None
+    specs = []
     for method in methods:
         for target in targets:
             raw = copy.deepcopy(base)
             raw["method"] = method
             raw["papr_target_db"] = target
-            spec = scenario_from_dict(raw)
-            t0 = time.perf_counter()
-            info: dict = {}
-            sig, dims, grids = execute(spec, threads=args.threads, info=info)
-            report = metrics.measure_all(sig, spec, dims, grids,
-                                         iterations=info.get("iterations"))
-            wall = time.perf_counter() - t0
-            if header is None:
-                header = (["method", "papr_target_db", "papr_at_p_db"]
-                          + [f"mse_db_{i}" for i in range(dims.num_bwps)]
-                          + ["aclr_lower_db", "aclr_upper_db"])
-            rows.append([method, repr(target), repr(report.papr_at_p_db)]
-                        + [repr(v) for v in report.mse_db]
-                        + [repr(report.aclr_db["lower"]),
-                           repr(report.aclr_db["upper"])])
-            print(f"sweep {method} target={target:g} -> "
-                  f"papr={report.papr_at_p_db:.2f} dB wall={wall:.1f}s")
+            specs.append(scenario_from_dict(raw))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    rows = []
+    header: list[str] | None = None
+    for spec in specs:
+        t0 = time.perf_counter()
+        info: dict = {}
+        sig, dims, grids = execute(spec, threads=args.threads, info=info)
+        report = metrics.measure_all(sig, spec, dims, grids,
+                                     iterations=info.get("iterations"))
+        wall = time.perf_counter() - t0
+        if header is None:
+            header = (["method", "papr_target_db", "papr_at_p_db"]
+                      + [f"mse_db_{i}" for i in range(dims.num_bwps)]
+                      + ["aclr_lower_db", "aclr_upper_db"])
+        rows.append([spec.method, repr(spec.papr_target_db),
+                     repr(report.papr_at_p_db)]
+                    + [repr(v) for v in report.mse_db]
+                    + [repr(report.aclr_db["lower"]),
+                       repr(report.aclr_db["upper"])])
+        print(f"sweep {spec.method} target={spec.papr_target_db:g} -> "
+              f"papr={report.papr_at_p_db:.2f} dB wall={wall:.1f}s")
     lines = [f"# schema={SCHEMA_SWEEP}", ",".join(header or [])]
     lines += [",".join(r) for r in rows]
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -284,7 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a scenario field (dotted path)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for block processing")
+                       help="worker threads for the clip loops of I_ICEF, "
+                            "E_ICEF_WOLA and FC_ICEF (outputs do not "
+                            "depend on it)")
 
     p_run = sub.add_parser("run", help="run one scenario and measure it")
     common(p_run)

@@ -211,8 +211,11 @@ def fc_subband_spectra(dims: DerivedDims,
 
 def run_fc_f_ofdm(spec: ScenarioSpec, dims: DerivedDims | None = None,
                   grids: list[ResourceGrid] | None = None, *,
-                  info: dict | None = None) -> ComplexSignal:
-    """Filtered multi-subband waveform without PAPR processing."""
+                  info: dict | None = None, threads: int = 1) -> ComplexSignal:
+    """Filtered multi-subband waveform without PAPR processing.
+
+    ``threads`` is accepted for a uniform runner signature and not used.
+    """
     dims = dims or derive_dims(spec)
     grids = grids or [ofdm.generate_grid(dims, m, spec.seed) for m in range(dims.num_bwps)]
     v_f, windows = fc_subband_spectra(dims, grids)

@@ -16,12 +16,10 @@ without changing the result.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .fc import FcWindow, fc_subband_spectra
-from .icef import clip_polar
+from .icef import chunk_map, clip_polar
 from .ofdm import ComplexSignal, ResourceGrid, dft, idft
 from .scenario import DerivedDims, ScenarioSpec, derive_dims
 from . import ofdm
@@ -100,24 +98,15 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
         peaks[cols] = np.max(np.abs(fresh) ** 2, axis=0)
         energies[cols] = np.sum(np.abs(fresh[keep_slice, :]) ** 2, axis=0)
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
+    with chunk_map(threads) as pmap:
         for _ in range(spec.max_iterations):
             amp = float(np.sqrt(energies.sum() / total_kept * tau))
             active = np.flatnonzero(peaks > amp ** 2 * stop)
             if active.size == 0:
                 break
             iters[active] += 1
-            col_chunks = [active[c: c + chunk_size]
-                          for c in range(0, active.size, chunk_size)]
-            if pool is not None:
-                list(pool.map(work, col_chunks))
-            else:
-                for cols in col_chunks:
-                    work(cols)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            pmap(work, [active[c: c + chunk_size]
+                        for c in range(0, active.size, chunk_size)])
 
     if info is not None:
         info["iterations"] = iters

@@ -15,8 +15,9 @@ import numpy as np
 from . import fc_icef, icef, metrics, ofdm, wola
 from .fc import FcWindow, combine, ols_extract, segment, subband_forward
 from .ofdm import dft, idft
-from .scenario import (METHOD_E_ICEF_WOLA, METHOD_FC_ICEF, FcDims,
-                       default_scenario_dict, derive_dims, scenario_from_dict)
+from .scenario import (METHOD_E_ICEF_WOLA, METHOD_FC_ICEF, METHOD_I_ICEF,
+                       FcDims, default_scenario_dict, derive_dims,
+                       scenario_from_dict)
 
 
 def _tiny_spec(**overrides):
@@ -163,11 +164,13 @@ def check_fc_noise_confinement() -> None:
 
 
 def check_repeat_run_determinism() -> None:
-    spec = _tiny_spec(method=METHOD_FC_ICEF, papr_target_db=4.0)
-    a = fc_icef.run_fc_icef(spec, threads=1).samples
-    b = fc_icef.run_fc_icef(spec, threads=3).samples
-    assert np.array_equal(a, b), "thread count changed the block-bank output"
-    spec2 = _tiny_spec(method=METHOD_E_ICEF_WOLA)
-    c = icef.run_e_icef(spec2).samples
-    d = icef.run_e_icef(spec2).samples
-    assert np.array_equal(c, d), "repeat aggregate-clipping runs differ"
+    runners = {METHOD_I_ICEF: icef.run_i_icef,
+               METHOD_E_ICEF_WOLA: icef.run_e_icef,
+               METHOD_FC_ICEF: fc_icef.run_fc_icef}
+    for method, run in runners.items():
+        spec = _tiny_spec(method=method, papr_target_db=4.0)
+        a = run(spec, threads=1).samples
+        b = run(spec, threads=1).samples
+        c = run(spec, threads=3).samples
+        assert np.array_equal(a, b), f"repeat {method} runs differ"
+        assert np.array_equal(a, c), f"thread count changed the {method} output"

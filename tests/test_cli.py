@@ -84,11 +84,12 @@ class TestRunCommand:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_thread_count_leaves_artifacts_byte_identical(self, tmp_path):
-        a, b = tmp_path / "t1", tmp_path / "t3"
-        assert _run(a, "--set", "method=FC_ICEF", "--threads", "1") == 0
-        assert _run(b, "--set", "method=FC_ICEF", "--threads", "3") == 0
-        assert (a / "ccdf.csv").read_bytes() == (b / "ccdf.csv").read_bytes()
-        assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+        for method in ("I_ICEF", "E_ICEF_WOLA", "FC_ICEF"):
+            a, b = tmp_path / f"{method}1", tmp_path / f"{method}3"
+            assert _run(a, "--set", f"method={method}", "--threads", "1") == 0
+            assert _run(b, "--set", f"method={method}", "--threads", "3") == 0
+            for name in ("ccdf.csv", "report.json"):
+                assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_seed_changes_the_digest(self, tmp_path, monkeypatch):
         a, b = tmp_path / "s1", tmp_path / "s2"
@@ -165,6 +166,27 @@ class TestSweepCommand:
                        "--threads", threads])
         assert rc == 2
         assert "scenario error: --threads" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+
+    def test_non_numeric_target_is_a_scenario_error(self, tmp_path, capsys):
+        rc = cli.main(["sweep", "--out", str(tmp_path / "s"), *TINY,
+                       "--targets", "abc", "--methods", "NONE"])
+        assert rc == 2
+        assert "scenario error: --targets" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_invalid_scenario_leaves_no_output_directory(self, tmp_path, capsys):
+        # The last (method, target) pair is checked before anything runs.
+        rc = cli.main(["sweep", "--out", str(tmp_path / "s"), *TINY,
+                       "--targets", "6,0", "--methods", "NONE,FC_F_OFDM"])
+        assert rc == 2
+        assert "scenario error: papr_target_db" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+        rc = cli.main(["sweep", "--out", str(tmp_path / "s"), *TINY,
+                       "--set", "duration_symbols_base=0",
+                       "--targets", "6", "--methods", "NONE"])
+        assert rc == 2
         assert not (tmp_path / "s").exists()
 
 

@@ -4,6 +4,7 @@ reduction pipelines."""
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from mixnum import icef, ofdm, wola
@@ -266,6 +267,27 @@ class TestRunIndependent:
         assert np.array_equal(info["iterations"], np.concatenate(all_iters))
         assert info["iterations"].max() == spec.max_iterations
 
+    @pytest.mark.parametrize("chunk_samples", [1 << 13, 3 * 2048, 31 * 2048])
+    def test_threads_and_chunks_leave_the_output_unchanged(self, monkeypatch,
+                                                          chunk_samples):
+        # Chunks of 2 to 31 symbols reproduce the default run byte for byte
+        # at every thread count.  31 rows leave one 64-QAM symbol over; at
+        # seed 2 that symbol sits on its EVM budget, so its noise power,
+        # which numpy would sum pairwise in a lone row, sets its output.
+        spec = tiny_spec(method="I_ICEF", seed=2)
+        dims = derive_dims(spec)
+        grids = [ofdm.generate_grid(dims, m, spec.seed) for m in range(2)]
+        ref_info: dict = {}
+        ref = icef.run_i_icef(spec, dims, grids, info=ref_info)
+        monkeypatch.setattr(icef, "_CHUNK_SAMPLES", chunk_samples)
+        for threads in (1, 2, 3):
+            info: dict = {}
+            out = icef.run_i_icef(spec, dims, grids, info=info, threads=threads)
+            assert out.samples.tobytes() == ref.samples.tobytes()
+            assert np.array_equal(info["iterations"], ref_info["iterations"])
+            for got, want in zip(info["grids"], ref_info["grids"]):
+                assert got.values.tobytes() == want.values.tobytes()
+
     def test_reduces_the_aggregate_peak(self):
         spec = tiny_spec(method="I_ICEF", max_iterations=8)
         dims = derive_dims(spec)
@@ -298,37 +320,66 @@ class TestRunAggregate:
             assert later <= trace[1] + 1.0
         assert trace[-1] < trace[0]
 
-    def test_one_round_matches_a_hand_built_round(self):
-        # One round on upconverted ``ofdm_modulate`` streams, kept as the
-        # bit-exact reference for the runner's cached-carrier synthesis.
-        spec = tiny_spec(method="E_ICEF_WOLA", max_iterations=1)
+    def test_thread_count_leaves_the_output_unchanged(self):
+        spec = tiny_spec(method="E_ICEF_WOLA")
+        dims = derive_dims(spec)
+        grids = [ofdm.generate_grid(dims, m, spec.seed) for m in range(2)]
+        runs = []
+        for threads in (1, 2, 3):
+            info: dict = {}
+            out = icef.run_e_icef(spec, dims, grids, info=info, threads=threads)
+            runs.append((out.samples.tobytes(), info["iterations"],
+                         [g.values.tobytes() for g in info["grids"]]))
+        assert runs[0][1] == spec.max_iterations
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @staticmethod
+    def _one_round(seed=1):
+        spec = tiny_spec(method="E_ICEF_WOLA", max_iterations=1, seed=seed)
         dims = derive_dims(spec)
         grids = [ofdm.generate_grid(dims, m, spec.seed) for m in range(2)]
         info: dict = {}
         icef.run_e_icef(spec, dims, grids, info=info)
+        assert info["iterations"] == 1
 
         def observe(x, m):
             sig = ofdm.ComplexSignal(samples=x, sample_rate_hz=dims.fs_oversampled_hz)
             return ofdm.ofdm_demodulate(sig, dims, m).values
 
-        def composite_of(values):
-            return np.sum([ofdm.ofdm_modulate(ofdm.ResourceGrid(m, v), dims).samples
-                           for m, v in enumerate(values)], axis=0)
-
         streams = [ofdm.ofdm_modulate(g, dims).samples for g in grids]
         composite = np.sum(streams, axis=0)
-        z = [observe(composite - streams[m], m) for m in range(2)]
         target_lin = 10.0 ** (spec.papr_target_db / 10.0)
         a = float(np.sqrt(np.mean(np.abs(composite) ** 2) * target_lin))
-        clipped = clip_polar(composite, a)
-        values = [g.values + (observe(clipped, m) - g.values - z[m])
+        return dims, grids, info, observe, streams, composite, clip_polar(composite, a)
+
+    def test_one_round_matches_a_hand_built_round(self):
+        # One round on upconverted ``ofdm_modulate`` streams, kept as the
+        # bit-exact reference for the runner's cached-carrier synthesis and
+        # its single observation of the clipping noise per subband.
+        dims, grids, info, observe, _, composite, clipped = self._one_round()
+        values = [g.values + observe(clipped - composite, m)
                   for m, g in enumerate(grids)]
-        assert info["iterations"] == 1
         for m in range(2):
             assert np.array_equal(info["grids"][m].values, values[m])
-        after = np.abs(composite_of(values)) ** 2
+        after = np.abs(np.sum([ofdm.ofdm_modulate(ofdm.ResourceGrid(m, v), dims).samples
+                               for m, v in enumerate(values)], axis=0)) ** 2
         assert info["peak_trace_db"][1] == 10.0 * np.log10(
             float(np.max(after) / np.mean(after)))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_round_agrees_with_explicit_cancellation(self, seed):
+        # The clipped composite observed minus the payload and minus the
+        # other subbands' interference observed on its own: the same linear
+        # map, computed with three observations instead of one.  Only the
+        # rounding differs, measured at 1.8e-12 of the peak grid value
+        # over seeds 1-8.
+        _, grids, info, observe, streams, composite, clipped = self._one_round(seed)
+        for m, g in enumerate(grids):
+            ini = observe(composite - streams[m], m)
+            explicit = g.values + (observe(clipped, m) - g.values - ini)
+            err = np.max(np.abs(info["grids"][m].values - explicit))
+            assert err <= 1e-11 * np.max(np.abs(explicit))
+            assert np.max(np.abs(explicit - g.values)) > 1e3 * err
 
     def test_single_subband_needs_no_cancellation(self):
         raw = _spec_dict(duration_symbols_base=8, max_iterations=4,
