@@ -1,18 +1,19 @@
 """Fast-convolution filter bank: block-wise filtering, translation, interpolation.
 
-Subband streams at the nominal rate are chopped into 50 %-overlapping
-blocks; each block is transformed, weighted by a frequency-domain window,
-mapped onto the bins of a larger inverse transform centered on the
-subband's carrier position (which both translates and interpolates), and
-phase-rotated so the translation stays phase-continuous from block to
-block.  Summing the mapped blocks of all subbands and keeping the central
-part of every inverse transform (overlap-save) yields the composite
-wideband waveform.
+Subband streams at the nominal rate are chopped into overlapping blocks,
+one block per row of a C-ordered batch; each block is transformed,
+weighted by a frequency-domain window and phase-rotated so the
+translation stays phase-continuous from block to block.  Its bins belong
+on a larger inverse transform centered on the subband's carrier position
+(which both translates and interpolates).  Adding the mapped blocks of
+all subbands into one batch, inverse-transforming it once and keeping the
+central part of every block (overlap-save) yields the composite wideband
+waveform.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,9 +43,10 @@ class FcWindow:
 class FcBlocks:
     """A batch of processing blocks plus the bookkeeping to reassemble them.
 
-    ``data`` has one block per column.  ``step_len``, ``head_pad`` and
-    ``source_len`` are in samples at ``sample_rate_hz``; ``domain`` tells
-    whether columns hold time samples or spectra.
+    ``data`` has one block per row.  ``step_len``, ``head_pad`` and
+    ``source_len`` are in samples at ``sample_rate_hz``.  A subband's
+    mapped spectra carry ``bins = (first, n)``: column ``k`` belongs on
+    bin ``(first + k) mod n`` of the n-point inverse transform.
     """
 
     data: np.ndarray
@@ -52,15 +54,15 @@ class FcBlocks:
     head_pad: int
     source_len: int
     sample_rate_hz: float
-    domain: str = "time"
+    bins: tuple[int, int] | None = None
 
     @property
     def num_blocks(self) -> int:
-        return int(self.data.shape[1])
+        return int(self.data.shape[0])
 
     @property
     def block_len(self) -> int:
-        return int(self.data.shape[0])
+        return int(self.data.shape[1])
 
 
 def design_window(bd: BwpDims, fc: FcDims) -> FcWindow:
@@ -110,43 +112,44 @@ def segment(signal: ComplexSignal | np.ndarray, fc: FcDims,
     n_blocks = -(-(x.size + pad) // step)
     padded = np.zeros((n_blocks - 1) * step + l, dtype=np.complex128)
     padded[pad: pad + x.size] = x
-    data = np.lib.stride_tricks.sliding_window_view(padded, l)[::step].T.copy()
+    data = np.lib.stride_tricks.sliding_window_view(padded, l)[::step].copy()
     return FcBlocks(data=data, step_len=step, head_pad=pad,
-                    source_len=x.size, sample_rate_hz=rate, domain="time")
+                    source_len=x.size, sample_rate_hz=rate)
 
 
 def subband_forward(blocks: FcBlocks, window: FcWindow, fc: FcDims) -> FcBlocks:
     """Transform, weight, map and phase-rotate one subband's blocks.
 
-    Shifted-order bin ``b`` of the forward transform lands on output bin
-    ``(center - L/2 + b) mod N``; the per-block rotation
-    ``exp(j*2*pi*r*theta)`` with ``theta = center*step/L`` keeps the
-    implied frequency translation coherent across consecutive blocks.
-    The N/L amplitude factor is folded in so passband gain is unity.
+    Shifted-order bin ``b`` of the forward transform belongs on output
+    bin ``(center - L/2 + b) mod N``, which ``bins`` records; the
+    per-block rotation ``exp(j*2*pi*r*theta)`` with
+    ``theta = center*step/L`` keeps the implied frequency translation
+    coherent across consecutive blocks.  The N/L amplitude factor is
+    folded in so passband gain is unity.
     """
-    if blocks.domain != "time":
-        raise ValueError("subband_forward expects time-domain blocks")
     l, n = fc.transform_len, fc.inverse_len
     if blocks.block_len != l:
         raise ValueError("block length does not match the forward transform")
-    shifted = np.fft.fftshift(dft(blocks.data, axis=0), axes=0)
-    weighted = shifted * (window.weights * fc.interpolation)[:, None]
-    out = np.zeros((n, blocks.num_blocks), dtype=np.complex128)
-    out[np.mod(window.center_bin - l // 2 + np.arange(l), n), :] = weighted
+    out = np.fft.fftshift(dft(blocks.data), axes=1)
+    out *= (window.weights * fc.interpolation)[None, :]
     theta = window.center_bin * fc.step_len / l
-    out *= np.exp(2j * np.pi * theta * np.arange(blocks.num_blocks))[None, :]
+    out *= np.exp(2j * np.pi * theta * np.arange(blocks.num_blocks))[:, None]
     i = fc.interpolation
     return FcBlocks(data=out, step_len=i * blocks.step_len,
                     head_pad=i * blocks.head_pad,
                     source_len=i * blocks.source_len,
-                    sample_rate_hz=i * blocks.sample_rate_hz, domain="freq")
+                    sample_rate_hz=i * blocks.sample_rate_hz,
+                    bins=((window.center_bin - l // 2) % n, n))
 
 
 def combine(subbands: list[FcBlocks]) -> tuple[FcBlocks, FcBlocks]:
     """Sum mapped subband spectra and inverse-transform each block.
 
-    Returns (spectra, time blocks); both are kept because block-wise
-    processing edits the spectra while overlap-save consumes the time side.
+    Each subband's spectra are added, in list order, into one zeroed
+    batch on the bins they map to; the batch then takes the one inverse
+    transform.  Returns (spectra, time blocks); both are kept because
+    block-wise processing edits the spectra while overlap-save consumes
+    the time side.
     """
     if not subbands:
         raise ValueError("nothing to combine")
@@ -155,18 +158,12 @@ def combine(subbands: list[FcBlocks]) -> tuple[FcBlocks, FcBlocks]:
         if (b.data.shape != first.data.shape or b.step_len != first.step_len
                 or b.sample_rate_hz != first.sample_rate_hz):
             raise ValueError("subband block geometries differ")
-        if b.domain != "freq":
-            raise ValueError("combine expects frequency-domain blocks")
-    total = first.data.copy()
-    for b in subbands[1:]:
-        total = total + b.data
-    v_f = FcBlocks(data=total, step_len=first.step_len, head_pad=first.head_pad,
-                   source_len=first.source_len,
-                   sample_rate_hz=first.sample_rate_hz, domain="freq")
-    v_t = FcBlocks(data=idft(total, axis=0), step_len=first.step_len,
-                   head_pad=first.head_pad, source_len=first.source_len,
-                   sample_rate_hz=first.sample_rate_hz, domain="time")
-    return v_f, v_t
+    n = first.bins[1]
+    total = np.zeros((first.num_blocks, n), dtype=np.complex128)
+    for b in subbands:
+        total[:, np.mod(b.bins[0] + np.arange(b.block_len), n)] += b.data
+    v_f = replace(first, data=total, bins=None)
+    return v_f, replace(v_f, data=idft(total))
 
 
 def ols_extract(blocks: FcBlocks, fc: FcDims) -> ComplexSignal:
@@ -177,25 +174,23 @@ def ols_extract(blocks: FcBlocks, fc: FcDims) -> ComplexSignal:
     discarded half-overlap); the tail is trimmed to the interpolated
     source length.
     """
-    if blocks.domain != "time":
-        raise ValueError("ols_extract expects time-domain blocks")
     n = blocks.block_len
     keep = blocks.step_len
     discard = (n - keep) // 2
     if 2 * discard + keep != n:
         raise ValueError("block length minus keep length must be even")
-    kept = blocks.data[discard: discard + keep, :]
-    out = kept.T.reshape(-1)[: blocks.source_len]
+    out = blocks.data[:, discard: discard + keep].reshape(-1)[: blocks.source_len]
     return ComplexSignal(samples=out, sample_rate_hz=blocks.sample_rate_hz)
 
 
-def fc_subband_spectra(dims: DerivedDims,
-                       grids: list[ResourceGrid]) -> tuple[FcBlocks, list[FcWindow]]:
+def fc_subband_spectra(dims: DerivedDims, grids: list[ResourceGrid]
+                       ) -> tuple[FcBlocks, FcBlocks, list[FcWindow]]:
     """Forward half of the filter bank for every BWP, summed into one batch.
 
     Subband CP-OFDM streams are synthesized at the nominal rate with the
     allocation centered on DC; the bin mapping places each subband at its
-    carrier position.
+    carrier position.  Returns ``combine``'s spectra and time blocks and
+    the subband windows.
     """
     fcd = dims.fc
     if fcd is None:
@@ -205,8 +200,8 @@ def fc_subband_spectra(dims: DerivedDims,
     for m, grid in enumerate(grids):
         sub = ofdm_modulate(grid, dims, oversampled=False, at_baseband=True)
         mapped.append(subband_forward(segment(sub, fcd), windows[m], fcd))
-    v_f, _ = combine(mapped)
-    return v_f, windows
+    v_f, v_t = combine(mapped)
+    return v_f, v_t, windows
 
 
 def run_fc_f_ofdm(spec: ScenarioSpec, dims: DerivedDims | None = None,
@@ -218,10 +213,7 @@ def run_fc_f_ofdm(spec: ScenarioSpec, dims: DerivedDims | None = None,
     """
     dims = dims or derive_dims(spec)
     grids = grids or [ofdm.generate_grid(dims, m, spec.seed) for m in range(dims.num_bwps)]
-    v_f, windows = fc_subband_spectra(dims, grids)
-    v_t = FcBlocks(data=idft(v_f.data, axis=0), step_len=v_f.step_len,
-                   head_pad=v_f.head_pad, source_len=v_f.source_len,
-                   sample_rate_hz=v_f.sample_rate_hz, domain="time")
+    _, v_t, windows = fc_subband_spectra(dims, grids)
     if info is not None:
         info["iterations"] = 0
         info["windows"] = windows

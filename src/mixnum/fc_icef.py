@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fc import FcWindow, fc_subband_spectra
+from .fc import FcWindow, fc_subband_spectra, ols_extract
 from .icef import chunk_map, clip_polar
 from .ofdm import ComplexSignal, ResourceGrid, dft, idft
 from .scenario import DerivedDims, ScenarioSpec, derive_dims
@@ -55,9 +55,10 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
     is scaled by the subband window weights on K_E before it is added,
     so it sees the filter's raised-cosine transitions rather than a
     brick wall, whose long time response overlap-save would truncate
-    into adjacent-channel leakage.  Work inside a round is split into
-    fixed column chunks whose content does not depend on ``threads``, and
-    the power reduction is a single ordered sum, so the output is
+    into adjacent-channel leakage.  Blocks are rows of C-ordered (B, N)
+    spectra and time samples.  Work inside a round is split into fixed
+    chunks of whole rows whose content does not depend on ``threads``,
+    and the power reduction is a single ordered sum, so the output is
     byte-identical for any thread count.
     """
     dims = dims or derive_dims(spec)
@@ -66,22 +67,25 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
         raise ValueError("scenario has no fast-convolution geometry")
     grids = grids or [ofdm.generate_grid(dims, m, spec.seed)
                       for m in range(dims.num_bwps)]
-    v_f, windows = fc_subband_spectra(dims, grids)
-    n, n_blocks = v_f.data.shape
+    v_f, v_t, windows = fc_subband_spectra(dims, grids)
+    n_blocks, n = v_f.data.shape
     keep = v_f.step_len
     discard = (n - keep) // 2
     keep_slice = slice(discard, discard + keep)
 
     weights = window_weights(windows, n)
     h_idx = np.flatnonzero(weights)
-    h_w = weights[h_idx, None]
+    h_w = weights[h_idx]
     keep_spectra = bool(info.get("keep_spectra")) if info is not None else False
     v_f_orig = v_f.data.copy() if keep_spectra else None
 
-    cur = v_f.data
-    v_t = idft(cur, axis=0)
-    peaks = np.max(np.abs(v_t) ** 2, axis=0)
-    energies = np.sum(np.abs(v_t[keep_slice, :]) ** 2, axis=0)
+    cur, blocks = v_f.data, v_t.data
+    mag = np.abs(blocks)
+    peaks = np.max(mag, axis=1) ** 2
+    # Summed one element at a time down a transposed copy's columns, as the
+    # block-per-column loop did; its in-loop energies were row sums (pairwise).
+    energies = np.sum((mag[:, keep_slice] ** 2).T.copy(), axis=0)
+    del mag
     iters = np.zeros(n_blocks, dtype=np.int64)
     total_kept = float(keep) * n_blocks
     tau = 10.0 ** (spec.papr_target_db / 10.0)
@@ -89,14 +93,15 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
     amp = float(np.sqrt(energies.sum() / total_kept * tau))
     amp0 = amp
 
-    def work(cols: np.ndarray) -> None:
-        blocks = v_t[:, cols]
-        noise_f = dft(clip_polar(blocks, amp) - blocks, axis=0)[h_idx, :]
-        cur[np.ix_(h_idx, cols)] += h_w * noise_f
-        fresh = idft(cur[:, cols], axis=0)
-        v_t[:, cols] = fresh
-        peaks[cols] = np.max(np.abs(fresh) ** 2, axis=0)
-        energies[cols] = np.sum(np.abs(fresh[keep_slice, :]) ** 2, axis=0)
+    def work(rows: np.ndarray) -> None:
+        x = blocks[rows]
+        spectra = cur[rows]
+        spectra[:, h_idx] += h_w * dft(clip_polar(x, amp) - x)[:, h_idx]
+        cur[rows] = spectra
+        blocks[rows] = fresh = idft(spectra)
+        mag = np.abs(fresh)
+        peaks[rows] = np.max(mag, axis=1) ** 2
+        energies[rows] = np.sum(mag[:, keep_slice] ** 2, axis=1)
 
     with chunk_map(threads) as pmap:
         for _ in range(spec.max_iterations):
@@ -114,7 +119,6 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
         info["final_amp"] = amp
         info["windows"] = windows
         if keep_spectra:
-            info["v_f_orig"] = v_f_orig
-            info["v_f_proc"] = cur
-    out = v_t[keep_slice, :].T.reshape(-1)[: v_f.source_len]
-    return ComplexSignal(samples=out, sample_rate_hz=v_f.sample_rate_hz)
+            info["v_f_orig"] = v_f_orig.T
+            info["v_f_proc"] = cur.T
+    return ols_extract(v_t, fcd)

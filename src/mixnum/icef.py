@@ -27,14 +27,14 @@ from .scenario import DerivedDims, ScenarioSpec, derive_dims
 from . import ofdm, wola
 
 
-def clip_polar(x: np.ndarray, threshold_amp) -> np.ndarray:
+def clip_polar(x: np.ndarray, threshold_amp, mag=None) -> np.ndarray:
     """Magnitude-limit samples to ``threshold_amp`` preserving their phase.
 
     The ceiling may be a scalar or anything broadcastable against ``x``
     (e.g. one ceiling per column); samples at or below it pass through
-    bit-exactly.
+    bit-exactly.  ``mag`` is ``np.abs(x)`` when the caller already has it.
     """
-    mag = np.abs(x)
+    mag = np.abs(x) if mag is None else mag
     scale = np.minimum(1.0, np.asarray(threshold_amp)
                        / np.maximum(mag, 1e-300))
     return x * scale
@@ -227,7 +227,8 @@ def run_e_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
 
         composite = compose(synthesize)
         while True:
-            power = np.abs(composite) ** 2
+            mag = np.abs(composite)
+            power = mag ** 2
             mean = np.mean(power)
             papr = float(np.max(power) / mean)
             peak_trace.append(10.0 * np.log10(papr))
@@ -235,11 +236,12 @@ def run_e_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
             if iterations >= spec.max_iterations or papr <= stop_lin:
                 break
             iterations += 1
-            heard = clip_polar(composite, float(np.sqrt(mean * target_lin)))
+            heard = clip_polar(composite, float(np.sqrt(mean * target_lin)), mag)
             if not ablate:
                 heard -= composite
-            del composite
+            del composite, mag
             composite = compose(lambda m: update(m, heard))
+    del composite, mag
     out_grids = [ResourceGrid(bwp_index=m, values=v) for m, v in enumerate(vals)]
     shaped = [wola.modulate_wola(g, dims, spec.wola_extension_factor)
               for g in out_grids]

@@ -83,17 +83,17 @@ class TestSegmentAndExtract:
         fcd = _tiny_fcd()
         x = np.arange(100, dtype=np.complex128)
         blocks = segment(x, fcd, sample_rate_hz=1.0)
-        assert blocks.domain == "time"
         assert blocks.source_len == 100
         assert blocks.head_pad == fcd.head_pad
         n_blocks = -(-(100 + fcd.head_pad) // fcd.step_len)
-        assert blocks.data.shape == (fcd.transform_len, n_blocks)
+        assert blocks.data.shape == (n_blocks, fcd.transform_len)
+        assert blocks.data.flags.c_contiguous
         padded = np.zeros((n_blocks - 1) * fcd.step_len + fcd.transform_len,
                           dtype=np.complex128)
         padded[fcd.head_pad : fcd.head_pad + 100] = x
         for r in range(n_blocks):
             start = r * fcd.step_len
-            assert np.array_equal(blocks.data[:, r],
+            assert np.array_equal(blocks.data[r],
                                   padded[start : start + fcd.transform_len])
 
     def test_segment_then_extract_is_bit_exact(self):
@@ -105,17 +105,6 @@ class TestSegmentAndExtract:
         back = ols_extract(segment(x, fcd, sample_rate_hz=2.0), fcd)
         assert back.sample_rate_hz == 2.0
         assert np.array_equal(back.samples, x)
-
-    def test_domain_guards(self):
-        fcd = _tiny_fcd()
-        blocks = segment(np.zeros(64), fcd, sample_rate_hz=1.0)
-        freq = dataclasses.replace(blocks, domain="freq")
-        with pytest.raises(ValueError):
-            ols_extract(freq, fcd)
-        with pytest.raises(ValueError):
-            subband_forward(freq, _all_pass_window(fcd.transform_len), fcd)
-        with pytest.raises(ValueError):
-            combine([blocks])
 
     def test_combine_rejects_mismatched_geometry(self):
         fcd = _tiny_fcd()
@@ -135,14 +124,15 @@ class TestSubbandForward:
         x = g.standard_normal(96) + 1j * g.standard_normal(96)
         blocks = segment(x, fcd, sample_rate_hz=1.0)
         mapped = subband_forward(blocks, _all_pass_window(fcd.transform_len), fcd)
-        assert mapped.domain == "freq"
+        assert mapped.bins == (fcd.inverse_len - fcd.transform_len // 2,
+                               fcd.inverse_len)
         assert mapped.step_len == fcd.interpolation * fcd.step_len
         assert mapped.sample_rate_hz == fcd.interpolation * 1.0
         _, v_t = combine([mapped])
         # Unity passband gain: each interpolated block carries interp times
         # the energy of its source block.
-        e_in = np.sum(np.abs(blocks.data) ** 2, axis=0)
-        e_out = np.sum(np.abs(v_t.data) ** 2, axis=0)
+        e_in = np.sum(np.abs(blocks.data) ** 2, axis=1)
+        e_out = np.sum(np.abs(v_t.data) ** 2, axis=1)
         assert np.allclose(e_out, fcd.interpolation * e_in, rtol=1e-12)
 
     def test_all_pass_chain_is_spectral_interpolation(self):
@@ -202,7 +192,7 @@ class TestSubbandForward:
     def test_wrong_block_length_is_rejected(self):
         fcd = _tiny_fcd()
         blocks = segment(np.zeros(64), fcd, sample_rate_hz=1.0)
-        short = dataclasses.replace(blocks, data=blocks.data[:16, :])
+        short = dataclasses.replace(blocks, data=blocks.data[:, :16])
         with pytest.raises(ValueError):
             subband_forward(short, _all_pass_window(fcd.transform_len), fcd)
 
@@ -227,12 +217,13 @@ class TestFilteredComposite:
         spec = tiny_spec(method="FC_F_OFDM")
         dims = derive_dims(spec)
         grids = [ofdm.generate_grid(dims, m, spec.seed) for m in range(2)]
-        v_f, windows = fc.fc_subband_spectra(dims, grids)
+        v_f, v_t, windows = fc.fc_subband_spectra(dims, grids)
         fcd = dims.fc
         nominal = dims.bwps[0].num_symbols * (dims.bwps[0].l_ofdm + dims.bwps[0].l_cp)
         expect_blocks = -(-(nominal + fcd.head_pad) // fcd.step_len)
-        assert v_f.domain == "freq"
-        assert v_f.data.shape == (fcd.inverse_len, expect_blocks)
+        assert v_f.data.shape == (expect_blocks, fcd.inverse_len)
+        assert v_t.data.shape == v_f.data.shape
+        assert np.array_equal(v_t.data, ofdm.idft(v_f.data))
         assert len(windows) == 2
 
     def test_out_of_band_rejection(self):

@@ -31,13 +31,12 @@ class TestWindowWeights:
 
 
 def _clean_blocks(spec, dims):
-    """Unprocessed time blocks and the slice overlap-save keeps of each."""
+    """Unprocessed (B, N) time blocks and the slice overlap-save keeps of each."""
     grids = [ofdm.generate_grid(dims, m, spec.seed)
              for m in range(dims.num_bwps)]
-    v_f, _ = fc.fc_subband_spectra(dims, grids)
-    discard = (v_f.data.shape[0] - v_f.step_len) // 2
-    return (ofdm.idft(v_f.data, axis=0),
-            slice(discard, discard + v_f.step_len))
+    _, v_t, _ = fc.fc_subband_spectra(dims, grids)
+    discard = (v_t.block_len - v_t.step_len) // 2
+    return v_t.data, slice(discard, discard + v_t.step_len)
 
 
 class TestBlockIterate:
@@ -84,8 +83,8 @@ class TestBlockIterate:
         spec = tiny_spec(method="FC_ICEF")
         dims = derive_dims(spec)
         v_t, kept = _clean_blocks(spec, dims)
-        peaks = np.max(np.abs(v_t) ** 2, axis=0)
-        peak_db = 10 * np.log10(peaks.max() / np.mean(np.abs(v_t[kept, :]) ** 2))
+        peaks = np.max(np.abs(v_t) ** 2, axis=1)
+        peak_db = 10 * np.log10(peaks.max() / np.mean(np.abs(v_t[:, kept]) ** 2))
         eps = spec.stop_epsilon_db
         above = tiny_spec(method="FC_ICEF", papr_target_db=peak_db - eps + 0.01)
         info: dict = {}
@@ -104,7 +103,7 @@ class TestBlockIterate:
         info: dict = {}
         run_fc_icef(spec, dims, info=info)
         v_t, kept = _clean_blocks(spec, dims)
-        amp = np.sqrt(np.mean(np.abs(v_t[kept, :]) ** 2) * 10 ** 0.3)
+        amp = np.sqrt(np.mean(np.abs(v_t[:, kept]) ** 2) * 10 ** 0.3)
         whole = np.sqrt(np.mean(np.abs(v_t) ** 2) * 10 ** 0.3)
         assert info["threshold_amp"] == pytest.approx(amp, rel=1e-12)
         assert abs(whole / amp - 1) > 1e-3
@@ -124,6 +123,56 @@ class TestRunFcIcef:
         a = run_fc_icef(spec, dims, threads=1)
         b = run_fc_icef(spec, dims, threads=3)
         assert np.array_equal(a.samples, b.samples)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("target", [5.0, 8.0])
+    def test_matches_the_block_per_column_loop(self, target, threads):
+        # The loop on (N, B) spectra and time blocks, kept as the bit-exact
+        # reference.  Its sums run in memory order: the initial energies add
+        # one element at a time down the columns of a C-ordered slice, the
+        # in-loop energies pairwise along each column of the transform's
+        # column-contiguous output.
+        spec = tiny_spec(method="FC_ICEF", papr_target_db=target)
+        dims = derive_dims(spec)
+        grids = [ofdm.generate_grid(dims, m, spec.seed) for m in range(2)]
+        info: dict = {"keep_spectra": True}
+        out = run_fc_icef(spec, dims, grids, info=info, threads=threads)
+        v_f, _, windows = fc.fc_subband_spectra(dims, grids)
+        cur = np.ascontiguousarray(v_f.data.T)
+        n, n_blocks = cur.shape
+        keep = v_f.step_len
+        kept = slice((n - keep) // 2, (n + keep) // 2)
+        weights = window_weights(windows, n)
+        h_idx = np.flatnonzero(weights)
+        h_w = weights[h_idx, None]
+        v_t = ofdm.idft(cur, axis=0)
+        peaks = np.max(np.abs(v_t) ** 2, axis=0)
+        energies = np.sum(np.abs(v_t[kept, :]) ** 2, axis=0)
+        iters = np.zeros(n_blocks, dtype=np.int64)
+        tau = 10.0 ** (target / 10.0)
+        stop = 10.0 ** (spec.stop_epsilon_db / 10.0)
+        for _ in range(spec.max_iterations):
+            amp = float(np.sqrt(energies.sum() / (keep * n_blocks) * tau))
+            active = np.flatnonzero(peaks > amp ** 2 * stop)
+            if active.size == 0:
+                break
+            iters[active] += 1
+            for c in range(0, active.size, 64):
+                cols = active[c: c + 64]
+                blocks = v_t[:, cols]
+                noise_f = ofdm.dft(clip_polar(blocks, amp) - blocks,
+                                   axis=0)[h_idx, :]
+                cur[np.ix_(h_idx, cols)] += h_w * noise_f
+                fresh = ofdm.idft(cur[:, cols], axis=0)
+                v_t[:, cols] = fresh
+                peaks[cols] = np.max(np.abs(fresh) ** 2, axis=0)
+                energies[cols] = np.sum(np.abs(fresh[kept, :]) ** 2, axis=0)
+        assert iters.max() > 1
+        assert np.array_equal(info["iterations"], iters)
+        assert info["final_amp"] == amp
+        assert np.array_equal(info["v_f_proc"], cur)
+        expect = v_t[kept, :].T.reshape(-1)[: v_f.source_len]
+        assert np.array_equal(out.samples, expect)
 
     def test_generous_target_reduces_to_the_clean_filtered_waveform(self):
         spec = tiny_spec(method="FC_ICEF", papr_target_db=40.0)
