@@ -19,7 +19,6 @@ import argparse
 import copy
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -75,11 +74,7 @@ def apply_override(raw: dict, assignment: str) -> None:
 
 
 def load_raw_scenario(path: str | None, overrides: list[str]) -> dict:
-    """Raw scenario dict from a file (or the built-in default) + overrides.
-
-    The MIXNUM_SEED environment variable, when set, wins over both the
-    file and any ``--set seed=`` override.
-    """
+    """Raw scenario dict from a file (or the built-in default) + overrides."""
     if path is None:
         raw = default_scenario_dict()
     else:
@@ -87,9 +82,6 @@ def load_raw_scenario(path: str | None, overrides: list[str]) -> dict:
             raw = json.load(fh)
     for assignment in overrides:
         apply_override(raw, assignment)
-    env_seed = os.environ.get("MIXNUM_SEED")
-    if env_seed is not None:
-        raw["seed"] = int(env_seed)
     return raw
 
 
@@ -155,6 +147,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _require_threads(args.threads)
     raw = load_raw_scenario(args.scenario, args.set or [])
     spec = scenario_from_dict(raw)
+    derive_dims(spec)  # geometry and size errors leave no --out behind
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -212,6 +205,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raw["method"] = method
             raw["papr_target_db"] = target
             specs.append(scenario_from_dict(raw))
+            derive_dims(specs[-1])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -24,6 +24,9 @@ from .ofdm import ComplexSignal, ResourceGrid, dft, idft
 from .scenario import DerivedDims, ScenarioSpec, derive_dims
 from . import ofdm
 
+# FC_ICEF's unit of work: this many block rows of an active set.
+_CHUNK_ROWS = 64
+
 
 def window_weights(windows: list[FcWindow], n: int) -> np.ndarray:
     """Subband window gains on the output bins, in standard DFT order.
@@ -42,8 +45,7 @@ def window_weights(windows: list[FcWindow], n: int) -> np.ndarray:
 
 def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
                 grids: list[ResourceGrid] | None = None, *,
-                info: dict | None = None, threads: int = 1,
-                chunk_size: int = 64) -> ComplexSignal:
+                info: dict | None = None, threads: int = 1) -> ComplexSignal:
     """Filtered multi-subband waveform with in-bank PAPR reduction.
 
     A single amplitude ceiling is shared by every block.  All blocks
@@ -110,8 +112,8 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
             if active.size == 0:
                 break
             iters[active] += 1
-            pmap(work, [active[c: c + chunk_size]
-                        for c in range(0, active.size, chunk_size)])
+            pmap(work, [active[c: c + _CHUNK_ROWS]
+                        for c in range(0, active.size, _CHUNK_ROWS)])
 
     if info is not None:
         info["iterations"] = iters

@@ -6,12 +6,18 @@ center-frequency offset.  All frequency fields carry a ``_hz`` suffix and all
 power-like fields a ``_db`` suffix.  ``derive_dims`` turns a validated scenario
 into the concrete transform sizes, CP lengths, symbol counts and subcarrier
 index maps used by every other module.
+
+The dataclasses are the scenario's only field table: ``scenario_from_dict``
+builds them from JSON by walking their fields, and ``ScenarioSpec.to_dict``
+echoes them back.
 """
 
-from __future__ import annotations
-
+# No ``from __future__ import annotations``: ``scenario_from_dict`` reads
+# the field types of the dataclasses below as objects.
 import math
-from dataclasses import dataclass, field
+import sys
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -41,6 +47,12 @@ FC_METHODS = (METHOD_FC_F_OFDM, METHOD_FC_ICEF)
 # CP length of the reference 2048-point transform (normal CP, constant for
 # every symbol; no extended first symbol).
 _CP_SAMPLES_PER_2048 = 144
+
+# Largest complex array a scenario may imply, in samples (2**27 complex128
+# samples are 2 GiB): the oversampled stream and, for the FC methods, the
+# (blocks x inverse length) batch.  The desk scenario needs 4.49 M and
+# 8.99 M.
+MAX_ARRAY_SAMPLES = 1 << 27
 
 
 class ScenarioError(ValueError):
@@ -73,7 +85,6 @@ class FcConfig:
     bin_spacing_hz: float = 15e3
     overlap_factor: float = 0.5
     transition_bins: int = 12
-    transition_shape: str = "raised_cosine"
 
 
 @dataclass
@@ -106,40 +117,7 @@ class ScenarioSpec:
 
     def to_dict(self) -> dict:
         """Canonical plain-dict form (used for digests and report echoes)."""
-        return {
-            "channel_bw_hz": self.channel_bw_hz,
-            "nominal_transform": self.nominal_transform,
-            "oversampling": self.oversampling,
-            "duration_symbols_base": self.duration_symbols_base,
-            "papr_target_db": self.papr_target_db,
-            "max_iterations": self.max_iterations,
-            "stop_epsilon_db": self.stop_epsilon_db,
-            "method": self.method,
-            "seed": self.seed,
-            "wola_extension_factor": self.wola_extension_factor,
-            "bwps": [
-                {
-                    "scs_hz": b.scs_hz,
-                    "num_prbs": b.num_prbs,
-                    "modulation": b.modulation,
-                    "center_offset_hz": b.center_offset_hz,
-                }
-                for b in self.bwps
-            ],
-            "fc": {
-                "n_nom": self.fc.n_nom,
-                "bin_spacing_hz": self.fc.bin_spacing_hz,
-                "overlap_factor": self.fc.overlap_factor,
-                "transition_bins": self.fc.transition_bins,
-                "transition_shape": self.fc.transition_shape,
-            },
-            "measure": {
-                "psd_rbw_hz": self.measure.psd_rbw_hz,
-                "aclr_measurement_bw_hz": self.measure.aclr_measurement_bw_hz,
-                "ccdf_probability": self.measure.ccdf_probability,
-                "mask_file": self.measure.mask_file,
-            },
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -250,66 +228,70 @@ def default_scenario_dict() -> dict:
 
 def scenario_from_dict(raw: dict) -> ScenarioSpec:
     """Build a validated ScenarioSpec from a plain dict, filling defaults."""
-    _require(isinstance(raw, dict), "scenario root must be a JSON object")
-    unknown = set(raw) - {
-        "channel_bw_hz", "nominal_transform", "oversampling",
-        "duration_symbols_base", "papr_target_db", "max_iterations",
-        "stop_epsilon_db", "method", "seed", "wola_extension_factor",
-        "bwps", "fc", "measure",
-    }
-    _require(not unknown, f"unknown scenario fields: {sorted(unknown)}")
-    _require("channel_bw_hz" in raw, "channel_bw_hz is required")
-    _require("bwps" in raw and raw["bwps"], "at least one BWP is required")
-
-    bwps = []
-    for i, b in enumerate(raw["bwps"]):
-        for key in ("scs_hz", "num_prbs", "modulation", "center_offset_hz"):
-            _require(key in b, f"bwps[{i}] missing field {key}")
-        bwps.append(BwpSpec(
-            scs_hz=float(b["scs_hz"]),
-            num_prbs=int(b["num_prbs"]),
-            modulation=str(b["modulation"]),
-            center_offset_hz=float(b["center_offset_hz"]),
-        ))
-
-    fc_raw = raw.get("fc", {})
-    fc = FcConfig(
-        n_nom=int(fc_raw.get("n_nom", 2048)),
-        bin_spacing_hz=float(fc_raw.get("bin_spacing_hz", 15e3)),
-        overlap_factor=float(fc_raw.get("overlap_factor", 0.5)),
-        transition_bins=int(fc_raw.get("transition_bins", 12)),
-        transition_shape=str(fc_raw.get("transition_shape", "raised_cosine")),
-    )
-    ms_raw = raw.get("measure", {})
-    measure = MeasureConfig(
-        psd_rbw_hz=float(ms_raw.get("psd_rbw_hz", 30e3)),
-        aclr_measurement_bw_hz=float(ms_raw.get("aclr_measurement_bw_hz", 18e6)),
-        ccdf_probability=float(ms_raw.get("ccdf_probability", 1e-3)),
-        mask_file=ms_raw.get("mask_file"),
-    )
-
-    spec = ScenarioSpec(
-        channel_bw_hz=float(raw["channel_bw_hz"]),
-        bwps=bwps,
-        nominal_transform=int(raw.get("nominal_transform", 2048)),
-        oversampling=int(raw.get("oversampling", 4)),
-        duration_symbols_base=int(raw.get("duration_symbols_base", 512)),
-        papr_target_db=float(raw.get("papr_target_db", 5.0)),
-        max_iterations=int(raw.get("max_iterations", 20)),
-        stop_epsilon_db=float(raw.get("stop_epsilon_db", 0.01)),
-        method=str(raw.get("method", METHOD_NONE)),
-        seed=int(raw.get("seed", 1)),
-        wola_extension_factor=float(raw.get("wola_extension_factor", 0.7)),
-        fc=fc,
-        measure=measure,
-    )
+    spec = _build(ScenarioSpec, raw, "")
     validate_scenario(spec)
     return spec
+
+
+def _build(cls, raw, where: str):
+    """Dataclass ``cls`` from the JSON object at dotted path ``where``.
+
+    An absent key takes the field's default; a key that is not a field,
+    a missing required field and a value of the wrong JSON type are
+    ScenarioErrors that name the dotted path (``bwps[0].num_prbs``).
+    """
+    _require(isinstance(raw, dict), f"{where or 'scenario root'} must be a JSON object")
+    pre = f"{where}." if where else ""
+    table = fields(cls)
+    unknown = sorted(set(raw) - {f.name for f in table})
+    if unknown:
+        raise ScenarioError(f"{pre}{unknown[0]}: unknown {where or 'scenario'} "
+                            f"fields {unknown}")
+    kwargs = {}
+    for f in table:
+        if f.name in raw:
+            kwargs[f.name] = _cast(f.type, raw[f.name], pre + f.name)
+        else:
+            _require(f.default is not MISSING or f.default_factory is not MISSING,
+                     f"{pre}{f.name} is required")
+    return cls(**kwargs)
+
+
+def _cast(tp, value, where: str):
+    """One JSON value as a field of type ``tp``.
+
+    ``tp`` is a dataclass, a list of one, ``str``, ``str | None``, ``int``
+    (integers and integral floats) or ``float`` (any finite number).  A
+    boolean is not a number.
+    """
+    if is_dataclass(tp):
+        return _build(tp, value, where)
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is list:
+        _require(isinstance(value, list), f"{where} must be a JSON array")
+        return [_cast(args[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if args:  # ``str | None``
+        if value is None:
+            return None
+        tp = args[0]
+    if tp is str:
+        _require(isinstance(value, str),
+                 f"{where} must be a string{' or null' if args else ''}")
+        return value
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if tp is int:
+        _require(number and (isinstance(value, int) or value.is_integer()),
+                 f"{where} must be an integer")
+        return int(value)
+    _require(number and abs(value) <= sys.float_info.max,
+             f"{where} must be a finite number")
+    return float(value)
 
 
 def validate_scenario(spec: ScenarioSpec) -> None:
     """Raise ScenarioError on any constraint violation."""
     _require(spec.method in METHODS, f"unknown method {spec.method!r}")
+    _require(len(spec.bwps) >= 1, "bwps: at least one BWP is required")
     _require(spec.channel_bw_hz > 0, "channel_bw_hz must be positive")
     _require(_is_pow2(spec.nominal_transform), "nominal_transform must be a power of two")
     _require(spec.oversampling >= 1, "oversampling must be >= 1")
@@ -342,8 +324,6 @@ def validate_scenario(spec: ScenarioSpec) -> None:
         _require(_is_pow2(fc.n_nom), "fc.n_nom must be a power of two")
         _require(0.0 < fc.overlap_factor < 1.0, "fc.overlap_factor must lie in (0, 1)")
         _require(fc.transition_bins >= 0, "fc.transition_bins must be >= 0")
-        _require(fc.transition_shape == "raised_cosine",
-                 f"unsupported fc.transition_shape {fc.transition_shape!r}")
         lm = fs_nominal / fc.bin_spacing_hz
         _require(abs(lm - round(lm)) < 1e-9 and _is_pow2(int(round(lm))),
                  "fc.bin_spacing_hz must divide the nominal rate into a power of two")
@@ -468,6 +448,19 @@ def derive_dims(spec: ScenarioSpec) -> DerivedDims:
             transition_bins=fc.transition_bins,
             bin_spacing_hz=fc.bin_spacing_hz,
         )
+
+    # Every BWP covers the same samples (checked above): BWP 0 sizes them.
+    d = bwp_dims[0]
+    stream = d.num_symbols * d.stride_os
+    _require(stream <= MAX_ARRAY_SAMPLES,
+             f"duration_symbols_base: the oversampled stream needs {stream} "
+             f"samples, above the limit of {MAX_ARRAY_SAMPLES}")
+    if fc_dims is not None:
+        batch = (-(-(d.num_symbols * d.stride + fc_dims.head_pad) // fc_dims.step_len)
+                 * fc_dims.inverse_len)
+        _require(batch <= MAX_ARRAY_SAMPLES,
+                 f"fc: the block batch needs {batch} samples, "
+                 f"above the limit of {MAX_ARRAY_SAMPLES}")
 
     return DerivedDims(
         fs_nominal_hz=fs_nominal,

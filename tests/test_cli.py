@@ -39,14 +39,6 @@ class TestOverrides:
         with pytest.raises(ScenarioError):
             cli.apply_override({"bwps": []}, "bwps.7.num_prbs=1")
 
-    def test_environment_seed_wins(self, monkeypatch):
-        monkeypatch.setenv("MIXNUM_SEED", "777")
-        raw = cli.load_raw_scenario(None, ["seed=3"])
-        assert raw["seed"] == 777
-        monkeypatch.delenv("MIXNUM_SEED")
-        raw = cli.load_raw_scenario(None, ["seed=3"])
-        assert raw["seed"] == 3
-
     def test_scenario_file_round_trip(self, tmp_path):
         from mixnum.scenario import default_scenario_dict
 
@@ -91,11 +83,10 @@ class TestRunCommand:
             for name in ("ccdf.csv", "report.json"):
                 assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_seed_changes_the_digest(self, tmp_path, monkeypatch):
+    def test_seed_changes_the_digest(self, tmp_path):
         a, b = tmp_path / "s1", tmp_path / "s2"
         assert _run(a) == 0
-        monkeypatch.setenv("MIXNUM_SEED", "99")
-        assert _run(b) == 0
+        assert _run(b, "--set", "seed=99") == 0
         ra = json.loads((a / "report.json").read_text())
         rb = json.loads((b / "report.json").read_text())
         assert rb["scenario"]["seed"] == 99
@@ -130,6 +121,21 @@ class TestRunCommand:
                   "--set", f"{field}=1e308")
         assert rc == 2
         assert f"scenario error: {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sets, path", [
+        # At the default 512 base symbols: 561664 blocks of 8192 samples,
+        # a 68.6 GiB batch.
+        (["method=FC_F_OFDM", "fc.overlap_factor=0.9990234375"], "fc"),
+        # 876.8 M oversampled samples per stream.
+        (["duration_symbols_base=100000"], "duration_symbols_base"),
+    ])
+    def test_scenario_too_large_for_memory_is_refused(self, tmp_path, capsys,
+                                                      sets, path):
+        rc = cli.main(["run", "--out", str(tmp_path / "big"),
+                       *[a for s in sets for a in ("--set", s)]])
+        assert rc == 2
+        assert f"scenario error: {path}" in capsys.readouterr().err
+        assert not (tmp_path / "big").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_invalid_thread_count_is_a_scenario_error(self, tmp_path, capsys,
@@ -185,6 +191,11 @@ class TestSweepCommand:
         assert not (tmp_path / "s").exists()
         rc = cli.main(["sweep", "--out", str(tmp_path / "s"), *TINY,
                        "--set", "duration_symbols_base=0",
+                       "--targets", "6", "--methods", "NONE"])
+        assert rc == 2
+        assert not (tmp_path / "s").exists()
+        rc = cli.main(["sweep", "--out", str(tmp_path / "s"), *TINY,
+                       "--set", "duration_symbols_base=100000",
                        "--targets", "6", "--methods", "NONE"])
         assert rc == 2
         assert not (tmp_path / "s").exists()

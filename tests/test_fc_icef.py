@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mixnum import fc, metrics, ofdm
+from mixnum import fc, fc_icef, metrics, ofdm
 from mixnum.fc_icef import run_fc_icef, window_weights
 from mixnum.icef import clip_polar
 from mixnum.scenario import derive_dims
@@ -123,6 +123,27 @@ class TestRunFcIcef:
         a = run_fc_icef(spec, dims, threads=1)
         b = run_fc_icef(spec, dims, threads=3)
         assert np.array_equal(a.samples, b.samples)
+
+    @pytest.mark.parametrize("target", [5.0, 8.0])
+    def test_threads_and_chunks_leave_the_output_unchanged(self, monkeypatch,
+                                                          target):
+        # 32 base symbols give 69 blocks, two default chunks in the first
+        # round.  Chunks of 1 to 31 rows, a lone last row included, reproduce
+        # the default run byte for byte at every thread count.
+        spec = tiny_spec(method="FC_ICEF", papr_target_db=target,
+                         duration_symbols_base=32)
+        dims = derive_dims(spec)
+        grids = [ofdm.generate_grid(dims, m, spec.seed) for m in range(2)]
+        ref_info: dict = {}
+        ref = run_fc_icef(spec, dims, grids, info=ref_info)
+        for rows in (1, 2, 5, 31):
+            monkeypatch.setattr(fc_icef, "_CHUNK_ROWS", rows)
+            for threads in (1, 3):
+                info: dict = {}
+                out = run_fc_icef(spec, dims, grids, info=info, threads=threads)
+                assert out.samples.tobytes() == ref.samples.tobytes()
+                assert np.array_equal(info["iterations"], ref_info["iterations"])
+                assert info["final_amp"] == ref_info["final_amp"]
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("target", [5.0, 8.0])

@@ -5,10 +5,14 @@ Frozen numbers are hand-derived from the built-in two-numerology carrier:
 +4.98 MHz, transform 2048, oversampling 4.
 """
 
+import json
+import re
+
 import numpy as np
 import pytest
 
 from conftest import make_spec
+from mixnum import cli
 from mixnum.scenario import (ScenarioError, default_scenario_dict,
                              derive_dims, scenario_from_dict, snap_center_hz)
 
@@ -137,6 +141,44 @@ class TestValidation:
         raw["fc"] = {"n_nom": 1000}
         with pytest.raises(ScenarioError):
             scenario_from_dict(raw)
+
+    @pytest.mark.parametrize("assignment, path", [
+        ("measure=5", "measure"),
+        ("fc=[]", "fc"),
+        ("bwps=5", "bwps"),
+        ("bwps.0=5", "bwps[0]"),
+        ("papr_target_db=null", "papr_target_db"),
+        ("channel_bw_hz=null", "channel_bw_hz"),
+        ("seed=abc", "seed"),
+        ("seed=true", "seed"),
+        ("seed=2.9", "seed"),
+        ("bwps.0.num_prbs=52.7", "bwps[0].num_prbs"),
+        ("fc.n_nomm=4096", "fc.n_nomm"),
+        ("fc.transition_shape=\"raised_cosine\"", "fc.transition_shape"),
+        ("bwps.0.extra=1", "bwps[0].extra"),
+        ("measure.psd_rbw=1", "measure.psd_rbw"),
+        ("measure.mask_file=5", "measure.mask_file"),
+    ])
+    def test_malformed_value_names_its_path(self, assignment, path):
+        raw = default_scenario_dict()
+        cli.apply_override(raw, assignment)
+        with pytest.raises(ScenarioError, match="^" + re.escape(path) + "[ :]"):
+            scenario_from_dict(raw)
+
+    def test_whole_number_is_echoed_as_a_float(self):
+        spec = make_spec(papr_target_db=5)
+        assert json.dumps(spec.to_dict()["papr_target_db"]) == "5.0"
+
+    def test_integral_float_is_accepted_for_an_int_field(self):
+        spec = make_spec(seed=1e3)
+        assert spec.seed == 1000 and type(spec.seed) is int
+
+    def test_default_scenario_digest(self):
+        # Pins the canonical echo: a builder change that moves a default, a
+        # cast or a key shows up here.
+        spec = scenario_from_dict(default_scenario_dict())
+        assert cli.scenario_digest(spec) == (
+            "48d1dd15a0049ed4f116f03004a8fef657dd4d364ee2f6539710a5918de0e292")
 
 
 class TestSnapAndRoundTrip:
