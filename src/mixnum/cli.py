@@ -157,7 +157,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     artifacts: dict = {}
     report = metrics.measure_all(sig, spec, dims, grids,
                                  iterations=info.get("iterations"),
-                                 artifacts=artifacts)
+                                 artifacts=artifacts, threads=args.threads)
     wall = time.perf_counter() - t0
 
     _write_ccdf_csv(out_dir / "ccdf.csv", artifacts["ccdf"])
@@ -216,7 +216,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         info: dict = {}
         sig, dims, grids = execute(spec, threads=args.threads, info=info)
         report = metrics.measure_all(sig, spec, dims, grids,
-                                     iterations=info.get("iterations"))
+                                     iterations=info.get("iterations"),
+                                     threads=args.threads)
         wall = time.perf_counter() - t0
         if header is None:
             header = (["method", "papr_target_db", "papr_at_p_db"]
@@ -288,9 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a scenario field (dotted path)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for the clip loops of I_ICEF, "
-                            "E_ICEF_WOLA and FC_ICEF (outputs do not "
-                            "depend on it)")
+                       help="worker threads for the clip loops, WOLA's "
+                            "carrier, the filter bank's inverse transform, "
+                            "the MSE demodulation and the Welch segments "
+                            "(outputs do not depend on it)")
 
     p_run = sub.add_parser("run", help="run one scenario and measure it")
     common(p_run)

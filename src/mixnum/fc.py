@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ofdm import ComplexSignal, ResourceGrid, dft, idft, ofdm_modulate
+from .ofdm import (ComplexSignal, ResourceGrid, chunk_map, dft, idft,
+                   ofdm_modulate, stage_chunks)
 from .scenario import BwpDims, DerivedDims, FcDims, ScenarioSpec, derive_dims
 from .wola import rc_ramp
 from . import ofdm
@@ -142,14 +143,16 @@ def subband_forward(blocks: FcBlocks, window: FcWindow, fc: FcDims) -> FcBlocks:
                     bins=((window.center_bin - l // 2) % n, n))
 
 
-def combine(subbands: list[FcBlocks]) -> tuple[FcBlocks, FcBlocks]:
+def combine(subbands: list[FcBlocks], *,
+            threads: int = 1) -> tuple[FcBlocks, FcBlocks]:
     """Sum mapped subband spectra and inverse-transform each block.
 
     Each subband's spectra are added, in list order, into one zeroed
     batch on the bins they map to; the batch then takes the one inverse
-    transform.  Returns (spectra, time blocks); both are kept because
-    block-wise processing edits the spectra while overlap-save consumes
-    the time side.
+    transform.  Both steps run in fixed chunks of block rows on
+    ``threads`` worker threads.  Returns (spectra, time blocks); both are
+    kept because block-wise processing edits the spectra while
+    overlap-save consumes the time side.
     """
     if not subbands:
         raise ValueError("nothing to combine")
@@ -160,10 +163,19 @@ def combine(subbands: list[FcBlocks]) -> tuple[FcBlocks, FcBlocks]:
             raise ValueError("subband block geometries differ")
     n = first.bins[1]
     total = np.zeros((first.num_blocks, n), dtype=np.complex128)
-    for b in subbands:
-        total[:, np.mod(b.bins[0] + np.arange(b.block_len), n)] += b.data
+    blocks = np.empty_like(total)
+    cols = [np.mod(b.bins[0] + np.arange(b.block_len), n) for b in subbands]
+
+    def synthesize(sl: slice) -> None:
+        rows = total[sl]
+        for b, c in zip(subbands, cols):
+            rows[:, c] += b.data[sl]
+        blocks[sl] = idft(rows)
+
+    with chunk_map(threads) as pmap:
+        pmap(synthesize, stage_chunks(first.num_blocks, n))
     v_f = replace(first, data=total, bins=None)
-    return v_f, replace(v_f, data=idft(total))
+    return v_f, replace(v_f, data=blocks)
 
 
 def ols_extract(blocks: FcBlocks, fc: FcDims) -> ComplexSignal:
@@ -183,14 +195,15 @@ def ols_extract(blocks: FcBlocks, fc: FcDims) -> ComplexSignal:
     return ComplexSignal(samples=out, sample_rate_hz=blocks.sample_rate_hz)
 
 
-def fc_subband_spectra(dims: DerivedDims, grids: list[ResourceGrid]
+def fc_subband_spectra(dims: DerivedDims, grids: list[ResourceGrid], *,
+                       threads: int = 1
                        ) -> tuple[FcBlocks, FcBlocks, list[FcWindow]]:
     """Forward half of the filter bank for every BWP, summed into one batch.
 
     Subband CP-OFDM streams are synthesized at the nominal rate with the
     allocation centered on DC; the bin mapping places each subband at its
-    carrier position.  Returns ``combine``'s spectra and time blocks and
-    the subband windows.
+    carrier position.  Returns ``combine``'s spectra and time blocks (built
+    on ``threads`` worker threads) and the subband windows.
     """
     fcd = dims.fc
     if fcd is None:
@@ -200,7 +213,7 @@ def fc_subband_spectra(dims: DerivedDims, grids: list[ResourceGrid]
     for m, grid in enumerate(grids):
         sub = ofdm_modulate(grid, dims, oversampled=False, at_baseband=True)
         mapped.append(subband_forward(segment(sub, fcd), windows[m], fcd))
-    v_f, v_t = combine(mapped)
+    v_f, v_t = combine(mapped, threads=threads)
     return v_f, v_t, windows
 
 
@@ -209,11 +222,12 @@ def run_fc_f_ofdm(spec: ScenarioSpec, dims: DerivedDims | None = None,
                   info: dict | None = None, threads: int = 1) -> ComplexSignal:
     """Filtered multi-subband waveform without PAPR processing.
 
-    ``threads`` is accepted for a uniform runner signature and not used.
+    ``threads`` worker threads build the composite blocks (``combine``);
+    the output does not depend on it.
     """
     dims = dims or derive_dims(spec)
     grids = grids or [ofdm.generate_grid(dims, m, spec.seed) for m in range(dims.num_bwps)]
-    _, v_t, windows = fc_subband_spectra(dims, grids)
+    _, v_t, windows = fc_subband_spectra(dims, grids, threads=threads)
     if info is not None:
         info["iterations"] = 0
         info["windows"] = windows

@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from .fc import FcWindow, fc_subband_spectra, ols_extract
-from .icef import chunk_map, clip_polar
-from .ofdm import ComplexSignal, ResourceGrid, dft, idft
+from .icef import clip_polar
+from .ofdm import ComplexSignal, ResourceGrid, chunk_map, dft, idft
 from .scenario import DerivedDims, ScenarioSpec, derive_dims
 from . import ofdm
 
@@ -69,7 +69,7 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
         raise ValueError("scenario has no fast-convolution geometry")
     grids = grids or [ofdm.generate_grid(dims, m, spec.seed)
                       for m in range(dims.num_bwps)]
-    v_f, v_t, windows = fc_subband_spectra(dims, grids)
+    v_f, v_t, windows = fc_subband_spectra(dims, grids, threads=threads)
     n_blocks, n = v_f.data.shape
     keep = v_f.step_len
     discard = (n - keep) // 2

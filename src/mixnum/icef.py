@@ -16,13 +16,10 @@ subcarriers; nothing is ever written outside the allocation.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-
 import numpy as np
 
-from .ofdm import (ComplexSignal, ResourceGrid, dft, grid_to_spectrum, idft,
-                   ofdm_demodulate, ofdm_modulate)
+from .ofdm import (ComplexSignal, ResourceGrid, chunk_map, dft,
+                   grid_to_spectrum, idft, ofdm_demodulate, ofdm_modulate)
 from .scenario import DerivedDims, ScenarioSpec, derive_dims
 from . import ofdm, wola
 
@@ -38,23 +35,6 @@ def clip_polar(x: np.ndarray, threshold_amp, mag=None) -> np.ndarray:
     scale = np.minimum(1.0, np.asarray(threshold_amp)
                        / np.maximum(mag, 1e-300))
     return x * scale
-
-
-@contextmanager
-def chunk_map(threads: int):
-    """Yield ``pmap(fn, chunks)``: the list of ``fn(chunk)`` in chunk order.
-
-    With ``threads > 1`` the calls run on that many worker threads (numpy's
-    transforms and element-wise kernels release the interpreter lock);
-    otherwise they run in the calling thread.  The caller fixes the chunks,
-    so their content, and with it every result, is the same for any
-    thread count.
-    """
-    if threads <= 1:
-        yield lambda fn, chunks: [fn(c) for c in chunks]
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield lambda fn, chunks: list(pool.map(fn, chunks))
 
 
 # I_ICEF's unit of work: whole symbols, about this many body samples.
@@ -149,8 +129,8 @@ def run_i_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
                 active, bodies = active[keep], bodies[keep]
             out_grids.append(ResourceGrid(bwp_index=m, values=vals_cur.T))
             all_iters.append(iters)
-    shaped = [wola.modulate_wola(g, dims, spec.wola_extension_factor)
-              for g in out_grids]
+    shaped = [wola.modulate_wola(g, dims, spec.wola_extension_factor,
+                                 threads=threads) for g in out_grids]
     if info is not None:
         info["iterations"] = np.concatenate(all_iters)
         info["grids"] = out_grids
@@ -243,8 +223,8 @@ def run_e_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
             composite = compose(lambda m: update(m, heard))
     del composite, mag
     out_grids = [ResourceGrid(bwp_index=m, values=v) for m, v in enumerate(vals)]
-    shaped = [wola.modulate_wola(g, dims, spec.wola_extension_factor)
-              for g in out_grids]
+    shaped = [wola.modulate_wola(g, dims, spec.wola_extension_factor,
+                                 threads=threads) for g in out_grids]
     if info is not None:
         info["iterations"] = iterations
         info["peak_trace_db"] = peak_trace
@@ -257,12 +237,14 @@ def run_none(spec: ScenarioSpec, dims: DerivedDims | None = None,
              info: dict | None = None, threads: int = 1) -> ComplexSignal:
     """Plain aggregated CP-OFDM + WOLA composite without PAPR processing.
 
-    ``threads`` is accepted for a uniform runner signature and not used.
+    ``threads`` worker threads run WOLA's carrier multiply; the output
+    does not depend on it.
     """
     dims = dims or derive_dims(spec)
     grids = grids or [ofdm.generate_grid(dims, m, spec.seed) for m in range(dims.num_bwps)]
     if info is not None:
         info["iterations"] = 0
     return wola.aggregate([
-        wola.modulate_wola(g, dims, spec.wola_extension_factor) for g in grids
+        wola.modulate_wola(g, dims, spec.wola_extension_factor, threads=threads)
+        for g in grids
     ])

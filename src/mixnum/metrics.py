@@ -12,9 +12,9 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
-from .ofdm import ComplexSignal, ResourceGrid, ofdm_demodulate
+from .ofdm import (ComplexSignal, ResourceGrid, chunk_map, ofdm_demodulate,
+                   stage_chunks)
 from .scenario import DerivedDims, ScenarioSpec
 
 
@@ -97,19 +97,22 @@ def papr_at_probability(curve: CcdfCurve, p: float) -> float:
 
 def mse_per_bwp(signal: ComplexSignal, dims: DerivedDims,
                 grids: list[ResourceGrid],
-                timing_offset: int | None = None) -> list[float]:
+                timing_offset: int | None = None, *,
+                threads: int = 1) -> list[float]:
     """Demodulation error power per subband, in dB relative to signal.
 
     A single complex gain per subband is fitted by least squares before
     comparing, so flat scaling and rotation do not count as error.  The
     default receiver timing is the middle of the cyclic prefix, which
-    keeps the analysis window clear of symbol-edge shaping.
+    keeps the analysis window clear of symbol-edge shaping.  ``threads``
+    worker threads demodulate the symbols.
     """
     out = []
     for m, grid in enumerate(grids):
         bd = dims.bwps[m]
         timing = -bd.l_cp_os // 2 if timing_offset is None else timing_offset
-        rx = ofdm_demodulate(signal, dims, m, timing_offset=timing)
+        rx = ofdm_demodulate(signal, dims, m, timing_offset=timing,
+                             threads=threads)
         x = grid.values.reshape(-1)
         y = rx.values.reshape(-1)
         denom = np.vdot(x, x)
@@ -138,11 +141,24 @@ class PsdEstimate:
     total_power: float
 
 
-def psd_welch(signal: ComplexSignal, rbw_hz: float = 30e3) -> PsdEstimate:
+def _hann(n: int) -> np.ndarray:
+    """Periodic Hann window, as ``scipy.signal.get_window("hann", n)``."""
+    if n <= 1:
+        return np.ones(n)
+    return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
+
+
+def psd_welch(signal: ComplexSignal, rbw_hz: float = 30e3, *,
+              threads: int = 1) -> PsdEstimate:
     """Hann-windowed, 50 %-overlap averaged periodogram.
 
     The segment length is the power of two whose bin spacing is nearest
-    the requested resolution bandwidth.
+    the requested resolution bandwidth.  This is Welch's estimate as
+    ``scipy.signal.welch`` computes it (two-sided, density scaling, no
+    detrending), bit for bit: the window is scaled by a sequential sum,
+    and the segment powers are stored frequency-major and averaged along
+    their contiguous rows, which numpy sums pairwise.  Segments are
+    transformed in fixed chunks of rows on ``threads`` worker threads.
     """
     x = signal.samples
     fs = signal.sample_rate_hz
@@ -150,10 +166,25 @@ def psd_welch(signal: ComplexSignal, rbw_hz: float = 30e3) -> PsdEstimate:
         raise ValueError("resolution bandwidth must be in (0, sample rate)")
     nperseg = 2 ** int(round(np.log2(fs / rbw_hz)))
     nperseg = min(nperseg, x.size)
-    freq, density = sp_signal.welch(x, fs=fs, window="hann", nperseg=nperseg,
-                                    noverlap=nperseg // 2, detrend=False,
-                                    return_onesided=False, scaling="density")
-    freq = np.fft.fftshift(freq)
+    hop = nperseg - nperseg // 2
+    n_seg = (x.size - nperseg // 2) // hop
+    win = _hann(nperseg)
+    win = win * (1 / np.sqrt(sum(win * win) / (1 / fs)))
+    segments = np.lib.stride_tricks.sliding_window_view(x, nperseg)[::hop]
+    power = np.empty((nperseg, n_seg))
+
+    def periodograms(sl: slice) -> None:
+        spec = np.fft.fft(segments[sl] * win)
+        power[:, sl] = (spec.real ** 2 + spec.imag ** 2).T
+
+    def average(sl: slice) -> np.ndarray:
+        return power[sl].mean(axis=1)
+
+    with chunk_map(threads) as pmap:
+        pmap(periodograms, stage_chunks(n_seg, nperseg))
+        density = np.concatenate(pmap(average, stage_chunks(nperseg, n_seg)))
+    del power
+    freq = np.fft.fftshift(np.fft.fftfreq(nperseg, 1 / fs))
     density = np.fft.fftshift(density)
     total = float(np.mean(np.abs(x) ** 2))
     rel = density * rbw_hz / max(total, 1e-300)
@@ -256,16 +287,19 @@ class MetricsReport:
 def measure_all(signal: ComplexSignal, spec: ScenarioSpec, dims: DerivedDims,
                 grids: list[ResourceGrid],
                 iterations: np.ndarray | None = None,
-                artifacts: dict | None = None) -> MetricsReport:
+                artifacts: dict | None = None, *,
+                threads: int = 1) -> MetricsReport:
     """Full measurement pass over one generated waveform.
 
     When ``artifacts`` is a dict, the intermediate CCDF curve and PSD
-    estimate are stored in it under ``"ccdf"`` and ``"psd"``.
+    estimate are stored in it under ``"ccdf"`` and ``"psd"``.  The MSE
+    demodulation and the Welch segments run on ``threads`` worker
+    threads, one stage after the other; the report does not depend on it.
     """
     curve = ccdf(papr_per_sample(signal))
     papr_db = papr_at_probability(curve, spec.measure.ccdf_probability)
-    mse = mse_per_bwp(signal, dims, grids)
-    psd = psd_welch(signal, spec.measure.psd_rbw_hz)
+    mse = mse_per_bwp(signal, dims, grids, threads=threads)
+    psd = psd_welch(signal, spec.measure.psd_rbw_hz, threads=threads)
     aclr_db = aclr(psd, spec.channel_bw_hz, spec.measure.aclr_measurement_bw_hz)
     margin = None
     if spec.measure.mask_file:

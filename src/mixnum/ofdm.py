@@ -11,11 +11,16 @@ Conventions used throughout the package:
   inputs and bodies are C-ordered (num_symbols, L) arrays, so every
   transform runs along the last axis and a set of symbols is a set of
   rows.  Arrays handed out in the (L, S) or (K, S) grid shape are
-  transposed views of such row-major buffers.
+  transposed views of such row-major buffers;
+* work on many rows or samples is cut into fixed chunks that
+  ``chunk_map`` runs on the ``--threads`` pool; the chunks never depend
+  on the thread count.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 import json
 
@@ -49,6 +54,36 @@ class ResourceGrid:
     @property
     def num_symbols(self) -> int:
         return int(self.values.shape[1])
+
+
+@contextmanager
+def chunk_map(threads: int):
+    """Yield ``pmap(fn, chunks)``: the list of ``fn(chunk)`` in chunk order.
+
+    With ``threads > 1`` the calls run on that many worker threads (numpy's
+    transforms and element-wise kernels release the interpreter lock);
+    otherwise they run in the calling thread.  The caller fixes the chunks,
+    so their content, and with it every result, is the same for any
+    thread count.
+    """
+    if threads <= 1:
+        yield lambda fn, chunks: [fn(c) for c in chunks]
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield lambda fn, chunks: list(pool.map(fn, chunks))
+
+
+# The full-length stages (demodulation, WOLA's carrier, the FC batch
+# inverse transform, Welch's segments) work in chunks of about this many
+# samples.  Their arithmetic is per row or per sample, so the chunk size
+# changes no result.
+_STAGE_CHUNK_SAMPLES = 1 << 18
+
+
+def stage_chunks(n: int, row_len: int = 1) -> list[slice]:
+    """Fixed slices of ``n`` rows of ``row_len`` samples, one per chunk."""
+    size = max(1, _STAGE_CHUNK_SAMPLES // max(row_len, 1))
+    return [slice(a, min(a + size, n)) for a in range(0, n, size)]
 
 
 def dft(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -117,20 +152,23 @@ def generate_grid(dims: DerivedDims, bwp_index: int, seed: int) -> ResourceGrid:
 
     Payload bits come from a counter-based generator keyed by
     (seed, bwp, symbol), so any symbol's data is identical no matter in
-    which order or batch the grid is produced.
+    which order or batch the grid is produced.  ``seed`` must fit in 64
+    bits (the scenario checks it).
     """
     bd = dims.bwps[bwp_index]
-    nbits = bits_per_symbol(bd.modulation)
     k = bd.num_subcarriers
-    cols = np.empty((k, bd.num_symbols), dtype=np.complex128)
+    bits = np.empty((bd.num_symbols, k * bits_per_symbol(bd.modulation)),
+                    dtype=np.int64)
     for s in range(bd.num_symbols):
-        key = np.array([seed & 0xFFFFFFFFFFFFFFFF,
-                        ((bwp_index & 0xFFFFFFFF) << 32) | (s & 0xFFFFFFFF)],
+        key = np.array([seed, ((bwp_index & 0xFFFFFFFF) << 32) | (s & 0xFFFFFFFF)],
                        dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        bits = rng.integers(0, 2, size=k * nbits)
-        cols[:, s] = qam_map(bits, bd.modulation)
-    return ResourceGrid(bwp_index=bwp_index, values=cols)
+        bits[s] = np.random.Generator(np.random.Philox(key=key)).integers(
+            0, 2, size=bits.shape[1])
+    # values stays C-ordered (K, S): callers sum its columns, and a
+    # transposed view would turn those sums pairwise.
+    values = np.ascontiguousarray(
+        qam_map(bits, bd.modulation).reshape(bd.num_symbols, k).T)
+    return ResourceGrid(bwp_index=bwp_index, values=values)
 
 
 def _transform_dims(bd: BwpDims, oversampled: bool) -> tuple[int, int]:
@@ -205,7 +243,8 @@ def ofdm_modulate(grid: ResourceGrid, dims: DerivedDims, *,
 def ofdm_demodulate(signal: ComplexSignal, dims: DerivedDims, bwp_index: int,
                     timing_offset: int = 0, *,
                     oversampled: bool = True,
-                    at_baseband: bool = False) -> ResourceGrid:
+                    at_baseband: bool = False,
+                    threads: int = 1) -> ResourceGrid:
     """Recover a BWP's grid from a composite stream.
 
     Per symbol, an L-sample window is taken at
@@ -213,7 +252,9 @@ def ofdm_demodulate(signal: ComplexSignal, dims: DerivedDims, bwp_index: int,
     continuous carrier (unless the stream was synthesized ``at_baseband``)
     and transformed; the known phase ramp caused by a window start inside
     the CP is compensated, so any ``timing_offset`` in [-l_cp, 0] recovers
-    an ISI-free symbol exactly.
+    an ISI-free symbol exactly.  Symbols are demodulated in fixed chunks
+    of rows on ``threads`` worker threads; each row's arithmetic is the
+    same in any chunk.
     """
     bd = dims.bwps[bwp_index]
     l, l_cp = _transform_dims(bd, oversampled)
@@ -225,17 +266,24 @@ def ofdm_demodulate(signal: ComplexSignal, dims: DerivedDims, bwp_index: int,
         raise ValueError("signal too short for the symbol count")
     start = l_cp + timing_offset
     frames = signal.samples[: n_sym * stride].reshape(n_sym, stride)
-    windows = frames[:, start: start + l]
-    if not at_baseband:
-        # The conjugate carrier over window s factors into a per-sample ramp
-        # (shared by all windows) times a per-window scalar at its start.
-        ramp = subband_carrier(bd, l, 0, l, conjugate=True)
-        starts = start + stride * np.arange(n_sym)
-        phase = np.exp(-2j * np.pi * bd.center_scs * starts / l)
-        windows = windows * ramp[None, :] * phase[:, None]
-    spec = dft(windows)
     idx = bd.active_base
-    values = spec[:, np.mod(idx, l)].T
+    cols = np.mod(idx, l)
+    # The conjugate carrier over window s factors into a per-sample ramp
+    # (shared by all windows) times a per-window scalar at its start.
+    ramp = subband_carrier(bd, l, 0, l, conjugate=True)
+    starts = start + stride * np.arange(n_sym)
+    phase = np.exp(-2j * np.pi * bd.center_scs * starts / l)
+    rows = np.empty((n_sym, idx.size), dtype=np.complex128)
+
+    def demodulate(sl: slice) -> None:
+        windows = frames[sl, start: start + l]
+        if not at_baseband:
+            windows = windows * ramp[None, :] * phase[sl, None]
+        rows[sl] = dft(windows)[:, cols]
+
+    with chunk_map(threads) as pmap:
+        pmap(demodulate, stage_chunks(n_sym, l))
+    values = rows.T
     if timing_offset:
         values = values * np.exp(-2j * np.pi * idx * timing_offset / l)[:, None]
     return ResourceGrid(bwp_index=bwp_index, values=values)

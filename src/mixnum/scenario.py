@@ -303,7 +303,7 @@ def validate_scenario(spec: ScenarioSpec) -> None:
     _require_db(spec.stop_epsilon_db, "stop_epsilon_db")
     _require(0.0 <= spec.wola_extension_factor <= 1.0,
              "wola_extension_factor must lie in [0, 1]")
-    _require(spec.seed >= 0, "seed must be non-negative")
+    _require(0 <= spec.seed < 2 ** 64, "seed must lie in [0, 2**64)")
 
     fs_nominal = spec.nominal_transform * REFERENCE_SCS_HZ
     _require(spec.channel_bw_hz <= fs_nominal,

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ofdm import (ComplexSignal, ResourceGrid, grid_to_spectrum, idft,
-                   subband_carrier)
+from .ofdm import (ComplexSignal, ResourceGrid, chunk_map, grid_to_spectrum,
+                   idft, stage_chunks, subband_carrier)
 from .scenario import BwpDims, DerivedDims
 
 
@@ -128,20 +128,30 @@ def wola_assemble(bodies: np.ndarray, params: WolaParams) -> np.ndarray:
 
 
 def modulate_wola(grid: ResourceGrid, dims: DerivedDims,
-                  extension_factor: float) -> ComplexSignal:
+                  extension_factor: float, *,
+                  threads: int = 1) -> ComplexSignal:
     """WOLA-shaped oversampled waveform of one BWP.
 
     Shaping happens at baseband and the assembled stream is upconverted by
     the BWP's continuous carrier afterwards; since windowing is pointwise
     and the cyclic extensions of neighbouring symbols overlap at identical
     absolute times, this equals upconverting each extended symbol first.
+    The carrier multiply runs in fixed chunks of samples on ``threads``
+    worker threads; each chunk's carrier is sampled at the same absolute
+    indexes as the whole stream's.
     """
     bd = dims.bwps[grid.bwp_index]
     params = WolaParams.from_dims(bd, extension_factor)
     bodies = idft(grid_to_spectrum(grid, dims, oversampled=True,
                                    at_baseband=True).T)
     flat = wola_assemble(bodies, params)
-    flat *= subband_carrier(bd, bd.l_ofdm_os, 0, flat.size)
+
+    def upconvert(sl: slice) -> None:
+        flat[sl] *= subband_carrier(bd, bd.l_ofdm_os, sl.start,
+                                    sl.stop - sl.start)
+
+    with chunk_map(threads) as pmap:
+        pmap(upconvert, stage_chunks(flat.size))
     return ComplexSignal(samples=flat, sample_rate_hz=dims.fs_oversampled_hz)
 
 

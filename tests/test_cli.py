@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +54,18 @@ class TestOverrides:
         assert raw["papr_target_db"] == 6.5
 
 
+class TestPackaging:
+    def test_import_loads_no_scipy(self):
+        # scipy is a test-only dependency: importing the CLI, and with it
+        # every module a run uses, must not pull it in.
+        code = ("import sys, mixnum.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
+
+
 class TestRunCommand:
     def test_writes_all_artifacts(self, tmp_path):
         out = tmp_path / "run"
@@ -75,13 +91,28 @@ class TestRunCommand:
         for name in ("ccdf.csv", "psd.csv", "report.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_thread_count_leaves_artifacts_byte_identical(self, tmp_path):
-        for method in ("I_ICEF", "E_ICEF_WOLA", "FC_ICEF"):
+    def test_thread_count_leaves_artifacts_byte_identical(self, tmp_path,
+                                                          monkeypatch):
+        # The three-thread runs also cut the full-length stages into small
+        # chunks, so that a short stream still spreads over the pool.
+        for method in ("NONE", "FC_F_OFDM", "I_ICEF", "E_ICEF_WOLA", "FC_ICEF"):
             a, b = tmp_path / f"{method}1", tmp_path / f"{method}3"
-            assert _run(a, "--set", f"method={method}", "--threads", "1") == 0
-            assert _run(b, "--set", f"method={method}", "--threads", "3") == 0
-            for name in ("ccdf.csv", "report.json"):
+            assert _run(a, "--set", f"method={method}", "--threads", "1",
+                        "--dump-waveform") == 0
+            with monkeypatch.context() as m:
+                m.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", 1 << 13)
+                assert _run(b, "--set", f"method={method}", "--threads", "3",
+                            "--dump-waveform") == 0
+            for name in ("ccdf.csv", "psd.csv", "report.json", "waveform.c128"):
                 assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_seed_beyond_64_bits_is_a_scenario_error(self, tmp_path):
+        # The payload generator is keyed by 64 bits of seed; a wider seed
+        # would draw another seed's payload under its own digest.
+        out = tmp_path / "wide-seed"
+        assert _run(out, "--set", f"seed={2**64 + 1}") == 2
+        assert not out.exists()
+        assert _run(out, "--set", f"seed={2**64 - 1}") == 0
 
     def test_seed_changes_the_digest(self, tmp_path):
         a, b = tmp_path / "s1", tmp_path / "s2"

@@ -226,6 +226,29 @@ class TestFilteredComposite:
         assert np.array_equal(v_t.data, ofdm.idft(v_f.data))
         assert len(windows) == 2
 
+    @pytest.mark.parametrize("rows", [1, 3, 1000])
+    def test_threads_and_chunks_leave_the_batch_unchanged(self, monkeypatch, rows):
+        # The one-batch scatter-add and inverse transform, kept as the
+        # bit-exact reference; chunks of 1, 3 and all block rows.
+        spec = tiny_spec(method="FC_F_OFDM")
+        dims = derive_dims(spec)
+        fcd = dims.fc
+        grids = [ofdm.generate_grid(dims, m, spec.seed) for m in range(2)]
+        mapped = [subband_forward(segment(ofdm.ofdm_modulate(
+                      g, dims, oversampled=False, at_baseband=True), fcd),
+                      design_window(bd, fcd), fcd)
+                  for g, bd in zip(grids, dims.bwps)]
+        n = fcd.inverse_len
+        total = np.zeros((mapped[0].num_blocks, n), dtype=np.complex128)
+        for b in mapped:
+            total[:, np.mod(b.bins[0] + np.arange(b.block_len), n)] += b.data
+        ref_t = ofdm.idft(total)
+        monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", rows * n)
+        for threads in (1, 2, 3):
+            v_f, v_t = combine(mapped, threads=threads)
+            assert v_f.data.tobytes() == total.tobytes()
+            assert v_t.data.tobytes() == ref_t.tobytes()
+
     def test_out_of_band_rejection(self):
         # The filtered composite must be strongly suppressed between and
         # outside the allocations.  The clear strip between the 15 kHz

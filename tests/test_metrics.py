@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mixnum import metrics, ofdm
+from mixnum import icef, metrics, ofdm
 from mixnum.metrics import (CcdfCurve, PsdEstimate, aclr, ccdf, load_mask,
                             mask_margin, measure_all, mse_per_bwp,
                             papr_at_probability, papr_per_sample, psd_welch)
@@ -147,6 +147,40 @@ class TestPsdWelch:
         with pytest.raises(ValueError):
             psd_welch(_sig(x), 2 * FS)
 
+    @pytest.mark.parametrize("n, rbw_hz", [
+        (10001, 1e6),            # odd length, 128-sample segments
+        (3001, 30e3),            # shorter than the 4096-sample segment
+        (4096, 30e3),            # exactly one segment
+        (4096 * 3 + 777, 30e3),  # not a multiple of the hop
+    ])
+    def test_matches_scipy_welch_bit_for_bit(self, n, rbw_hz):
+        # scipy.signal.welch, the call psd_welch replaced, as the oracle.
+        sp_signal = pytest.importorskip("scipy.signal")
+        g = rng(f"welch oracle {n}")
+        x = g.standard_normal(n) + 1j * g.standard_normal(n)
+        nperseg = min(2 ** int(round(np.log2(FS / rbw_hz))), n)
+        freq, density = sp_signal.welch(
+            x, fs=FS, window="hann", nperseg=nperseg, noverlap=nperseg // 2,
+            detrend=False, return_onesided=False, scaling="density")
+        est = psd_welch(_sig(x), rbw_hz)
+        assert est.freq_hz.tobytes() == np.fft.fftshift(freq).tobytes()
+        assert est.density.tobytes() == np.fft.fftshift(density).tobytes()
+
+    @pytest.mark.parametrize("chunk_samples", [1, 5000, 1 << 15])
+    def test_threads_and_chunks_leave_the_estimate_unchanged(
+            self, monkeypatch, chunk_samples):
+        # 13 segments of 4096 samples: chunks of 1, 1 and 8 segments, and
+        # of 4096, 384 and 2520 frequency rows for the average.
+        g = rng("welch chunks")
+        n = 4096 * 7 + 123
+        x = g.standard_normal(n) + 1j * g.standard_normal(n)
+        ref = psd_welch(_sig(x), 30e3)
+        monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", chunk_samples)
+        for threads in (1, 2, 3):
+            est = psd_welch(_sig(x), 30e3, threads=threads)
+            assert est.density.tobytes() == ref.density.tobytes()
+            assert est.psd_db.tobytes() == ref.psd_db.tobytes()
+
 
 class TestAclr:
     @staticmethod
@@ -213,6 +247,24 @@ class TestMse:
         # fraction is 624/8192, i.e. about 11 dB below the added total.
         expect = -40.0 + 10 * np.log10(624 / 8192)
         assert mse[0] == pytest.approx(expect, abs=2.0)
+
+    @pytest.mark.parametrize("chunk_samples", [1, 20000, 1 << 18])
+    def test_threads_and_chunks_leave_the_result_unchanged(
+            self, monkeypatch, tiny_dims, tiny_grids, chunk_samples):
+        # 8 and 32 symbols: one row per chunk, 2 and 9 rows (a remainder
+        # in both), and a single chunk.
+        spec = tiny_spec()
+        sig = icef.run_none(spec, tiny_dims, tiny_grids)
+        offsets = [-bd.l_cp_os // 2 for bd in tiny_dims.bwps]
+        ref_rx = [ofdm.ofdm_demodulate(sig, tiny_dims, m, off).values.tobytes()
+                  for m, off in enumerate(offsets)]
+        ref = mse_per_bwp(sig, tiny_dims, tiny_grids)
+        monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", chunk_samples)
+        for threads in (1, 2, 3):
+            for m, off in enumerate(offsets):
+                rx = ofdm.ofdm_demodulate(sig, tiny_dims, m, off, threads=threads)
+                assert rx.values.tobytes() == ref_rx[m]
+            assert mse_per_bwp(sig, tiny_dims, tiny_grids, threads=threads) == ref
 
     def test_zero_reference_is_rejected(self, tiny_dims, tiny_grids):
         sig = ofdm.ofdm_modulate(tiny_grids[0], tiny_dims)

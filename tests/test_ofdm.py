@@ -136,6 +136,23 @@ class TestGridGeneration:
         d = ofdm.generate_grid(tiny_dims, 1, spec.seed)
         assert a.values.shape != d.values.shape or not np.array_equal(a.values, d.values)
 
+    def test_matches_a_per_symbol_reference(self, tiny_dims):
+        # The symbol-per-column generator, kept as the bit-exact reference:
+        # one generator and one mapping call per symbol, into a (K, S)
+        # array.  The grid must stay C-ordered as well.
+        for m, bd in enumerate(tiny_dims.bwps):
+            k = bd.num_subcarriers
+            nbits = ofdm.bits_per_symbol(bd.modulation)
+            ref = np.empty((k, bd.num_symbols), dtype=np.complex128)
+            for s in range(bd.num_symbols):
+                key = np.array([7, (m << 32) | s], dtype=np.uint64)
+                bits = np.random.Generator(np.random.Philox(key=key)).integers(
+                    0, 2, size=k * nbits)
+                ref[:, s] = ofdm.qam_map(bits, bd.modulation)
+            grid = ofdm.generate_grid(tiny_dims, m, 7)
+            assert grid.values.flags.c_contiguous
+            assert grid.values.tobytes() == ref.tobytes()
+
     def test_values_live_on_the_declared_constellation(self, tiny_dims):
         spec = tiny_spec()
         for m, modulation in enumerate(("QPSK", "64QAM")):

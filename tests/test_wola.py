@@ -169,6 +169,27 @@ class TestModulateAndRecover:
         err = np.max(np.abs(rec.values - tiny_grids[0].values))
         assert err > 1e-3
 
+    @pytest.mark.parametrize("chunk_samples", [1000, 12345, 1 << 18])
+    def test_threads_and_chunks_leave_the_stream_unchanged(
+            self, monkeypatch, tiny_dims, tiny_grids, chunk_samples):
+        # The whole-stream carrier multiply, kept as the bit-exact reference.
+        spec = tiny_spec()
+        refs = []
+        for g in tiny_grids:
+            bd = tiny_dims.bwps[g.bwp_index]
+            params = wola.WolaParams.from_dims(bd, spec.wola_extension_factor)
+            bodies = ofdm.idft(ofdm.grid_to_spectrum(
+                g, tiny_dims, oversampled=True, at_baseband=True).T)
+            flat = wola.wola_assemble(bodies, params)
+            flat *= ofdm.subband_carrier(bd, bd.l_ofdm_os, 0, flat.size)
+            refs.append(flat.tobytes())
+        monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", chunk_samples)
+        for threads in (1, 2, 3):
+            for g, ref in zip(tiny_grids, refs):
+                out = wola.modulate_wola(g, tiny_dims, spec.wola_extension_factor,
+                                         threads=threads)
+                assert out.samples.tobytes() == ref
+
     def test_zero_extension_matches_plain_cp_modulator(self, tiny_dims, tiny_grids):
         shaped = wola.modulate_wola(tiny_grids[0], tiny_dims, 0.0)
         plain = ofdm.ofdm_modulate(tiny_grids[0], tiny_dims)
