@@ -289,10 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a scenario field (dotted path)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for the clip loops, WOLA's "
-                            "carrier, the filter bank's inverse transform, "
-                            "the MSE demodulation and the Welch segments "
-                            "(outputs do not depend on it)")
+                       help="worker threads for the clip loops, WOLA and "
+                            "filter-bank synthesis, the MSE demodulation and "
+                            "the Welch segments (outputs do not depend on it)")
 
     p_run = sub.add_parser("run", help="run one scenario and measure it")
     common(p_run)

@@ -1,24 +1,25 @@
 """Fast-convolution filter bank: block-wise filtering, translation, interpolation.
 
 Subband streams at the nominal rate are chopped into overlapping blocks,
-one block per row of a C-ordered batch; each block is transformed,
+one block per row of a C-ordered array; each block is transformed,
 weighted by a frequency-domain window and phase-rotated so the
 translation stays phase-continuous from block to block.  Its bins belong
 on a larger inverse transform centered on the subband's carrier position
 (which both translates and interpolates).  Adding the mapped blocks of
-all subbands into one batch, inverse-transforming it once and keeping the
-central part of every block (overlap-save) yields the composite wideband
-waveform.
+all subbands, inverse-transforming the sum and keeping the central part
+of every block (overlap-save) yields the composite wideband waveform.
+Every step is per block, so the bank runs on fixed chunks of block rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from .ofdm import (ComplexSignal, ResourceGrid, chunk_map, dft, idft,
-                   ofdm_modulate, stage_chunks)
+from .ofdm import (ComplexSignal, ResourceGrid, bin_runs, chunk_map, dft,
+                   idft, ofdm_modulate, stage_chunks)
 from .scenario import BwpDims, DerivedDims, FcDims, ScenarioSpec, derive_dims
 from .wola import rc_ramp
 from . import ofdm
@@ -42,12 +43,14 @@ class FcWindow:
 
 @dataclass
 class FcBlocks:
-    """A batch of processing blocks plus the bookkeeping to reassemble them.
+    """Block rows of a batch plus the bookkeeping to reassemble them.
 
-    ``data`` has one block per row.  ``step_len``, ``head_pad`` and
-    ``source_len`` are in samples at ``sample_rate_hz``.  A subband's
-    mapped spectra carry ``bins = (first, n)``: column ``k`` belongs on
-    bin ``(first + k) mod n`` of the n-point inverse transform.
+    ``data`` has one block per row; row 0 is block ``first_block`` of the
+    whole stream, so a chunk of rows carries where it sits.  ``step_len``,
+    ``head_pad`` and ``source_len`` (of the whole stream) are in samples
+    at ``sample_rate_hz``.  A subband's mapped spectra carry
+    ``bins = (first, n)``: column ``k`` belongs on bin ``(first + k) mod n``
+    of the n-point inverse transform.
     """
 
     data: np.ndarray
@@ -56,6 +59,7 @@ class FcBlocks:
     source_len: int
     sample_rate_hz: float
     bins: tuple[int, int] | None = None
+    first_block: int = 0
 
     @property
     def num_blocks(self) -> int:
@@ -95,13 +99,20 @@ def design_window(bd: BwpDims, fc: FcDims) -> FcWindow:
                     transition=np.concatenate([trans_lo, trans_hi]))
 
 
+def num_blocks(source_len: int, fc: FcDims) -> int:
+    """Blocks that cover a stream of ``source_len`` samples after its head pad."""
+    return -(-(source_len + fc.head_pad) // fc.step_len)
+
+
 def segment(signal: ComplexSignal | np.ndarray, fc: FcDims,
-            sample_rate_hz: float | None = None) -> FcBlocks:
-    """Split a stream into overlapping forward-transform blocks.
+            sample_rate_hz: float | None = None,
+            rows: slice = slice(None)) -> FcBlocks:
+    """Cut overlapping forward-transform blocks ``rows`` out of a stream.
 
     Half an overlap of zeros is prepended so the first kept output region
     starts exactly at the first input sample; the tail is zero-padded to
-    complete the final block.
+    complete the final block.  Only the blocks in ``rows`` are built, from
+    the samples they cover.
     """
     if isinstance(signal, ComplexSignal):
         x = signal.samples
@@ -110,12 +121,16 @@ def segment(signal: ComplexSignal | np.ndarray, fc: FcDims,
         x = np.asarray(signal)
         rate = float(sample_rate_hz or 0.0)
     l, step, pad = fc.transform_len, fc.step_len, fc.head_pad
-    n_blocks = -(-(x.size + pad) // step)
-    padded = np.zeros((n_blocks - 1) * step + l, dtype=np.complex128)
-    padded[pad: pad + x.size] = x
+    first, stop, _ = rows.indices(num_blocks(x.size, fc))
+    # Sample i of the padded stream is source sample i - pad; this chunk
+    # of it starts at its first block.
+    a = first * step - pad
+    padded = np.zeros((stop - first - 1) * step + l, dtype=np.complex128)
+    src = x[max(a, 0): a + padded.size]
+    padded[max(-a, 0): max(-a, 0) + src.size] = src
     data = np.lib.stride_tricks.sliding_window_view(padded, l)[::step].copy()
-    return FcBlocks(data=data, step_len=step, head_pad=pad,
-                    source_len=x.size, sample_rate_hz=rate)
+    return FcBlocks(data=data, step_len=step, head_pad=pad, source_len=x.size,
+                    sample_rate_hz=rate, first_block=first)
 
 
 def subband_forward(blocks: FcBlocks, window: FcWindow, fc: FcDims) -> FcBlocks:
@@ -123,7 +138,7 @@ def subband_forward(blocks: FcBlocks, window: FcWindow, fc: FcDims) -> FcBlocks:
 
     Shifted-order bin ``b`` of the forward transform belongs on output
     bin ``(center - L/2 + b) mod N``, which ``bins`` records; the
-    per-block rotation ``exp(j*2*pi*r*theta)`` with
+    per-block rotation ``exp(j*2*pi*r*theta)`` of block ``r`` with
     ``theta = center*step/L`` keeps the implied frequency translation
     coherent across consecutive blocks.  The N/L amplitude factor is
     folded in so passband gain is unity.
@@ -134,24 +149,24 @@ def subband_forward(blocks: FcBlocks, window: FcWindow, fc: FcDims) -> FcBlocks:
     out = np.fft.fftshift(dft(blocks.data), axes=1)
     out *= (window.weights * fc.interpolation)[None, :]
     theta = window.center_bin * fc.step_len / l
-    out *= np.exp(2j * np.pi * theta * np.arange(blocks.num_blocks))[:, None]
+    r = blocks.first_block + np.arange(blocks.num_blocks)
+    out *= np.exp(2j * np.pi * theta * r)[:, None]
     i = fc.interpolation
-    return FcBlocks(data=out, step_len=i * blocks.step_len,
-                    head_pad=i * blocks.head_pad,
-                    source_len=i * blocks.source_len,
-                    sample_rate_hz=i * blocks.sample_rate_hz,
-                    bins=((window.center_bin - l // 2) % n, n))
+    return replace(blocks, data=out, step_len=i * blocks.step_len,
+                   head_pad=i * blocks.head_pad,
+                   source_len=i * blocks.source_len,
+                   sample_rate_hz=i * blocks.sample_rate_hz,
+                   bins=((window.center_bin - l // 2) % n, n))
 
 
-def combine(subbands: list[FcBlocks], *,
-            threads: int = 1) -> tuple[FcBlocks, FcBlocks]:
+def combine(subbands: list[FcBlocks],
+            spectra: np.ndarray | None = None) -> tuple[FcBlocks, FcBlocks]:
     """Sum mapped subband spectra and inverse-transform each block.
 
-    Each subband's spectra are added, in list order, into one zeroed
-    batch on the bins they map to; the batch then takes the one inverse
-    transform.  Both steps run in fixed chunks of block rows on
-    ``threads`` worker threads.  Returns (spectra, time blocks); both are
-    kept because block-wise processing edits the spectra while
+    Each subband's spectra are added, in list order, on the bins they map
+    to, into ``spectra`` (zeroed rows, allocated when not given); the sum
+    then takes the one inverse transform.  Returns (spectra, time blocks);
+    both are kept because block-wise processing edits the spectra while
     overlap-save consumes the time side.
     """
     if not subbands:
@@ -159,23 +174,17 @@ def combine(subbands: list[FcBlocks], *,
     first = subbands[0]
     for b in subbands:
         if (b.data.shape != first.data.shape or b.step_len != first.step_len
+                or b.first_block != first.first_block
                 or b.sample_rate_hz != first.sample_rate_hz):
             raise ValueError("subband block geometries differ")
     n = first.bins[1]
-    total = np.zeros((first.num_blocks, n), dtype=np.complex128)
-    blocks = np.empty_like(total)
-    cols = [np.mod(b.bins[0] + np.arange(b.block_len), n) for b in subbands]
-
-    def synthesize(sl: slice) -> None:
-        rows = total[sl]
-        for b, c in zip(subbands, cols):
-            rows[:, c] += b.data[sl]
-        blocks[sl] = idft(rows)
-
-    with chunk_map(threads) as pmap:
-        pmap(synthesize, stage_chunks(first.num_blocks, n))
-    v_f = replace(first, data=total, bins=None)
-    return v_f, replace(v_f, data=blocks)
+    if spectra is None:
+        spectra = np.zeros((first.num_blocks, n), dtype=np.complex128)
+    for b in subbands:
+        for cols, bins in bin_runs(b.bins[0], b.block_len, n):
+            spectra[:, bins] += b.data[:, cols]
+    v_f = replace(first, data=spectra, bins=None)
+    return v_f, replace(v_f, data=idft(spectra))
 
 
 def ols_extract(blocks: FcBlocks, fc: FcDims) -> ComplexSignal:
@@ -184,15 +193,41 @@ def ols_extract(blocks: FcBlocks, fc: FcDims) -> ComplexSignal:
     The kept regions tile the output timeline contiguously starting at the
     first source sample (the head zero-pad lies exactly inside the first
     discarded half-overlap); the tail is trimmed to the interpolated
-    source length.
+    source length.  The samples of a chunk of rows start at output sample
+    ``first_block * step_len``.
     """
     n = blocks.block_len
     keep = blocks.step_len
     discard = (n - keep) // 2
     if 2 * discard + keep != n:
         raise ValueError("block length minus keep length must be even")
-    out = blocks.data[:, discard: discard + keep].reshape(-1)[: blocks.source_len]
+    out = blocks.data[:, discard: discard + keep].reshape(-1)[
+        : blocks.source_len - blocks.first_block * keep]
     return ComplexSignal(samples=out, sample_rate_hz=blocks.sample_rate_hz)
+
+
+def _filter_bank(dims: DerivedDims, grids: list[ResourceGrid]) -> tuple[
+        list[FcWindow], int, Callable[..., tuple[FcBlocks, FcBlocks]]]:
+    """Subband windows, block count and the bank's step on a chunk of rows.
+
+    Subband CP-OFDM streams are synthesized at the nominal rate with the
+    allocation centered on DC; ``step(sl, spectra)`` cuts block rows
+    ``sl`` out of each, maps them to their carrier positions and returns
+    ``combine``'s spectra and time blocks for those rows.
+    """
+    fcd = dims.fc
+    if fcd is None:
+        raise ValueError("scenario has no fast-convolution geometry")
+    windows = [design_window(bd, fcd) for bd in dims.bwps]
+    streams = [ofdm_modulate(g, dims, oversampled=False, at_baseband=True)
+               for g in grids]
+
+    def step(sl: slice, spectra: np.ndarray | None = None
+             ) -> tuple[FcBlocks, FcBlocks]:
+        return combine([subband_forward(segment(x, fcd, rows=sl), w, fcd)
+                        for x, w in zip(streams, windows)], spectra)
+
+    return windows, num_blocks(len(streams[0]), fcd), step
 
 
 def fc_subband_spectra(dims: DerivedDims, grids: list[ResourceGrid], *,
@@ -200,21 +235,26 @@ def fc_subband_spectra(dims: DerivedDims, grids: list[ResourceGrid], *,
                        ) -> tuple[FcBlocks, FcBlocks, list[FcWindow]]:
     """Forward half of the filter bank for every BWP, summed into one batch.
 
-    Subband CP-OFDM streams are synthesized at the nominal rate with the
-    allocation centered on DC; the bin mapping places each subband at its
-    carrier position.  Returns ``combine``'s spectra and time blocks (built
-    on ``threads`` worker threads) and the subband windows.
+    Each fixed chunk of block rows runs segment, forward transform,
+    window and rotation, subband scatter-add and inverse transform, on
+    ``threads`` worker threads.  Returns the (B, N) spectra and time
+    blocks and the subband windows.
     """
-    fcd = dims.fc
-    if fcd is None:
-        raise ValueError("scenario has no fast-convolution geometry")
-    windows = [design_window(bd, fcd) for bd in dims.bwps]
-    mapped = []
-    for m, grid in enumerate(grids):
-        sub = ofdm_modulate(grid, dims, oversampled=False, at_baseband=True)
-        mapped.append(subband_forward(segment(sub, fcd), windows[m], fcd))
-    v_f, v_t = combine(mapped, threads=threads)
-    return v_f, v_t, windows
+    windows, n_blocks, step = _filter_bank(dims, grids)
+    n = dims.fc.inverse_len
+    spectra = np.zeros((n_blocks, n), dtype=np.complex128)
+    blocks = np.empty_like(spectra)
+
+    def synthesize(sl: slice) -> FcBlocks:
+        v_f, v_t = step(sl, spectra[sl])
+        blocks[sl] = v_t.data
+        return v_f
+
+    with chunk_map(threads) as pmap:
+        head = pmap(synthesize, stage_chunks(n_blocks, n))[0]
+    # The first chunk starts at block 0, so its geometry is the batch's.
+    v_f = replace(head, data=spectra)
+    return v_f, replace(v_f, data=blocks), windows
 
 
 def run_fc_f_ofdm(spec: ScenarioSpec, dims: DerivedDims | None = None,
@@ -222,13 +262,27 @@ def run_fc_f_ofdm(spec: ScenarioSpec, dims: DerivedDims | None = None,
                   info: dict | None = None, threads: int = 1) -> ComplexSignal:
     """Filtered multi-subband waveform without PAPR processing.
 
-    ``threads`` worker threads build the composite blocks (``combine``);
-    the output does not depend on it.
+    Each fixed chunk of block rows goes through the filter bank and
+    writes its kept samples straight into the output, on ``threads``
+    worker threads, so no batch of all blocks exists; the output does not
+    depend on ``threads``.
     """
     dims = dims or derive_dims(spec)
     grids = grids or [ofdm.generate_grid(dims, m, spec.seed) for m in range(dims.num_bwps)]
-    _, v_t, windows = fc_subband_spectra(dims, grids, threads=threads)
+    windows, n_blocks, step = _filter_bank(dims, grids)
+    fcd = dims.fc
+    bd = dims.bwps[0]
+    out = np.empty(fcd.interpolation * bd.num_symbols * bd.stride,
+                   dtype=np.complex128)
+
+    def synthesize(sl: slice) -> None:
+        kept = ols_extract(step(sl)[1], fcd).samples
+        out[sl.start * fcd.keep_len: sl.start * fcd.keep_len + kept.size] = kept
+
+    with chunk_map(threads) as pmap:
+        pmap(synthesize, stage_chunks(n_blocks, fcd.inverse_len))
     if info is not None:
         info["iterations"] = 0
         info["windows"] = windows
-    return ols_extract(v_t, dims.fc)
+    return ComplexSignal(samples=out,
+                         sample_rate_hz=fcd.interpolation * dims.fs_nominal_hz)

@@ -237,8 +237,8 @@ def run_none(spec: ScenarioSpec, dims: DerivedDims | None = None,
              info: dict | None = None, threads: int = 1) -> ComplexSignal:
     """Plain aggregated CP-OFDM + WOLA composite without PAPR processing.
 
-    ``threads`` worker threads run WOLA's carrier multiply; the output
-    does not depend on it.
+    ``threads`` worker threads run WOLA synthesis; the output does not
+    depend on it.
     """
     dims = dims or derive_dims(spec)
     grids = grids or [ofdm.generate_grid(dims, m, spec.seed) for m in range(dims.num_bwps)]

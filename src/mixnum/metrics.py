@@ -26,12 +26,13 @@ def _as_samples(signal: ComplexSignal | np.ndarray) -> np.ndarray:
 
 def papr_per_sample(signal: ComplexSignal | np.ndarray) -> np.ndarray:
     """Instantaneous-to-mean power ratio for every sample (linear)."""
-    x = _as_samples(signal)
-    p = np.abs(x) ** 2
+    p = np.abs(_as_samples(signal))
+    np.square(p, out=p)
     mean = p.mean()
     if mean == 0:
         raise ValueError("signal has zero power")
-    return p / mean
+    p /= mean
+    return p
 
 
 @dataclass
@@ -65,10 +66,14 @@ def ccdf(papr_linear: np.ndarray, window: int = 1) -> CcdfCurve:
         if n == 0:
             raise ValueError("signal shorter than one window")
         ratios = ratios[: n * window].reshape(n, window).max(axis=1)
-    pooled = np.sort(ratios)
-    n = pooled.size
-    thresholds_db = 10.0 * np.log10(np.maximum(pooled, 1e-300))
-    probabilities = (n - 1.0 - np.arange(n)) / n
+    # The sort's copy becomes the thresholds in place.
+    thresholds_db = np.sort(ratios)
+    n = thresholds_db.size
+    np.maximum(thresholds_db, 1e-300, out=thresholds_db)
+    np.log10(thresholds_db, out=thresholds_db)
+    thresholds_db *= 10.0
+    probabilities = np.arange(n - 1.0, -1.0, -1.0)
+    probabilities /= n
     return CcdfCurve(thresholds_db=thresholds_db, probabilities=probabilities,
                      sample_count=n, window=window)
 

@@ -73,10 +73,9 @@ def chunk_map(threads: int):
         yield lambda fn, chunks: list(pool.map(fn, chunks))
 
 
-# The full-length stages (demodulation, WOLA's carrier, the FC batch
-# inverse transform, Welch's segments) work in chunks of about this many
-# samples.  Their arithmetic is per row or per sample, so the chunk size
-# changes no result.
+# The full-length stages (WOLA and filter-bank synthesis, demodulation,
+# Welch's segments) work in chunks of about this many samples.  Their
+# arithmetic is per row or per sample, so the chunk size changes no result.
 _STAGE_CHUNK_SAMPLES = 1 << 18
 
 
@@ -177,11 +176,30 @@ def _transform_dims(bd: BwpDims, oversampled: bool) -> tuple[int, int]:
     return bd.l_ofdm, bd.l_cp
 
 
-def _active_rows(bd: BwpDims, l: int, at_baseband: bool) -> np.ndarray:
+def bin_runs(first: int, count: int, n: int) -> list[tuple[slice, slice]]:
+    """Contiguous runs of the bins ``(first + k) mod n``, ``k`` in [0, count).
+
+    Returns (positions, bins) slice pairs: positions ``k`` of one run land
+    on one contiguous slice of the n bins.  A run that crosses bin n - 1
+    (an allocation around DC) wraps to bin 0, so there are at most two.
+    """
+    if not 0 <= count <= n:
+        raise ValueError("more positions than bins")
+    first %= n
+    head = min(count, n - first)
+    runs = [(slice(0, head), slice(first, first + head))]
+    if head < count:
+        runs.append((slice(head, count), slice(0, count - head)))
+    return runs
+
+
+def _active_runs(bd: BwpDims, l: int,
+                 at_baseband: bool) -> list[tuple[slice, slice]]:
+    """Where a BWP's active subcarriers (grid rows) sit on the l bins."""
     idx = bd.active_base if at_baseband else bd.active_indices
     if idx[0] < -(l // 2) or idx[-1] >= l // 2:
         raise ValueError("active subcarrier index outside the transform range")
-    return np.mod(idx, l)
+    return bin_runs(int(idx[0]), idx.size, l)
 
 
 def subband_carrier(bd: BwpDims, l: int, start: int, length: int, *,
@@ -202,16 +220,20 @@ def subband_carrier(bd: BwpDims, l: int, start: int, length: int, *,
 
 def grid_to_spectrum(grid: ResourceGrid, dims: DerivedDims, *,
                      oversampled: bool = True,
-                     at_baseband: bool = False) -> np.ndarray:
+                     at_baseband: bool = False,
+                     symbols: slice = slice(None)) -> np.ndarray:
     """Zero-padded length-L transform input per symbol, shape (L, S).
 
-    The result is the transpose of a C-ordered (S, L) buffer: its ``.T``
-    holds one contiguous row per symbol, ready for a last-axis transform.
+    Only the grid columns in ``symbols`` are taken.  The result is the
+    transpose of a C-ordered (S, L) buffer: its ``.T`` holds one
+    contiguous row per symbol, ready for a last-axis transform.
     """
     bd = dims.bwps[grid.bwp_index]
     l, _ = _transform_dims(bd, oversampled)
-    x_f = np.zeros((grid.num_symbols, l), dtype=np.complex128)
-    x_f[:, _active_rows(bd, l, at_baseband)] = grid.values.T
+    values = grid.values[:, symbols]
+    x_f = np.zeros((values.shape[1], l), dtype=np.complex128)
+    for rows, bins in _active_runs(bd, l, at_baseband):
+        x_f[:, bins] = values[rows].T
     return x_f.T
 
 
@@ -267,7 +289,7 @@ def ofdm_demodulate(signal: ComplexSignal, dims: DerivedDims, bwp_index: int,
     start = l_cp + timing_offset
     frames = signal.samples[: n_sym * stride].reshape(n_sym, stride)
     idx = bd.active_base
-    cols = np.mod(idx, l)
+    runs = _active_runs(bd, l, True)
     # The conjugate carrier over window s factors into a per-sample ramp
     # (shared by all windows) times a per-window scalar at its start.
     ramp = subband_carrier(bd, l, 0, l, conjugate=True)
@@ -279,7 +301,9 @@ def ofdm_demodulate(signal: ComplexSignal, dims: DerivedDims, bwp_index: int,
         windows = frames[sl, start: start + l]
         if not at_baseband:
             windows = windows * ramp[None, :] * phase[sl, None]
-        rows[sl] = dft(windows)[:, cols]
+        spectra = dft(windows)
+        for cols, bins in runs:
+            rows[sl, cols] = spectra[:, bins]
 
     with chunk_map(threads) as pmap:
         pmap(demodulate, stage_chunks(n_sym, l))
@@ -291,7 +315,7 @@ def ofdm_demodulate(signal: ComplexSignal, dims: DerivedDims, bwp_index: int,
 
 def write_waveform(signal: ComplexSignal, path: str) -> None:
     """Dump samples as interleaved little-endian float64 I/Q plus a sidecar."""
-    signal.samples.astype("<c16").tofile(path)
+    np.asarray(signal.samples, dtype="<c16").tofile(path)
     sidecar = {
         "format": "interleaved float64 complex little-endian",
         "sample_rate_hz": signal.sample_rate_hz,

@@ -49,9 +49,9 @@ FC_METHODS = (METHOD_FC_F_OFDM, METHOD_FC_ICEF)
 _CP_SAMPLES_PER_2048 = 144
 
 # Largest complex array a scenario may imply, in samples (2**27 complex128
-# samples are 2 GiB): the oversampled stream and, for the FC methods, the
-# (blocks x inverse length) batch.  The desk scenario needs 4.49 M and
-# 8.99 M.
+# samples are 2 GiB): a BWP's oversampled transform, the oversampled
+# stream and, for the FC methods, the (blocks x inverse length) batch.
+# The desk scenario needs 8192, 4.49 M and 8.99 M.
 MAX_ARRAY_SAMPLES = 1 << 27
 
 
@@ -377,14 +377,23 @@ def derive_dims(spec: ScenarioSpec) -> DerivedDims:
         center_scs = center / b.scs_hz
         _require(abs(center_scs - round(center_scs)) < 1e-9,
                  f"bwps[{i}]: snapped center not on the BWP grid")
-        k = b.num_subcarriers
-        active_base = np.arange(-(k // 2), k - k // 2, dtype=np.int64)
-        active = active_base + int(round(center_scs))
-        _require(active[0] >= -l_ofdm // 2 and active[-1] < l_ofdm // 2,
-                 f"bwps[{i}]: active subcarriers outside the transform range")
         num_symbols = spec.duration_symbols_base * b.scs_hz / scs_min
         _require(abs(num_symbols - round(num_symbols)) < 1e-9,
                  f"bwps[{i}]: non-integer symbol count for equal duration")
+        num_symbols = int(round(num_symbols))
+        # Sized from integers before any per-subcarrier array is built.
+        _require(n_ov * l_ofdm <= MAX_ARRAY_SAMPLES,
+                 f"bwps[{i}]: the oversampled transform needs {n_ov * l_ofdm} "
+                 f"samples, above the limit of {MAX_ARRAY_SAMPLES}")
+        stream = num_symbols * n_ov * (l_ofdm + l_cp)
+        _require(stream <= MAX_ARRAY_SAMPLES,
+                 f"duration_symbols_base: the oversampled stream needs {stream} "
+                 f"samples, above the limit of {MAX_ARRAY_SAMPLES}")
+        k = b.num_subcarriers
+        first = -(k // 2) + int(round(center_scs))
+        _require(first >= -l_ofdm // 2 and first + k - 1 < l_ofdm // 2,
+                 f"bwps[{i}]: active subcarriers outside the transform range")
+        active_base = np.arange(-(k // 2), k - k // 2, dtype=np.int64)
         bwp_dims.append(BwpDims(
             scs_hz=b.scs_hz,
             modulation=b.modulation,
@@ -392,12 +401,12 @@ def derive_dims(spec: ScenarioSpec) -> DerivedDims:
             l_cp=l_cp,
             l_ofdm_os=n_ov * l_ofdm,
             l_cp_os=n_ov * l_cp,
-            num_symbols=int(round(num_symbols)),
+            num_symbols=num_symbols,
             center_hz=center,
             center_bin=int(round(center_bin)),
             center_scs=int(round(center_scs)),
             active_base=active_base,
-            active_indices=active,
+            active_indices=active_base + int(round(center_scs)),
         ))
 
     # All BWPs must span exactly the same duration in samples.
@@ -448,14 +457,8 @@ def derive_dims(spec: ScenarioSpec) -> DerivedDims:
             transition_bins=fc.transition_bins,
             bin_spacing_hz=fc.bin_spacing_hz,
         )
-
-    # Every BWP covers the same samples (checked above): BWP 0 sizes them.
-    d = bwp_dims[0]
-    stream = d.num_symbols * d.stride_os
-    _require(stream <= MAX_ARRAY_SAMPLES,
-             f"duration_symbols_base: the oversampled stream needs {stream} "
-             f"samples, above the limit of {MAX_ARRAY_SAMPLES}")
-    if fc_dims is not None:
+        # Every BWP covers the same samples (checked above): BWP 0 sizes them.
+        d = bwp_dims[0]
         batch = (-(-(d.num_symbols * d.stride + fc_dims.head_pad) // fc_dims.step_len)
                  * fc_dims.inverse_len)
         _require(batch <= MAX_ARRAY_SAMPLES,

@@ -73,7 +73,7 @@ def check_wola_flat_overlap() -> None:
     bd = derive_dims(spec).bwps[0]
     params = wola.WolaParams.from_dims(bd, spec.wola_extension_factor)
     bodies = np.ones((4, bd.l_ofdm_os), dtype=np.complex128)
-    out = wola.wola_assemble(bodies, params)
+    out = wola.wola_assemble(bodies.__getitem__, len(bodies), params)
     interior = out[params.ramp_len: -params.ramp_len]
     assert np.all(interior == 1.0), "windowed overlap of a constant is not flat"
 

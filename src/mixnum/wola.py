@@ -10,6 +10,7 @@ smoothed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -100,30 +101,41 @@ def wola_symbol(body: np.ndarray, params: WolaParams) -> np.ndarray:
     return ext * build_rc_window(params)
 
 
-def wola_assemble(bodies: np.ndarray, params: WolaParams) -> np.ndarray:
-    """Overlap-add a (S, L) batch of symbol bodies into one sample stream.
+def wola_assemble(body_rows: Callable[[slice], np.ndarray], n_sym: int,
+                  params: WolaParams, *, threads: int = 1) -> np.ndarray:
+    """Overlap-add ``n_sym`` windowed symbols into one sample stream.
 
-    Windowed symbols are placed at the CP-OFDM stride; the half-extension
-    lead-in of the first symbol (which would sit before time zero) is
-    dropped so sample 0 is the nominal start of symbol 0 in every BWP and
-    multi-BWP aggregation stays time aligned.  Output length is
-    ``S*stride + l_ext/2``.
+    ``body_rows(sl)`` returns the (n, L) bodies of symbols ``sl``; it is
+    called once per fixed chunk of symbols, on ``threads`` worker threads,
+    so no batch of all bodies exists.  Windowed symbols are placed at the
+    CP-OFDM stride; the half-extension lead-in of the first symbol (which
+    would sit before time zero) is dropped so sample 0 is the nominal
+    start of symbol 0 in every BWP and multi-BWP aggregation stays time
+    aligned.  Output length is ``S*stride + l_ext/2``.
 
-    Since ``l_ext <= l_cp``, a window overlaps only its successor: the
-    first ``stride`` samples of every window land on one stride-long row
-    of the buffer, and the ``l_ext`` samples after them on the head of the
-    next row.  Both are added into a zero buffer, so every sample is
-    ``0.0 + x`` or ``(0.0 + x) + y``, as with one add per symbol.
+    Since ``l_ext <= l_cp``, a window overlaps only its successor: each
+    chunk adds the first ``stride`` samples of its windows into their own
+    stride-long rows of a zero buffer and keeps a copy of the ``l_ext``
+    samples after them; a second pass adds those tails into the head of
+    the next row.  So every sample is ``0.0 + x`` or ``(0.0 + x) + y``,
+    as with one add per symbol, whatever the chunks.
     """
-    if bodies.ndim != 2:
-        raise ValueError("expected a (symbols, transform) array")
-    windowed = wola_symbol(bodies, params)
-    n_sym = bodies.shape[0]
     stride = params.stride
     buf = np.zeros((n_sym + 1) * stride, dtype=np.complex128)
     rows = buf.reshape(n_sym + 1, stride)
-    rows[:-1] += windowed[:, :stride]
-    rows[1:, :params.l_ext] += windowed[:, stride:]
+    tails = np.empty((n_sym, params.l_ext), dtype=np.complex128)
+
+    def shape(sl: slice) -> None:
+        windowed = wola_symbol(body_rows(sl), params)
+        rows[sl] += windowed[:, :stride]
+        tails[sl] = windowed[:, stride:]
+
+    def overlap(sl: slice) -> None:
+        rows[sl.start + 1: sl.stop + 1, :params.l_ext] += tails[sl]
+
+    with chunk_map(threads) as pmap:
+        pmap(shape, stage_chunks(n_sym, params.window_len))
+        pmap(overlap, stage_chunks(n_sym, params.l_ext))
     return buf[params.l_ext // 2: n_sym * stride + params.l_ext]
 
 
@@ -136,15 +148,20 @@ def modulate_wola(grid: ResourceGrid, dims: DerivedDims,
     the BWP's continuous carrier afterwards; since windowing is pointwise
     and the cyclic extensions of neighbouring symbols overlap at identical
     absolute times, this equals upconverting each extended symbol first.
-    The carrier multiply runs in fixed chunks of samples on ``threads``
-    worker threads; each chunk's carrier is sampled at the same absolute
-    indexes as the whole stream's.
+    Each chunk of symbols is synthesized from the grid, transformed and
+    windowed on its own (``wola_assemble``), and the carrier multiply runs
+    in fixed chunks of samples, all on ``threads`` worker threads; each
+    chunk's carrier is sampled at the same absolute indexes as the whole
+    stream's.
     """
     bd = dims.bwps[grid.bwp_index]
     params = WolaParams.from_dims(bd, extension_factor)
-    bodies = idft(grid_to_spectrum(grid, dims, oversampled=True,
-                                   at_baseband=True).T)
-    flat = wola_assemble(bodies, params)
+
+    def body_rows(sl: slice) -> np.ndarray:
+        return idft(grid_to_spectrum(grid, dims, oversampled=True,
+                                     at_baseband=True, symbols=sl).T)
+
+    flat = wola_assemble(body_rows, grid.num_symbols, params, threads=threads)
 
     def upconvert(sl: slice) -> None:
         flat[sl] *= subband_carrier(bd, bd.l_ofdm_os, sl.start,
@@ -156,14 +173,19 @@ def modulate_wola(grid: ResourceGrid, dims: DerivedDims,
 
 
 def aggregate(signals: list[ComplexSignal]) -> ComplexSignal:
-    """Element-wise sum of per-BWP streams, zero-padded to equal length."""
+    """Element-wise sum of per-BWP streams, zero-padded to equal length.
+
+    The sum is taken in the longest stream's own buffer, which the result
+    takes over; the other streams are added to it in list order.
+    """
     if not signals:
         raise ValueError("nothing to aggregate")
     rates = {s.sample_rate_hz for s in signals}
     if len(rates) != 1:
         raise ValueError("cannot aggregate signals with different sample rates")
-    n = max(len(s) for s in signals)
-    out = np.zeros(n, dtype=np.complex128)
+    longest = max(signals, key=len)
+    out = longest.samples
     for s in signals:
-        out[:len(s)] += s.samples
+        if s is not longest:
+            out[:len(s)] += s.samples
     return ComplexSignal(samples=out, sample_rate_hz=rates.pop())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import zlib
 
 import numpy as np
@@ -41,6 +42,17 @@ def rng(tag) -> np.random.Generator:
         tag = zlib.crc32(tag.encode("utf-8"))
     return np.random.Generator(
         np.random.Philox(key=np.array([2024, tag], dtype=np.uint64)))
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads every microsecond, so chunks on a pool interleave."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(old)
 
 
 @pytest.fixture(scope="session")

@@ -159,6 +159,10 @@ class TestRunCommand:
         (["method=FC_F_OFDM", "fc.overlap_factor=0.9990234375"], "fc"),
         # 876.8 M oversampled samples per stream.
         (["duration_symbols_base=100000"], "duration_symbols_base"),
+        # A 2**42-sample oversampled transform; the 825 G active
+        # subcarriers' index array alone would need 6 TiB.
+        (["nominal_transform=1099511627776", "channel_bw_hz=1.6e16",
+          "bwps.0.num_prbs=68719476736"], "bwps[0]"),
     ])
     def test_scenario_too_large_for_memory_is_refused(self, tmp_path, capsys,
                                                       sets, path):

@@ -226,14 +226,11 @@ class TestFilteredComposite:
         assert np.array_equal(v_t.data, ofdm.idft(v_f.data))
         assert len(windows) == 2
 
-    @pytest.mark.parametrize("rows", [1, 3, 1000])
-    def test_threads_and_chunks_leave_the_batch_unchanged(self, monkeypatch, rows):
-        # The one-batch scatter-add and inverse transform, kept as the
-        # bit-exact reference; chunks of 1, 3 and all block rows.
-        spec = tiny_spec(method="FC_F_OFDM")
-        dims = derive_dims(spec)
+    @staticmethod
+    def _batch(dims, grids):
+        """Whole-batch filter bank: every block of each subband at once,
+        one fancy-index scatter-add and one inverse transform."""
         fcd = dims.fc
-        grids = [ofdm.generate_grid(dims, m, spec.seed) for m in range(2)]
         mapped = [subband_forward(segment(ofdm.ofdm_modulate(
                       g, dims, oversampled=False, at_baseband=True), fcd),
                       design_window(bd, fcd), fcd)
@@ -242,12 +239,40 @@ class TestFilteredComposite:
         total = np.zeros((mapped[0].num_blocks, n), dtype=np.complex128)
         for b in mapped:
             total[:, np.mod(b.bins[0] + np.arange(b.block_len), n)] += b.data
-        ref_t = ofdm.idft(total)
-        monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", rows * n)
+        return total, ofdm.idft(total)
+
+    @pytest.mark.parametrize("rows", [1, 3, 1000])
+    def test_threads_and_chunks_leave_the_batch_unchanged(self, monkeypatch,
+                                                          fast_switching, rows):
+        # The whole-batch bank, kept as the bit-exact reference; chunks of
+        # 1, 3 and all block rows.
+        spec = tiny_spec(method="FC_F_OFDM")
+        dims = derive_dims(spec)
+        grids = [ofdm.generate_grid(dims, m, spec.seed) for m in range(2)]
+        total, ref_t = self._batch(dims, grids)
+        monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", rows * dims.fc.inverse_len)
         for threads in (1, 2, 3):
-            v_f, v_t = combine(mapped, threads=threads)
+            v_f, v_t, _ = fc.fc_subband_spectra(dims, grids, threads=threads)
             assert v_f.data.tobytes() == total.tobytes()
             assert v_t.data.tobytes() == ref_t.tobytes()
+            assert (v_f.first_block, v_f.bins) == (0, None)
+
+    @pytest.mark.parametrize("chunk_samples", [1000, 5 * 8192, 1 << 18])
+    def test_streamed_output_equals_the_batch_path(self, monkeypatch,
+                                                   fast_switching, chunk_samples):
+        # ols_extract of the whole-batch bank's time blocks, bit for bit;
+        # chunks of 1, 5 and all of the 18 block rows.
+        spec = tiny_spec(method="FC_F_OFDM")
+        dims = derive_dims(spec)
+        grids = [ofdm.generate_grid(dims, m, spec.seed) for m in range(2)]
+        _, ref_t = self._batch(dims, grids)
+        ref = ols_extract(dataclasses.replace(
+            fc.fc_subband_spectra(dims, grids)[1], data=ref_t), dims.fc)
+        monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", chunk_samples)
+        for threads in (1, 3):
+            out = fc.run_fc_f_ofdm(spec, dims, grids, threads=threads)
+            assert out.sample_rate_hz == ref.sample_rate_hz
+            assert out.samples.tobytes() == ref.samples.tobytes()
 
     def test_out_of_band_rejection(self):
         # The filtered composite must be strongly suppressed between and

@@ -57,6 +57,35 @@ class TestTransforms:
             assert np.allclose(batched[:, c], ofdm.dft(x[:, c]), atol=1e-12)
 
 
+class TestBinRuns:
+    @staticmethod
+    def _scatter(first, count, n):
+        # Positions k land on bins (first + k) mod n through the runs.
+        out = np.full(n, -1)
+        for pos, bins in ofdm.bin_runs(first, count, n):
+            out[bins] = np.arange(count)[pos]
+        return out
+
+    def test_allocation_around_dc_wraps_into_two_runs(self):
+        runs = ofdm.bin_runs(-3, 7, 16)
+        assert runs == [(slice(0, 3), slice(13, 16)), (slice(3, 7), slice(0, 4))]
+        ref = np.full(16, -1)
+        ref[np.mod(-3 + np.arange(7), 16)] = np.arange(7)
+        assert np.array_equal(self._scatter(-3, 7, 16), ref)
+
+    @pytest.mark.parametrize("first, count", [(2, 5), (11, 5), (0, 16), (-16, 16)])
+    def test_run_inside_the_bins_is_one_slice(self, first, count):
+        runs = ofdm.bin_runs(first, count, 16)
+        assert len(runs) == 1
+        ref = np.full(16, -1)
+        ref[np.mod(first + np.arange(count), 16)] = np.arange(count)
+        assert np.array_equal(self._scatter(first, count, 16), ref)
+
+    def test_more_positions_than_bins_is_rejected(self):
+        with pytest.raises(ValueError):
+            ofdm.bin_runs(0, 17, 16)
+
+
 class TestEvmLimits:
     def test_every_supported_modulation_has_its_limit(self):
         from mixnum.scenario import SUPPORTED_MODULATIONS
@@ -227,6 +256,16 @@ class TestModem:
             ref = ofdm.subband_carrier(bd, l, 0, ref.size) * ref
         sig = ofdm.ofdm_modulate(grid, tiny_dims, at_baseband=at_baseband)
         assert np.array_equal(sig.samples, ref)
+
+    @pytest.mark.parametrize("at_baseband", [True, False])
+    def test_symbol_slice_takes_the_same_columns(self, tiny_dims, tiny_grids,
+                                                 at_baseband):
+        grid = tiny_grids[1]
+        full = ofdm.grid_to_spectrum(grid, tiny_dims, at_baseband=at_baseband)
+        part = ofdm.grid_to_spectrum(grid, tiny_dims, at_baseband=at_baseband,
+                                     symbols=slice(5, 12))
+        assert part.shape == (full.shape[0], 7)
+        assert np.array_equal(part, full[:, 5:12])
 
     def test_timing_offset_outside_cp_is_rejected(self, tiny_dims, tiny_grids):
         sig = ofdm.ofdm_modulate(tiny_grids[0], tiny_dims)

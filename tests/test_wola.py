@@ -11,6 +11,25 @@ from mixnum import ofdm, wola
 from conftest import rng, tiny_spec
 
 
+def _batch_assemble(bodies, p):
+    """Whole-batch overlap-add of a (S, L) body batch, the bit-exact reference.
+
+    Every window's first ``stride`` samples are added into their own row of
+    a zero buffer and the ``l_ext`` after them into the head of the next.
+    """
+    windowed = wola.wola_symbol(bodies, p)
+    n_sym = bodies.shape[0]
+    buf = np.zeros((n_sym + 1) * p.stride, dtype=np.complex128)
+    rows = buf.reshape(n_sym + 1, p.stride)
+    rows[:-1] += windowed[:, :p.stride]
+    rows[1:, :p.l_ext] += windowed[:, p.stride:]
+    return buf[p.l_ext // 2: n_sym * p.stride + p.l_ext]
+
+
+def _assemble(bodies, p, threads=1):
+    return wola.wola_assemble(bodies.__getitem__, len(bodies), p, threads=threads)
+
+
 class TestRaisedCosineRamp:
     @pytest.mark.parametrize("n", [2, 12, 100, 402])
     def test_complementarity_is_bit_exact(self, n):
@@ -109,7 +128,7 @@ class TestSymbolShaping:
         # window profile with the leading half-extension dropped.
         p = wola.WolaParams(l_ofdm=32, l_cp=8, l_ext=4)
         bodies = np.ones((3, p.l_ofdm), dtype=np.complex128)
-        out = wola.wola_assemble(bodies, p)
+        out = _assemble(bodies, p)
         assert out.size == 3 * p.stride + p.l_ext // 2
         w = wola.build_rc_window(p)
         acc = np.zeros(3 * p.stride + p.l_ext, dtype=np.float64)
@@ -117,10 +136,11 @@ class TestSymbolShaping:
             acc[s * p.stride : s * p.stride + p.window_len] += w
         assert np.allclose(out, acc[p.l_ext // 2 :], atol=1e-15)
 
-    def test_assemble_matches_a_per_symbol_overlap_add(self):
+    def test_assemble_matches_a_per_symbol_overlap_add(self, monkeypatch):
         # The symbol-per-column assembly, kept as the bit-exact reference:
         # one add per symbol into a zero buffer.  Bodies of negative zeros
-        # check that every output sample is still ``0.0 + x``.
+        # check that every output sample is still ``0.0 + x``, for chunks
+        # of 1, 2 and all symbols and any thread count.
         p = wola.WolaParams(l_ofdm=32, l_cp=8, l_ext=4)
         g = rng("overlap-add")
         bodies = g.standard_normal((5, 32)) + 1j * g.standard_normal((5, 32))
@@ -134,9 +154,12 @@ class TestSymbolShaping:
         buf = np.zeros(5 * p.stride + p.l_ext, dtype=np.complex128)
         for s in range(5):
             buf[s * p.stride: s * p.stride + p.window_len] += windowed[:, s]
-        out = wola.wola_assemble(bodies, p)
-        assert out.size == buf[half:].size
-        assert out.tobytes() == buf[half:].tobytes()
+        for chunk_samples in (1, 2 * p.window_len, 1 << 18):
+            monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", chunk_samples)
+            for threads in (1, 3):
+                out = _assemble(bodies, p, threads)
+                assert out.size == buf[half:].size
+                assert out.tobytes() == buf[half:].tobytes()
 
     @given(st.integers(0, 2**32 - 1))
     def test_overlap_add_of_constant_symbols_is_flat(self, seed):
@@ -144,7 +167,7 @@ class TestSymbolShaping:
         p = wola.WolaParams(l_ofdm=64, l_cp=16, l_ext=2 * int(g.integers(1, 8)))
         c = complex(g.standard_normal() + 1j * g.standard_normal())
         bodies = np.full((5, p.l_ofdm), c, dtype=np.complex128)
-        out = wola.wola_assemble(bodies, p)
+        out = _assemble(bodies, p)
         interior = out[p.l_ext // 2 : 4 * p.stride]
         assert np.max(np.abs(interior - c)) <= 1e-14 * max(1.0, abs(c))
 
@@ -169,10 +192,14 @@ class TestModulateAndRecover:
         err = np.max(np.abs(rec.values - tiny_grids[0].values))
         assert err > 1e-3
 
-    @pytest.mark.parametrize("chunk_samples", [1000, 12345, 1 << 18])
+    @pytest.mark.parametrize("chunk_samples", [1000, 12345, 27510, 1 << 18])
     def test_threads_and_chunks_leave_the_stream_unchanged(
-            self, monkeypatch, tiny_dims, tiny_grids, chunk_samples):
-        # The whole-stream carrier multiply, kept as the bit-exact reference.
+            self, monkeypatch, fast_switching, tiny_dims, tiny_grids,
+            chunk_samples):
+        # The whole-batch overlap-add of all bodies and the whole-stream
+        # carrier multiply, kept as the bit-exact reference.  27510 samples
+        # are three 15 kHz windows (8 symbols) or twelve 60 kHz ones (32),
+        # so chunks end mid-stream and leave a remainder.
         spec = tiny_spec()
         refs = []
         for g in tiny_grids:
@@ -180,7 +207,7 @@ class TestModulateAndRecover:
             params = wola.WolaParams.from_dims(bd, spec.wola_extension_factor)
             bodies = ofdm.idft(ofdm.grid_to_spectrum(
                 g, tiny_dims, oversampled=True, at_baseband=True).T)
-            flat = wola.wola_assemble(bodies, params)
+            flat = _batch_assemble(bodies, params)
             flat *= ofdm.subband_carrier(bd, bd.l_ofdm_os, 0, flat.size)
             refs.append(flat.tobytes())
         monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", chunk_samples)
