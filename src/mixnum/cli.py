@@ -143,11 +143,21 @@ def _require_threads(threads: int) -> None:
         raise ScenarioError(f"--threads must be at least 1, got {threads}")
 
 
+def _check_scenario(spec) -> None:
+    """Fail on bad geometry, sizes or mask file before ``--out`` exists."""
+    derive_dims(spec)
+    if spec.measure.mask_file:
+        try:
+            metrics.load_mask(spec.measure.mask_file)
+        except (OSError, ValueError) as exc:
+            raise ScenarioError(f"measure.mask_file: {exc}") from exc
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     _require_threads(args.threads)
     raw = load_raw_scenario(args.scenario, args.set or [])
     spec = scenario_from_dict(raw)
-    derive_dims(spec)  # geometry and size errors leave no --out behind
+    _check_scenario(spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -194,6 +204,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _require_threads(args.threads)
     targets = _parse_targets(args.targets)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not targets or not methods:
+        raise ScenarioError("--methods and --targets must not be empty")
     for m in methods:
         if m not in METHODS:
             raise ScenarioError(f"unknown method {m!r} in --methods")
@@ -205,12 +217,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raw["method"] = method
             raw["papr_target_db"] = target
             specs.append(scenario_from_dict(raw))
-            derive_dims(specs[-1])
+            _check_scenario(specs[-1])
+    # Every spec has the base scenario's BWPs.
+    header = (["method", "papr_target_db", "papr_at_p_db"]
+              + [f"mse_db_{i}" for i in range(len(specs[0].bwps))]
+              + ["aclr_lower_db", "aclr_upper_db"])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    header: list[str] | None = None
     for spec in specs:
         t0 = time.perf_counter()
         info: dict = {}
@@ -219,10 +234,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                      iterations=info.get("iterations"),
                                      threads=args.threads)
         wall = time.perf_counter() - t0
-        if header is None:
-            header = (["method", "papr_target_db", "papr_at_p_db"]
-                      + [f"mse_db_{i}" for i in range(dims.num_bwps)]
-                      + ["aclr_lower_db", "aclr_upper_db"])
         rows.append([spec.method, repr(spec.papr_target_db),
                      repr(report.papr_at_p_db)]
                     + [repr(v) for v in report.mse_db]
@@ -230,7 +241,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                        repr(report.aclr_db["upper"])])
         print(f"sweep {spec.method} target={spec.papr_target_db:g} -> "
               f"papr={report.papr_at_p_db:.2f} dB wall={wall:.1f}s")
-    lines = [f"# schema={SCHEMA_SWEEP}", ",".join(header or [])]
+    lines = [f"# schema={SCHEMA_SWEEP}", ",".join(header)]
     lines += [",".join(r) for r in rows]
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {out_dir / 'sweep.csv'} ({len(rows)} rows)")
@@ -238,22 +249,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _selftest_checks() -> list[tuple[str, object]]:
-    """(name, callable) pairs; a check passes when it returns None."""
+    """(name, callable) pairs of ``selftest.check_*``, in definition order.
+
+    A check passes when it returns None.
+    """
     from . import selftest as st
 
-    return [
-        ("transform_round_trip", st.check_transform_round_trip),
-        ("rc_ramp_complementarity", st.check_rc_ramp_complementarity),
-        ("qam_unit_power", st.check_qam_unit_power),
-        ("ofdm_back_to_back", st.check_ofdm_back_to_back),
-        ("wola_flat_overlap", st.check_wola_flat_overlap),
-        ("block_parseval", st.check_block_parseval),
-        ("fc_all_pass_reconstruction", st.check_fc_all_pass_reconstruction),
-        ("fc_corrupted_window_detected", st.check_fc_corrupted_window_detected),
-        ("aggregate_noise_confinement", st.check_aggregate_noise_confinement),
-        ("fc_noise_confinement", st.check_fc_noise_confinement),
-        ("repeat_run_determinism", st.check_repeat_run_determinism),
-    ]
+    return [(name.removeprefix("check_"), fn) for name, fn in vars(st).items()
+            if name.startswith("check_")]
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:

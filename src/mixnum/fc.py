@@ -20,9 +20,8 @@ import numpy as np
 
 from .ofdm import (ComplexSignal, ResourceGrid, bin_runs, chunk_map, dft,
                    idft, ofdm_modulate, stage_chunks)
-from .scenario import BwpDims, DerivedDims, FcDims, ScenarioSpec, derive_dims
+from .scenario import BwpDims, DerivedDims, FcDims, ScenarioSpec
 from .wola import rc_ramp
-from . import ofdm
 
 
 @dataclass
@@ -46,16 +45,15 @@ class FcBlocks:
     """Block rows of a batch plus the bookkeeping to reassemble them.
 
     ``data`` has one block per row; row 0 is block ``first_block`` of the
-    whole stream, so a chunk of rows carries where it sits.  ``step_len``,
-    ``head_pad`` and ``source_len`` (of the whole stream) are in samples
-    at ``sample_rate_hz``.  A subband's mapped spectra carry
+    whole stream, so a chunk of rows carries where it sits.  ``step_len``
+    and ``source_len`` (of the whole stream) are in samples at
+    ``sample_rate_hz``.  A subband's mapped spectra carry
     ``bins = (first, n)``: column ``k`` belongs on bin ``(first + k) mod n``
     of the n-point inverse transform.
     """
 
     data: np.ndarray
     step_len: int
-    head_pad: int
     source_len: int
     sample_rate_hz: float
     bins: tuple[int, int] | None = None
@@ -104,22 +102,17 @@ def num_blocks(source_len: int, fc: FcDims) -> int:
     return -(-(source_len + fc.head_pad) // fc.step_len)
 
 
-def segment(signal: ComplexSignal | np.ndarray, fc: FcDims,
-            sample_rate_hz: float | None = None,
+def segment(x: np.ndarray, fc: FcDims, sample_rate_hz: float,
             rows: slice = slice(None)) -> FcBlocks:
-    """Cut overlapping forward-transform blocks ``rows`` out of a stream.
+    """Cut overlapping forward-transform blocks ``rows`` out of samples ``x``.
+
+    ``sample_rate_hz`` is the rate of ``x``; the blocks carry it.
 
     Half an overlap of zeros is prepended so the first kept output region
     starts exactly at the first input sample; the tail is zero-padded to
     complete the final block.  Only the blocks in ``rows`` are built, from
     the samples they cover.
     """
-    if isinstance(signal, ComplexSignal):
-        x = signal.samples
-        rate = signal.sample_rate_hz
-    else:
-        x = np.asarray(signal)
-        rate = float(sample_rate_hz or 0.0)
     l, step, pad = fc.transform_len, fc.step_len, fc.head_pad
     first, stop, _ = rows.indices(num_blocks(x.size, fc))
     # Sample i of the padded stream is source sample i - pad; this chunk
@@ -129,8 +122,8 @@ def segment(signal: ComplexSignal | np.ndarray, fc: FcDims,
     src = x[max(a, 0): a + padded.size]
     padded[max(-a, 0): max(-a, 0) + src.size] = src
     data = np.lib.stride_tricks.sliding_window_view(padded, l)[::step].copy()
-    return FcBlocks(data=data, step_len=step, head_pad=pad, source_len=x.size,
-                    sample_rate_hz=rate, first_block=first)
+    return FcBlocks(data=data, step_len=step, source_len=x.size,
+                    sample_rate_hz=sample_rate_hz, first_block=first)
 
 
 def subband_forward(blocks: FcBlocks, window: FcWindow, fc: FcDims) -> FcBlocks:
@@ -153,7 +146,6 @@ def subband_forward(blocks: FcBlocks, window: FcWindow, fc: FcDims) -> FcBlocks:
     out *= np.exp(2j * np.pi * theta * r)[:, None]
     i = fc.interpolation
     return replace(blocks, data=out, step_len=i * blocks.step_len,
-                   head_pad=i * blocks.head_pad,
                    source_len=i * blocks.source_len,
                    sample_rate_hz=i * blocks.sample_rate_hz,
                    bins=((window.center_bin - l // 2) % n, n))
@@ -219,15 +211,16 @@ def _filter_bank(dims: DerivedDims, grids: list[ResourceGrid]) -> tuple[
     if fcd is None:
         raise ValueError("scenario has no fast-convolution geometry")
     windows = [design_window(bd, fcd) for bd in dims.bwps]
-    streams = [ofdm_modulate(g, dims, oversampled=False, at_baseband=True)
+    streams = [ofdm_modulate(g, dims, oversampled=False, at_baseband=True).samples
                for g in grids]
 
     def step(sl: slice, spectra: np.ndarray | None = None
              ) -> tuple[FcBlocks, FcBlocks]:
-        return combine([subband_forward(segment(x, fcd, rows=sl), w, fcd)
-                        for x, w in zip(streams, windows)], spectra)
+        return combine([subband_forward(
+            segment(x, fcd, dims.fs_nominal_hz, rows=sl), w, fcd)
+            for x, w in zip(streams, windows)], spectra)
 
-    return windows, num_blocks(len(streams[0]), fcd), step
+    return windows, num_blocks(streams[0].size, fcd), step
 
 
 def fc_subband_spectra(dims: DerivedDims, grids: list[ResourceGrid], *,
@@ -257,8 +250,8 @@ def fc_subband_spectra(dims: DerivedDims, grids: list[ResourceGrid], *,
     return v_f, replace(v_f, data=blocks), windows
 
 
-def run_fc_f_ofdm(spec: ScenarioSpec, dims: DerivedDims | None = None,
-                  grids: list[ResourceGrid] | None = None, *,
+def run_fc_f_ofdm(spec: ScenarioSpec, dims: DerivedDims,
+                  grids: list[ResourceGrid], *,
                   info: dict | None = None, threads: int = 1) -> ComplexSignal:
     """Filtered multi-subband waveform without PAPR processing.
 
@@ -267,8 +260,6 @@ def run_fc_f_ofdm(spec: ScenarioSpec, dims: DerivedDims | None = None,
     worker threads, so no batch of all blocks exists; the output does not
     depend on ``threads``.
     """
-    dims = dims or derive_dims(spec)
-    grids = grids or [ofdm.generate_grid(dims, m, spec.seed) for m in range(dims.num_bwps)]
     windows, n_blocks, step = _filter_bank(dims, grids)
     fcd = dims.fc
     bd = dims.bwps[0]

@@ -21,8 +21,7 @@ import numpy as np
 from .fc import FcWindow, fc_subband_spectra, ols_extract
 from .icef import clip_polar
 from .ofdm import ComplexSignal, ResourceGrid, chunk_map, dft, idft
-from .scenario import DerivedDims, ScenarioSpec, derive_dims
-from . import ofdm
+from .scenario import DerivedDims, ScenarioSpec
 
 # FC_ICEF's unit of work: this many block rows of an active set.
 _CHUNK_ROWS = 64
@@ -43,8 +42,8 @@ def window_weights(windows: list[FcWindow], n: int) -> np.ndarray:
     return weights
 
 
-def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
-                grids: list[ResourceGrid] | None = None, *,
+def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims,
+                grids: list[ResourceGrid], *,
                 info: dict | None = None, threads: int = 1) -> ComplexSignal:
     """Filtered multi-subband waveform with in-bank PAPR reduction.
 
@@ -63,12 +62,6 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
     and the power reduction is a single ordered sum, so the output is
     byte-identical for any thread count.
     """
-    dims = dims or derive_dims(spec)
-    fcd = dims.fc
-    if fcd is None:
-        raise ValueError("scenario has no fast-convolution geometry")
-    grids = grids or [ofdm.generate_grid(dims, m, spec.seed)
-                      for m in range(dims.num_bwps)]
     v_f, v_t, windows = fc_subband_spectra(dims, grids, threads=threads)
     n_blocks, n = v_f.data.shape
     keep = v_f.step_len
@@ -123,4 +116,4 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
         if keep_spectra:
             info["v_f_orig"] = v_f_orig.T
             info["v_f_proc"] = cur.T
-    return ols_extract(v_t, fcd)
+    return ols_extract(v_t, dims.fc)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .ofdm import (ComplexSignal, ResourceGrid, chunk_map, dft,
                    grid_to_spectrum, idft, ofdm_demodulate, ofdm_modulate)
-from .scenario import DerivedDims, ScenarioSpec, derive_dims
+from .scenario import DerivedDims, ScenarioSpec
 from . import ofdm, wola
 
 
@@ -55,8 +55,8 @@ def _row_chunks(n: int, size: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:] + [n])]
 
 
-def run_i_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
-               grids: list[ResourceGrid] | None = None, *,
+def run_i_icef(spec: ScenarioSpec, dims: DerivedDims,
+               grids: list[ResourceGrid], *,
                info: dict | None = None, threads: int = 1) -> ComplexSignal:
     """Subband-independent clipping: each BWP reduced against its own power.
 
@@ -74,8 +74,6 @@ def run_i_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
     worker threads; every symbol's arithmetic is the same in any chunk,
     so the output is byte-identical for any thread count.
     """
-    dims = dims or derive_dims(spec)
-    grids = grids or [ofdm.generate_grid(dims, m, spec.seed) for m in range(dims.num_bwps)]
     all_iters: list[np.ndarray] = []
     out_grids = []
     tau = 10.0 ** (spec.papr_target_db / 10.0)
@@ -129,16 +127,14 @@ def run_i_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
                 active, bodies = active[keep], bodies[keep]
             out_grids.append(ResourceGrid(bwp_index=m, values=vals_cur.T))
             all_iters.append(iters)
-    shaped = [wola.modulate_wola(g, dims, spec.wola_extension_factor,
-                                 threads=threads) for g in out_grids]
     if info is not None:
         info["iterations"] = np.concatenate(all_iters)
         info["grids"] = out_grids
-    return wola.aggregate(shaped)
+    return run_none(spec, dims, out_grids, threads=threads)
 
 
-def run_e_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
-               grids: list[ResourceGrid] | None = None, *,
+def run_e_icef(spec: ScenarioSpec, dims: DerivedDims,
+               grids: list[ResourceGrid], *,
                info: dict | None = None, threads: int = 1,
                cancel_ini: bool = True) -> ComplexSignal:
     """Aggregate clipping with per-subband interference cancellation.
@@ -160,13 +156,11 @@ def run_e_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
     Each subband's observe-and-resynthesize step is one task on
     ``threads`` worker threads, and the composite is summed in subband
     order, so the output is byte-identical for any thread count.  The
-    shaped output applies the per-BWP WOLA windows to the final grids and
-    sums the streams.  ``cancel_ini=False`` (ablation experiments only)
-    sets each grid to its observation of the clipped composite, so the
-    other subbands' interference is folded in as if it were clipping noise.
+    output is ``run_none`` of the final grids.  ``cancel_ini=False``
+    (ablation experiments only) sets each grid to its observation of the
+    clipped composite, so the other subbands' interference is folded in as
+    if it were clipping noise.
     """
-    dims = dims or derive_dims(spec)
-    grids = grids or [ofdm.generate_grid(dims, m, spec.seed) for m in range(dims.num_bwps)]
     n_bwp = dims.num_bwps
     vals = [g.values.copy() for g in grids]
     # With one subband there is no interference to leave in.
@@ -223,25 +217,22 @@ def run_e_icef(spec: ScenarioSpec, dims: DerivedDims | None = None,
             composite = compose(lambda m: update(m, heard))
     del composite, mag
     out_grids = [ResourceGrid(bwp_index=m, values=v) for m, v in enumerate(vals)]
-    shaped = [wola.modulate_wola(g, dims, spec.wola_extension_factor,
-                                 threads=threads) for g in out_grids]
     if info is not None:
         info["iterations"] = iterations
         info["peak_trace_db"] = peak_trace
         info["grids"] = out_grids
-    return wola.aggregate(shaped)
+    return run_none(spec, dims, out_grids, threads=threads)
 
 
-def run_none(spec: ScenarioSpec, dims: DerivedDims | None = None,
-             grids: list[ResourceGrid] | None = None, *,
+def run_none(spec: ScenarioSpec, dims: DerivedDims,
+             grids: list[ResourceGrid], *,
              info: dict | None = None, threads: int = 1) -> ComplexSignal:
     """Plain aggregated CP-OFDM + WOLA composite without PAPR processing.
 
+    Both clipping runners shape and sum their processed grids here.
     ``threads`` worker threads run WOLA synthesis; the output does not
     depend on it.
     """
-    dims = dims or derive_dims(spec)
-    grids = grids or [ofdm.generate_grid(dims, m, spec.seed) for m in range(dims.num_bwps)]
     if info is not None:
         info["iterations"] = 0
     return wola.aggregate([

@@ -2,14 +2,13 @@
 
 PAPR is taken per sample against the whole-signal mean power, and the
 reported "PAPR at probability p" is read off the per-sample survival
-curve; an optional pooling window turns the curve into block maxima for
-diagnostic use, but reported figures use the raw per-sample statistics.
+curve.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,35 +36,24 @@ def papr_per_sample(signal: ComplexSignal | np.ndarray) -> np.ndarray:
 
 @dataclass
 class CcdfCurve:
-    """Empirical survival curve of block-peak PAPR.
+    """Empirical survival curve of per-sample PAPR.
 
     ``thresholds_db`` ascends and ``probabilities`` is non-increasing;
-    entry i is the fraction of blocks whose peak exceeds threshold i.
+    entry i is the fraction of samples whose PAPR exceeds threshold i.
     """
 
     thresholds_db: np.ndarray
     probabilities: np.ndarray
     sample_count: int
-    window: int
+    # Samples pooled per curve point; ccdf.csv and report.json echo it.
+    window = 1
 
 
-def ccdf(papr_linear: np.ndarray, window: int = 1) -> CcdfCurve:
-    """Survival curve of a per-sample PAPR sequence pooled into block maxima.
-
-    ``window=1`` is the raw per-sample curve; larger windows take one peak
-    per ``window`` consecutive samples (a trailing partial block is
-    dropped).
-    """
-    if window < 1:
-        raise ValueError("window must be at least 1")
+def ccdf(papr_linear: np.ndarray) -> CcdfCurve:
+    """Survival curve of a per-sample PAPR sequence."""
     ratios = np.asarray(papr_linear, dtype=np.float64)
     if ratios.ndim != 1 or ratios.size == 0:
         raise ValueError("need a non-empty 1-D PAPR sequence")
-    if window > 1:
-        n = ratios.size // window
-        if n == 0:
-            raise ValueError("signal shorter than one window")
-        ratios = ratios[: n * window].reshape(n, window).max(axis=1)
     # The sort's copy becomes the thresholds in place.
     thresholds_db = np.sort(ratios)
     n = thresholds_db.size
@@ -75,7 +63,7 @@ def ccdf(papr_linear: np.ndarray, window: int = 1) -> CcdfCurve:
     probabilities = np.arange(n - 1.0, -1.0, -1.0)
     probabilities /= n
     return CcdfCurve(thresholds_db=thresholds_db, probabilities=probabilities,
-                     sample_count=n, window=window)
+                     sample_count=n)
 
 
 def papr_at_probability(curve: CcdfCurve, p: float) -> float:
@@ -101,22 +89,20 @@ def papr_at_probability(curve: CcdfCurve, p: float) -> float:
 
 
 def mse_per_bwp(signal: ComplexSignal, dims: DerivedDims,
-                grids: list[ResourceGrid],
-                timing_offset: int | None = None, *,
+                grids: list[ResourceGrid], *,
                 threads: int = 1) -> list[float]:
     """Demodulation error power per subband, in dB relative to signal.
 
     A single complex gain per subband is fitted by least squares before
     comparing, so flat scaling and rotation do not count as error.  The
-    default receiver timing is the middle of the cyclic prefix, which
-    keeps the analysis window clear of symbol-edge shaping.  ``threads``
-    worker threads demodulate the symbols.
+    receiver timing is the middle of the cyclic prefix, which keeps the
+    analysis window clear of symbol-edge shaping.  ``threads`` worker
+    threads demodulate the symbols.
     """
     out = []
     for m, grid in enumerate(grids):
-        bd = dims.bwps[m]
-        timing = -bd.l_cp_os // 2 if timing_offset is None else timing_offset
-        rx = ofdm_demodulate(signal, dims, m, timing_offset=timing,
+        rx = ofdm_demodulate(signal, dims, m,
+                             timing_offset=-dims.bwps[m].l_cp_os // 2,
                              threads=threads)
         x = grid.values.reshape(-1)
         y = rx.values.reshape(-1)
@@ -143,7 +129,6 @@ class PsdEstimate:
     density: np.ndarray
     psd_db: np.ndarray
     rbw_hz: float
-    total_power: float
 
 
 def _hann(n: int) -> np.ndarray:
@@ -195,7 +180,7 @@ def psd_welch(signal: ComplexSignal, rbw_hz: float = 30e3, *,
     rel = density * rbw_hz / max(total, 1e-300)
     psd_db = 10.0 * np.log10(np.maximum(rel, 1e-300))
     return PsdEstimate(freq_hz=freq, density=density, psd_db=psd_db,
-                       rbw_hz=rbw_hz, total_power=total)
+                       rbw_hz=rbw_hz)
 
 
 def _band_power(psd: PsdEstimate, lo: float, hi: float) -> float:
@@ -228,7 +213,7 @@ def load_mask(path: str) -> tuple[np.ndarray, np.ndarray]:
 
     Offsets are magnitudes from the channel center; the mask is applied
     symmetrically.  Comment lines starting with ``#`` and a header row are
-    both tolerated.
+    both tolerated; a non-finite value is an error.
     """
     offs, limits = [], []
     with open(path, newline="") as fh:
@@ -239,6 +224,8 @@ def load_mask(path: str) -> tuple[np.ndarray, np.ndarray]:
                 off, lim = float(row[0]), float(row[1])
             except ValueError:
                 continue
+            if not (np.isfinite(off) and np.isfinite(lim)):
+                raise ValueError(f"mask file {path!r} has a non-finite row {row}")
             offs.append(off)
             limits.append(lim)
     if len(offs) < 2:
@@ -275,18 +262,11 @@ class MetricsReport:
     iterations_histogram: list[int]
 
     def to_dict(self) -> dict:
+        out = asdict(self)
         margin = self.mask_margin_db
         if margin is not None and not np.isfinite(margin):
-            margin = "inf" if margin > 0 else "-inf"
-        return {
-            "papr_at_p_db": self.papr_at_p_db,
-            "ccdf_probability": self.ccdf_probability,
-            "ccdf_window": self.ccdf_window,
-            "mse_db": list(self.mse_db),
-            "aclr_db": dict(self.aclr_db),
-            "mask_margin_db": margin,
-            "iterations_histogram": list(self.iterations_histogram),
-        }
+            out["mask_margin_db"] = "inf" if margin > 0 else "-inf"
+        return out
 
 
 def measure_all(signal: ComplexSignal, spec: ScenarioSpec, dims: DerivedDims,

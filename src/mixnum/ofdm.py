@@ -264,22 +264,19 @@ def ofdm_modulate(grid: ResourceGrid, dims: DerivedDims, *,
 
 def ofdm_demodulate(signal: ComplexSignal, dims: DerivedDims, bwp_index: int,
                     timing_offset: int = 0, *,
-                    oversampled: bool = True,
-                    at_baseband: bool = False,
                     threads: int = 1) -> ResourceGrid:
-    """Recover a BWP's grid from a composite stream.
+    """Recover a BWP's grid from an oversampled composite stream.
 
     Per symbol, an L-sample window is taken at
     ``symbol_start + l_cp + timing_offset``, downconverted by the BWP's
-    continuous carrier (unless the stream was synthesized ``at_baseband``)
-    and transformed; the known phase ramp caused by a window start inside
-    the CP is compensated, so any ``timing_offset`` in [-l_cp, 0] recovers
-    an ISI-free symbol exactly.  Symbols are demodulated in fixed chunks
-    of rows on ``threads`` worker threads; each row's arithmetic is the
-    same in any chunk.
+    continuous carrier and transformed; the known phase ramp caused by a
+    window start inside the CP is compensated, so any ``timing_offset`` in
+    [-l_cp, 0] recovers an ISI-free symbol exactly.  Symbols are
+    demodulated in fixed chunks of rows on ``threads`` worker threads;
+    each row's arithmetic is the same in any chunk.
     """
     bd = dims.bwps[bwp_index]
-    l, l_cp = _transform_dims(bd, oversampled)
+    l, l_cp = bd.l_ofdm_os, bd.l_cp_os
     stride = l + l_cp
     if not -l_cp <= timing_offset <= 0:
         raise ValueError("timing_offset must lie in [-l_cp, 0]")
@@ -298,9 +295,7 @@ def ofdm_demodulate(signal: ComplexSignal, dims: DerivedDims, bwp_index: int,
     rows = np.empty((n_sym, idx.size), dtype=np.complex128)
 
     def demodulate(sl: slice) -> None:
-        windows = frames[sl, start: start + l]
-        if not at_baseband:
-            windows = windows * ramp[None, :] * phase[sl, None]
+        windows = frames[sl, start: start + l] * ramp[None, :] * phase[sl, None]
         spectra = dft(windows)
         for cols, bins in runs:
             rows[sl, cols] = spectra[:, bins]

@@ -72,10 +72,6 @@ class BwpSpec:
     def num_subcarriers(self) -> int:
         return 12 * self.num_prbs
 
-    @property
-    def occupied_bw_hz(self) -> float:
-        return self.num_subcarriers * self.scs_hz
-
 
 @dataclass
 class FcConfig:
@@ -128,8 +124,7 @@ class BwpDims:
     the oversampled rate.  ``active_base`` holds the signed subcarrier indices
     of the allocation centered on DC in the BWP's own grid;
     ``active_indices`` adds the snapped center so the allocation sits at its
-    in-carrier position.  ``center_bin`` is the snapped center in bins of the
-    reference 15 kHz grid.
+    in-carrier position.
     """
 
     scs_hz: float
@@ -140,7 +135,6 @@ class BwpDims:
     l_cp_os: int
     num_symbols: int
     center_hz: float
-    center_bin: int
     center_scs: int
     active_base: np.ndarray
     active_indices: np.ndarray
@@ -179,8 +173,6 @@ class DerivedDims:
 
     fs_nominal_hz: float
     fs_oversampled_hz: float
-    oversampling: int
-    channel_bw_hz: float
     bwps: list[BwpDims]
     fc: FcDims | None
 
@@ -368,7 +360,8 @@ def derive_dims(spec: ScenarioSpec) -> DerivedDims:
         l_ofdm = int(round(fs_nominal / b.scs_hz))
         l_cp = int(round(_CP_SAMPLES_PER_2048 * l_ofdm / 2048))
         center = snap_center_hz(b.center_offset_hz, scs_list)
-        _require(b.occupied_bw_hz / 2 + abs(center) <= spec.channel_bw_hz / 2 + 1e-6,
+        occupied = b.num_subcarriers * b.scs_hz
+        _require(occupied / 2 + abs(center) <= spec.channel_bw_hz / 2 + 1e-6,
                  f"bwps[{i}] does not fit inside the channel after snapping "
                  f"(center {center/1e6:.3f} MHz)")
         center_bin = center / REFERENCE_SCS_HZ
@@ -403,7 +396,6 @@ def derive_dims(spec: ScenarioSpec) -> DerivedDims:
             l_cp_os=n_ov * l_cp,
             num_symbols=num_symbols,
             center_hz=center,
-            center_bin=int(round(center_bin)),
             center_scs=int(round(center_scs)),
             active_base=active_base,
             active_indices=active_base + int(round(center_scs)),
@@ -468,8 +460,6 @@ def derive_dims(spec: ScenarioSpec) -> DerivedDims:
     return DerivedDims(
         fs_nominal_hz=fs_nominal,
         fs_oversampled_hz=fs_os,
-        oversampling=n_ov,
-        channel_bw_hz=spec.channel_bw_hz,
         bwps=bwp_dims,
         fc=fc_dims,
     )

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import fc_icef, icef, metrics, ofdm, wola
+from . import fc_icef, metrics, ofdm, wola
+from .cli import execute
 from .fc import FcWindow, combine, ols_extract, segment, subband_forward
 from .ofdm import dft, idft
 from .scenario import (METHOD_E_ICEF_WOLA, METHOD_FC_ICEF, METHOD_I_ICEF,
@@ -74,7 +75,7 @@ def check_wola_flat_overlap() -> None:
     params = wola.WolaParams.from_dims(bd, spec.wola_extension_factor)
     bodies = np.ones((4, bd.l_ofdm_os), dtype=np.complex128)
     out = wola.wola_assemble(bodies.__getitem__, len(bodies), params)
-    interior = out[params.ramp_len: -params.ramp_len]
+    interior = out[params.l_ext: -params.l_ext]
     assert np.all(interior == 1.0), "windowed overlap of a constant is not flat"
 
 
@@ -135,10 +136,8 @@ def check_fc_corrupted_window_detected() -> None:
 
 def check_aggregate_noise_confinement() -> None:
     spec = _tiny_spec(method=METHOD_E_ICEF_WOLA, papr_target_db=4.0)
-    dims = derive_dims(spec)
-    refs = [ofdm.generate_grid(dims, m, spec.seed) for m in range(dims.num_bwps)]
     info: dict = {}
-    icef.run_e_icef(spec, dims, refs, info=info)
+    _, dims, refs = execute(spec, info=info)
     assert info["iterations"] >= 1, "aggressive target caused no iterations"
     changed = False
     for m, out in enumerate(info["grids"]):
@@ -155,7 +154,7 @@ def check_aggregate_noise_confinement() -> None:
 def check_fc_noise_confinement() -> None:
     spec = _tiny_spec(method=METHOD_FC_ICEF, papr_target_db=4.0)
     info: dict = {"keep_spectra": True}
-    fc_icef.run_fc_icef(spec, info=info)
+    execute(spec, info=info)
     delta = info["v_f_proc"] - info["v_f_orig"]
     off = fc_icef.window_weights(info["windows"], delta.shape[0]) == 0.0
     assert np.any(delta != 0), "aggressive target left every block untouched"
@@ -164,13 +163,10 @@ def check_fc_noise_confinement() -> None:
 
 
 def check_repeat_run_determinism() -> None:
-    runners = {METHOD_I_ICEF: icef.run_i_icef,
-               METHOD_E_ICEF_WOLA: icef.run_e_icef,
-               METHOD_FC_ICEF: fc_icef.run_fc_icef}
-    for method, run in runners.items():
+    for method in (METHOD_I_ICEF, METHOD_E_ICEF_WOLA, METHOD_FC_ICEF):
         spec = _tiny_spec(method=method, papr_target_db=4.0)
-        a = run(spec, threads=1).samples
-        b = run(spec, threads=1).samples
-        c = run(spec, threads=3).samples
+        a = execute(spec, threads=1)[0].samples
+        b = execute(spec, threads=1)[0].samples
+        c = execute(spec, threads=3)[0].samples
         assert np.array_equal(a, b), f"repeat {method} runs differ"
         assert np.array_equal(a, c), f"thread count changed the {method} output"

@@ -35,10 +35,6 @@ class WolaParams:
     def window_len(self) -> int:
         return self.stride + self.l_ext
 
-    @property
-    def ramp_len(self) -> int:
-        return self.l_ext
-
     @classmethod
     def from_dims(cls, bd: BwpDims, extension_factor: float) -> "WolaParams":
         # Extension floored to the nearest even sample count so it splits
@@ -76,7 +72,7 @@ def build_rc_window(params: WolaParams) -> np.ndarray:
     """Full symbol window: RC ramp up, flat top, mirrored RC ramp down."""
     params.validate()
     w = np.ones(params.window_len)
-    n = params.ramp_len
+    n = params.l_ext
     if n:
         up = rc_ramp(n)
         w[:n] = up

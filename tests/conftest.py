@@ -36,6 +36,11 @@ def tiny_spec(**overrides):
     return make_spec(**defaults)
 
 
+def make_grids(spec, dims):
+    """The payload grids ``cli.execute`` hands a runner for ``spec``."""
+    return [ofdm.generate_grid(dims, m, spec.seed) for m in range(dims.num_bwps)]
+
+
 def rng(tag) -> np.random.Generator:
     """Deterministic generator keyed by an int or a short string label."""
     if isinstance(tag, str):
@@ -68,6 +73,4 @@ def tiny_dims():
 
 @pytest.fixture(scope="session")
 def tiny_grids(tiny_dims):
-    spec = tiny_spec(method="FC_ICEF")
-    return [ofdm.generate_grid(tiny_dims, m, spec.seed)
-            for m in range(tiny_dims.num_bwps)]
+    return make_grids(tiny_spec(method="FC_ICEF"), tiny_dims)

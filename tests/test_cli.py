@@ -172,6 +172,21 @@ class TestRunCommand:
         assert f"scenario error: {path}" in capsys.readouterr().err
         assert not (tmp_path / "big").exists()
 
+    @pytest.mark.parametrize("text", [
+        "1e7,-30\n1.5e7,nan\n2e7,-40\n",  # a non-finite limit
+        "1e7,-30\n",                      # one point
+        None,                             # no file
+    ], ids=["non_finite", "one_point", "missing"])
+    def test_bad_mask_file_is_a_scenario_error(self, tmp_path, capsys, text):
+        # Checked before the run, so no --out is left behind.
+        mask = tmp_path / "mask.csv"
+        if text is not None:
+            mask.write_text(text, encoding="utf-8")
+        rc = _run(tmp_path / "bad", "--set", f"measure.mask_file={mask}")
+        assert rc == 2
+        assert "scenario error: measure.mask_file" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_invalid_thread_count_is_a_scenario_error(self, tmp_path, capsys,
                                                       threads):
@@ -209,6 +224,24 @@ class TestSweepCommand:
         assert "scenario error: --threads" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("targets, methods", [
+        ("", "NONE"), ("6", ""), (",", " , ")])
+    def test_empty_grid_is_a_scenario_error(self, tmp_path, capsys, targets,
+                                            methods):
+        rc = cli.main(["sweep", "--out", str(tmp_path / "s"), *TINY,
+                       "--targets", targets, "--methods", methods])
+        assert rc == 2
+        assert "scenario error: --methods and --targets" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_missing_mask_file_leaves_no_output_directory(self, tmp_path,
+                                                         capsys):
+        rc = cli.main(["sweep", "--out", str(tmp_path / "s"), *TINY,
+                       "--set", f"measure.mask_file={tmp_path / 'absent.csv'}",
+                       "--targets", "6", "--methods", "NONE"])
+        assert rc == 2
+        assert "scenario error: measure.mask_file" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_non_numeric_target_is_a_scenario_error(self, tmp_path, capsys):
         rc = cli.main(["sweep", "--out", str(tmp_path / "s"), *TINY,
@@ -242,6 +275,14 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert "all self-test checks passed" in out
         assert "FAIL" not in out
+        # The battery is every selftest.check_* in definition order; this
+        # pins the documented list against a dropped or reordered check.
+        assert out.splitlines()[:-1] == [f"PASS {name}" for name in (
+            "transform_round_trip", "rc_ramp_complementarity",
+            "qam_unit_power", "ofdm_back_to_back", "wola_flat_overlap",
+            "block_parseval", "fc_all_pass_reconstruction",
+            "fc_corrupted_window_detected", "aggregate_noise_confinement",
+            "fc_noise_confinement", "repeat_run_determinism")]
 
 
 class TestCcdfThinning:

@@ -12,7 +12,7 @@ from mixnum.fc import (FcBlocks, FcWindow, combine, design_window, ols_extract,
                        segment, subband_forward)
 from mixnum.scenario import FcDims, derive_dims
 
-from conftest import rng, tiny_spec
+from conftest import make_grids, rng, tiny_spec
 
 
 def _tiny_fcd(transition_bins=0):
@@ -84,7 +84,6 @@ class TestSegmentAndExtract:
         x = np.arange(100, dtype=np.complex128)
         blocks = segment(x, fcd, sample_rate_hz=1.0)
         assert blocks.source_len == 100
-        assert blocks.head_pad == fcd.head_pad
         n_blocks = -(-(100 + fcd.head_pad) // fcd.step_len)
         assert blocks.data.shape == (n_blocks, fcd.transform_len)
         assert blocks.data.flags.c_contiguous
@@ -201,16 +200,17 @@ class TestFilteredComposite:
     def test_output_geometry_and_determinism(self):
         spec = tiny_spec(method="FC_F_OFDM")
         dims = derive_dims(spec)
+        grids = make_grids(spec, dims)
         info: dict = {}
-        out = fc.run_fc_f_ofdm(spec, dims, info=info)
+        out = fc.run_fc_f_ofdm(spec, dims, grids, info=info)
         assert out.sample_rate_hz == dims.fs_oversampled_hz
         # Interpolated nominal-rate stream length: symbols times nominal
         # stride times the interpolation factor.
         nominal = dims.bwps[0].num_symbols * (dims.bwps[0].l_ofdm + dims.bwps[0].l_cp)
-        assert out.samples.size == nominal * dims.oversampling
+        assert out.samples.size == nominal * spec.oversampling
         assert info["iterations"] == 0
         assert len(info["windows"]) == 2
-        again = fc.run_fc_f_ofdm(spec, dims)
+        again = fc.run_fc_f_ofdm(spec, dims, grids)
         assert np.array_equal(out.samples, again.samples)
 
     def test_subband_spectra_block_count(self):
@@ -232,8 +232,8 @@ class TestFilteredComposite:
         one fancy-index scatter-add and one inverse transform."""
         fcd = dims.fc
         mapped = [subband_forward(segment(ofdm.ofdm_modulate(
-                      g, dims, oversampled=False, at_baseband=True), fcd),
-                      design_window(bd, fcd), fcd)
+                      g, dims, oversampled=False, at_baseband=True).samples,
+                      fcd, dims.fs_nominal_hz), design_window(bd, fcd), fcd)
                   for g, bd in zip(grids, dims.bwps)]
         n = fcd.inverse_len
         total = np.zeros((mapped[0].num_blocks, n), dtype=np.complex128)
@@ -283,7 +283,7 @@ class TestFilteredComposite:
 
         spec = tiny_spec(method="FC_F_OFDM")
         dims = derive_dims(spec)
-        out = fc.run_fc_f_ofdm(spec, dims)
+        out = fc.run_fc_f_ofdm(spec, dims, make_grids(spec, dims))
         est = psd_welch(out, 30e3)
         peak = np.max(est.density)
         gap = (est.freq_hz >= 0.0) & (est.freq_hz <= 0.7e6)

@@ -10,7 +10,7 @@ from mixnum.fc_icef import run_fc_icef, window_weights
 from mixnum.icef import clip_polar
 from mixnum.scenario import derive_dims
 
-from conftest import tiny_spec
+from conftest import make_grids, tiny_spec
 
 
 class TestWindowWeights:
@@ -32,9 +32,7 @@ class TestWindowWeights:
 
 def _clean_blocks(spec, dims):
     """Unprocessed (B, N) time blocks and the slice overlap-save keeps of each."""
-    grids = [ofdm.generate_grid(dims, m, spec.seed)
-             for m in range(dims.num_bwps)]
-    _, v_t, _ = fc.fc_subband_spectra(dims, grids)
+    _, v_t, _ = fc.fc_subband_spectra(dims, make_grids(spec, dims))
     discard = (v_t.block_len - v_t.step_len) // 2
     return v_t.data, slice(discard, discard + v_t.step_len)
 
@@ -45,11 +43,13 @@ class TestBlockIterate:
     def test_zero_budget_is_identity(self):
         spec = tiny_spec(method="FC_ICEF", max_iterations=0)
         dims = derive_dims(spec)
+        grids = make_grids(spec, dims)
         info: dict = {"keep_spectra": True}
-        out = run_fc_icef(spec, dims, info=info)
+        out = run_fc_icef(spec, dims, grids, info=info)
         assert (info["iterations"] == 0).all()
         assert np.array_equal(info["v_f_proc"], info["v_f_orig"])
-        assert np.array_equal(out.samples, fc.run_fc_f_ofdm(spec, dims).samples)
+        clean = fc.run_fc_f_ofdm(spec, dims, grids)
+        assert np.array_equal(out.samples, clean.samples)
 
     def test_single_pass_matches_manual_clip_and_filter(self):
         # One round adds each active block's clipping noise, weighted by the
@@ -58,8 +58,9 @@ class TestBlockIterate:
         spec = tiny_spec(method="FC_ICEF", papr_target_db=8.0,
                          max_iterations=1)
         dims = derive_dims(spec)
+        grids = make_grids(spec, dims)
         info: dict = {"keep_spectra": True}
-        run_fc_icef(spec, dims, info=info)
+        run_fc_icef(spec, dims, grids, info=info)
         v_f, proc = info["v_f_orig"], info["v_f_proc"]
         w = window_weights(info["windows"], v_f.shape[0])
         assert np.any((w > 0) & (w < 1))
@@ -82,17 +83,19 @@ class TestBlockIterate:
         # every block alone; just below it, that block is clipped.
         spec = tiny_spec(method="FC_ICEF")
         dims = derive_dims(spec)
+        grids = make_grids(spec, dims)
         v_t, kept = _clean_blocks(spec, dims)
         peaks = np.max(np.abs(v_t) ** 2, axis=1)
         peak_db = 10 * np.log10(peaks.max() / np.mean(np.abs(v_t[:, kept]) ** 2))
         eps = spec.stop_epsilon_db
         above = tiny_spec(method="FC_ICEF", papr_target_db=peak_db - eps + 0.01)
         info: dict = {}
-        out = run_fc_icef(above, dims, info=info)
+        out = run_fc_icef(above, dims, grids, info=info)
         assert (info["iterations"] == 0).all()
-        assert np.array_equal(out.samples, fc.run_fc_f_ofdm(above, dims).samples)
+        clean = fc.run_fc_f_ofdm(above, dims, grids)
+        assert np.array_equal(out.samples, clean.samples)
         below = tiny_spec(method="FC_ICEF", papr_target_db=peak_db - eps - 0.01)
-        run_fc_icef(below, dims, info=info)
+        run_fc_icef(below, dims, grids, info=info)
         assert info["iterations"][np.argmax(peaks)] > 0
 
     def test_power_slice_references_the_kept_samples(self):
@@ -100,8 +103,9 @@ class TestBlockIterate:
         # survive overlap-save, not of the whole blocks.
         spec = tiny_spec(method="FC_ICEF", papr_target_db=3.0)
         dims = derive_dims(spec)
+        grids = make_grids(spec, dims)
         info: dict = {}
-        run_fc_icef(spec, dims, info=info)
+        run_fc_icef(spec, dims, grids, info=info)
         v_t, kept = _clean_blocks(spec, dims)
         amp = np.sqrt(np.mean(np.abs(v_t[:, kept]) ** 2) * 10 ** 0.3)
         whole = np.sqrt(np.mean(np.abs(v_t) ** 2) * 10 ** 0.3)
@@ -113,15 +117,17 @@ class TestRunFcIcef:
     def test_deterministic(self):
         spec = tiny_spec(method="FC_ICEF", max_iterations=8)
         dims = derive_dims(spec)
-        a = run_fc_icef(spec, dims)
-        b = run_fc_icef(spec, dims)
+        grids = make_grids(spec, dims)
+        a = run_fc_icef(spec, dims, grids)
+        b = run_fc_icef(spec, dims, grids)
         assert np.array_equal(a.samples, b.samples)
 
     def test_thread_count_does_not_change_a_single_sample(self):
         spec = tiny_spec(method="FC_ICEF", max_iterations=8)
         dims = derive_dims(spec)
-        a = run_fc_icef(spec, dims, threads=1)
-        b = run_fc_icef(spec, dims, threads=3)
+        grids = make_grids(spec, dims)
+        a = run_fc_icef(spec, dims, grids, threads=1)
+        b = run_fc_icef(spec, dims, grids, threads=3)
         assert np.array_equal(a.samples, b.samples)
 
     @pytest.mark.parametrize("target", [5.0, 8.0])
@@ -198,9 +204,10 @@ class TestRunFcIcef:
     def test_generous_target_reduces_to_the_clean_filtered_waveform(self):
         spec = tiny_spec(method="FC_ICEF", papr_target_db=40.0)
         dims = derive_dims(spec)
+        grids = make_grids(spec, dims)
         info: dict = {}
-        out = run_fc_icef(spec, dims, info=info)
-        clean = fc.run_fc_f_ofdm(spec, dims)
+        out = run_fc_icef(spec, dims, grids, info=info)
+        clean = fc.run_fc_f_ofdm(spec, dims, grids)
         assert np.array_equal(out.samples, clean.samples)
         assert info["iterations"].max() == 0
 
@@ -210,8 +217,9 @@ class TestRunFcIcef:
         # its original value bit-exactly.
         spec = tiny_spec(method="FC_ICEF", max_iterations=8)
         dims = derive_dims(spec)
+        grids = make_grids(spec, dims)
         info: dict = {"keep_spectra": True}
-        run_fc_icef(spec, dims, info=info)
+        run_fc_icef(spec, dims, grids, info=info)
         delta = info["v_f_proc"] - info["v_f_orig"]
         k_e = window_weights(info["windows"], delta.shape[0]) > 0
         assert np.abs(delta[~k_e, :]).max() == 0.0
@@ -223,14 +231,15 @@ class TestRunFcIcef:
         # on each side.
         spec = tiny_spec(method="FC_ICEF", papr_target_db=5.0)
         dims = derive_dims(spec)
+        grids = make_grids(spec, dims)
 
         def aclr(sig):
             psd = metrics.psd_welch(sig, spec.measure.psd_rbw_hz)
             return metrics.aclr(psd, spec.channel_bw_hz,
                                 spec.measure.aclr_measurement_bw_hz)
 
-        proc = aclr(run_fc_icef(spec, dims))
-        clean = aclr(fc.run_fc_f_ofdm(spec, dims))
+        proc = aclr(run_fc_icef(spec, dims, grids))
+        clean = aclr(fc.run_fc_f_ofdm(spec, dims, grids))
         for side in ("lower", "upper"):
             assert clean[side] - proc[side] <= 4.0
 
@@ -240,8 +249,9 @@ class TestRunFcIcef:
         spec = tiny_spec(method="FC_ICEF", papr_target_db=8.0,
                          max_iterations=20)
         dims = derive_dims(spec)
+        grids = make_grids(spec, dims)
         info: dict = {"keep_spectra": True}
-        run_fc_icef(spec, dims, info=info)
+        run_fc_icef(spec, dims, grids, info=info)
         v_t = ofdm.idft(info["v_f_proc"], axis=0)
         peaks = np.max(np.abs(v_t) ** 2, axis=0)
         margin = info["final_amp"] ** 2 * 10 ** 0.03
@@ -252,13 +262,15 @@ class TestRunFcIcef:
     def test_output_geometry_matches_the_clean_path(self):
         spec = tiny_spec(method="FC_ICEF")
         dims = derive_dims(spec)
-        out = run_fc_icef(spec, dims)
-        clean = fc.run_fc_f_ofdm(spec, dims)
+        grids = make_grids(spec, dims)
+        out = run_fc_icef(spec, dims, grids)
+        clean = fc.run_fc_f_ofdm(spec, dims, grids)
         assert out.samples.size == clean.samples.size
         assert out.sample_rate_hz == clean.sample_rate_hz
 
     def test_requires_filter_bank_geometry(self):
         spec = tiny_spec(method="NONE")
         dims = derive_dims(spec)
+        grids = make_grids(spec, dims)
         with pytest.raises(ValueError):
-            run_fc_icef(spec, dims)
+            run_fc_icef(spec, dims, grids)

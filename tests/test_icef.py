@@ -11,7 +11,7 @@ from mixnum import icef, ofdm, wola
 from mixnum.icef import clip_polar
 from mixnum.scenario import derive_dims, scenario_from_dict
 
-from conftest import make_spec, rng, tiny_spec
+from conftest import make_grids, make_spec, rng, tiny_spec
 
 
 def _spec_dict(**top):
@@ -63,8 +63,7 @@ class TestIcefSymbol:
     def _run(self, dims, grids=None, **overrides):
         spec = tiny_spec(method="I_ICEF", **overrides)
         if grids is None:
-            grids = [ofdm.generate_grid(dims, m, spec.seed)
-                     for m in range(dims.num_bwps)]
+            grids = make_grids(spec, dims)
         info: dict = {}
         out = icef.run_i_icef(spec, dims, grids, info=info)
         return out, info, grids
@@ -176,9 +175,10 @@ class TestRunIndependent:
     def test_deterministic_and_closed_over_reported_grids(self):
         spec = tiny_spec(method="I_ICEF")
         dims = derive_dims(spec)
+        grids = make_grids(spec, dims)
         info: dict = {}
-        out = icef.run_i_icef(spec, dims, info=info)
-        again = icef.run_i_icef(spec, dims)
+        out = icef.run_i_icef(spec, dims, grids, info=info)
+        again = icef.run_i_icef(spec, dims, grids)
         assert np.array_equal(out.samples, again.samples)
         # The emitted stream is exactly the WOLA synthesis of the grids the
         # run reports: all clipping noise lives on active subcarriers.
@@ -191,8 +191,9 @@ class TestRunIndependent:
     def test_iteration_counts_per_symbol(self):
         spec = tiny_spec(method="I_ICEF")
         dims = derive_dims(spec)
+        grids = make_grids(spec, dims)
         info: dict = {}
-        icef.run_i_icef(spec, dims, info=info)
+        icef.run_i_icef(spec, dims, grids, info=info)
         iters = info["iterations"]
         assert iters.size == dims.bwps[0].num_symbols + dims.bwps[1].num_symbols
         assert (iters >= 0).all() and (iters <= spec.max_iterations).all()
@@ -291,8 +292,9 @@ class TestRunIndependent:
     def test_reduces_the_aggregate_peak(self):
         spec = tiny_spec(method="I_ICEF", max_iterations=8)
         dims = derive_dims(spec)
-        base = icef.run_none(spec, dims)
-        out = icef.run_i_icef(spec, dims)
+        grids = make_grids(spec, dims)
+        base = icef.run_none(spec, dims, grids)
+        out = icef.run_i_icef(spec, dims, grids)
 
         def papr_db(sig):
             p = np.abs(sig.samples) ** 2
@@ -305,8 +307,9 @@ class TestRunAggregate:
     def test_closure_and_trace_invariant(self):
         spec = tiny_spec(method="E_ICEF_WOLA")
         dims = derive_dims(spec)
+        grids = make_grids(spec, dims)
         info: dict = {}
-        out = icef.run_e_icef(spec, dims, info=info)
+        out = icef.run_e_icef(spec, dims, grids, info=info)
         rebuilt = wola.aggregate([
             wola.modulate_wola(g, dims, spec.wola_extension_factor)
             for g in info["grids"]

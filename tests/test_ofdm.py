@@ -218,7 +218,10 @@ class TestModem:
     @pytest.mark.parametrize("offset_frac", [0.0, 0.5, 1.0])
     def test_windows_match_a_per_symbol_copy(self, tiny_dims, offset_frac):
         # Arbitrary samples with a trailing partial symbol: the receiver
-        # takes, bit for bit, the L samples at symbol_start + l_cp + offset.
+        # takes, bit for bit, the L samples at symbol_start + l_cp + offset
+        # and downconverts them by the carrier at those absolute indexes,
+        # as the carrier's ramp over one window times its phase at the
+        # window start.
         bd = tiny_dims.bwps[1]
         l, l_cp = bd.l_ofdm_os, bd.l_cp_os
         stride = l + l_cp
@@ -226,15 +229,17 @@ class TestModem:
         g = rng("receiver windows")
         n = bd.num_symbols * stride + stride // 2
         x = g.standard_normal(n) + 1j * g.standard_normal(n)
+        ramp = ofdm.subband_carrier(bd, l, 0, l, conjugate=True)
         windows = np.empty((l, bd.num_symbols), dtype=np.complex128)
         for s in range(bd.num_symbols):
             start = s * stride + l_cp + offset
-            windows[:, s] = x[start: start + l]
+            phase = np.exp(-2j * np.pi * bd.center_scs * start / l)
+            windows[:, s] = x[start: start + l] * ramp * phase
         ref = ofdm.dft(windows, axis=0)[np.mod(bd.active_base, l), :]
         if offset:
             ref = ref * np.exp(-2j * np.pi * bd.active_base * offset / l)[:, None]
         sig = ofdm.ComplexSignal(samples=x, sample_rate_hz=tiny_dims.fs_oversampled_hz)
-        rec = ofdm.ofdm_demodulate(sig, tiny_dims, 1, offset, at_baseband=True)
+        rec = ofdm.ofdm_demodulate(sig, tiny_dims, 1, offset)
         assert np.array_equal(rec.values, ref)
 
     @pytest.mark.parametrize("bwp_index", [0, 1])

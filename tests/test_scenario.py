@@ -21,7 +21,6 @@ class TestDerivedGeometry:
     def test_sampling_rates(self, desk_dims):
         assert desk_dims.fs_nominal_hz == 30.72e6
         assert desk_dims.fs_oversampled_hz == 122.88e6
-        assert desk_dims.oversampling == 4
 
     def test_low_scs_bwp_dimensions(self, desk_dims):
         bd = desk_dims.bwps[0]

@@ -82,10 +82,10 @@ class TestWindow:
         w = wola.build_rc_window(p)
         assert w.size == p.window_len
         if l_ext:
-            head = w[: p.ramp_len]
-            tail = w[w.size - p.ramp_len :]
+            head = w[: p.l_ext]
+            tail = w[w.size - p.l_ext :]
             assert (head + tail == 1.0).all()
-        flat = w[p.ramp_len : w.size - p.ramp_len]
+        flat = w[p.l_ext : w.size - p.l_ext]
         assert (flat == 1.0).all()
 
     def test_shifted_copies_overlap_to_exactly_one(self):
@@ -119,8 +119,8 @@ class TestSymbolShaping:
         body = g.standard_normal(32) + 1j * g.standard_normal(32)
         shaped = wola.wola_symbol(body, p)
         start = p.l_cp + p.l_ext // 2  # body sample 0 inside the shaped symbol
-        flat_lo = max(p.ramp_len - start, 0)
-        flat_hi = 32 - max(start + 32 + p.l_ext // 2 - (p.window_len - p.ramp_len), 0)
+        flat_lo = max(p.l_ext - start, 0)
+        flat_hi = 32 - max(start + 32 + p.l_ext // 2 - (p.window_len - p.l_ext), 0)
         assert np.array_equal(shaped[start + flat_lo : start + flat_hi], body[flat_lo:flat_hi])
 
     def test_assemble_length_and_placement(self):
