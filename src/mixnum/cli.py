@@ -78,8 +78,11 @@ def load_raw_scenario(path: str | None, overrides: list[str]) -> dict:
     if path is None:
         raw = default_scenario_dict()
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ScenarioError(f"--scenario {path}: {exc}") from exc
     for assignment in overrides:
         apply_override(raw, assignment)
     return raw
@@ -144,13 +147,8 @@ def _require_threads(threads: int) -> None:
 
 
 def _check_scenario(spec) -> None:
-    """Fail on bad geometry, sizes or mask file before ``--out`` exists."""
-    derive_dims(spec)
-    if spec.measure.mask_file:
-        try:
-            metrics.load_mask(spec.measure.mask_file)
-        except (OSError, ValueError) as exc:
-            raise ScenarioError(f"measure.mask_file: {exc}") from exc
+    """Fail on bad geometry, sizes or measurement settings before ``--out`` exists."""
+    metrics.check_settings(spec, derive_dims(spec))
 
 
 def cmd_run(args: argparse.Namespace) -> int:

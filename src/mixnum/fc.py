@@ -79,8 +79,6 @@ def design_window(bd: BwpDims, fc: FcDims) -> FcWindow:
     step_bins = int(round(bd.scs_hz / fc.bin_spacing_hz))
     half = bd.num_subcarriers // 2 * step_bins
     t = fc.transition_bins
-    if half + t > l // 2:
-        raise ValueError("passband plus transition bins overflow the transform")
     passband = np.arange(-half, half, dtype=np.int64)
     trans_lo = np.arange(-half - t, -half, dtype=np.int64)
     trans_hi = np.arange(half, half + t, dtype=np.int64)
@@ -89,17 +87,9 @@ def design_window(bd: BwpDims, fc: FcDims) -> FcWindow:
     ramp = rc_ramp(t)
     weights[l // 2 + trans_lo] = ramp
     weights[l // 2 + trans_hi] = ramp[::-1]
-    center = bd.center_hz / fc.bin_spacing_hz
-    if abs(center - round(center)) > 1e-9:
-        raise ValueError("subband center is not an integer output bin")
-    return FcWindow(center_bin=int(round(center)), weights=weights,
+    return FcWindow(center_bin=bd.center_scs * step_bins, weights=weights,
                     passband=passband,
                     transition=np.concatenate([trans_lo, trans_hi]))
-
-
-def num_blocks(source_len: int, fc: FcDims) -> int:
-    """Blocks that cover a stream of ``source_len`` samples after its head pad."""
-    return -(-(source_len + fc.head_pad) // fc.step_len)
 
 
 def segment(x: np.ndarray, fc: FcDims, sample_rate_hz: float,
@@ -114,7 +104,7 @@ def segment(x: np.ndarray, fc: FcDims, sample_rate_hz: float,
     the samples they cover.
     """
     l, step, pad = fc.transform_len, fc.step_len, fc.head_pad
-    first, stop, _ = rows.indices(num_blocks(x.size, fc))
+    first, stop, _ = rows.indices(fc.num_blocks(x.size))
     # Sample i of the padded stream is source sample i - pad; this chunk
     # of it starts at its first block.
     a = first * step - pad
@@ -137,8 +127,6 @@ def subband_forward(blocks: FcBlocks, window: FcWindow, fc: FcDims) -> FcBlocks:
     folded in so passband gain is unity.
     """
     l, n = fc.transform_len, fc.inverse_len
-    if blocks.block_len != l:
-        raise ValueError("block length does not match the forward transform")
     out = np.fft.fftshift(dft(blocks.data), axes=1)
     out *= (window.weights * fc.interpolation)[None, :]
     theta = window.center_bin * fc.step_len / l
@@ -159,16 +147,9 @@ def combine(subbands: list[FcBlocks],
     to, into ``spectra`` (zeroed rows, allocated when not given); the sum
     then takes the one inverse transform.  Returns (spectra, time blocks);
     both are kept because block-wise processing edits the spectra while
-    overlap-save consumes the time side.
+    overlap-save consumes the time side.  The subbands share rows and rate.
     """
-    if not subbands:
-        raise ValueError("nothing to combine")
     first = subbands[0]
-    for b in subbands:
-        if (b.data.shape != first.data.shape or b.step_len != first.step_len
-                or b.first_block != first.first_block
-                or b.sample_rate_hz != first.sample_rate_hz):
-            raise ValueError("subband block geometries differ")
     n = first.bins[1]
     if spectra is None:
         spectra = np.zeros((first.num_blocks, n), dtype=np.complex128)
@@ -188,11 +169,8 @@ def ols_extract(blocks: FcBlocks, fc: FcDims) -> ComplexSignal:
     source length.  The samples of a chunk of rows start at output sample
     ``first_block * step_len``.
     """
-    n = blocks.block_len
     keep = blocks.step_len
-    discard = (n - keep) // 2
-    if 2 * discard + keep != n:
-        raise ValueError("block length minus keep length must be even")
+    discard = (blocks.block_len - keep) // 2
     out = blocks.data[:, discard: discard + keep].reshape(-1)[
         : blocks.source_len - blocks.first_block * keep]
     return ComplexSignal(samples=out, sample_rate_hz=blocks.sample_rate_hz)
@@ -220,7 +198,7 @@ def _filter_bank(dims: DerivedDims, grids: list[ResourceGrid]) -> tuple[
             segment(x, fcd, dims.fs_nominal_hz, rows=sl), w, fcd)
             for x, w in zip(streams, windows)], spectra)
 
-    return windows, num_blocks(streams[0].size, fcd), step
+    return windows, fcd.num_blocks(streams[0].size), step
 
 
 def fc_subband_spectra(dims: DerivedDims, grids: list[ResourceGrid], *,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .ofdm import (ComplexSignal, ResourceGrid, chunk_map, ofdm_demodulate,
                    stage_chunks)
-from .scenario import DerivedDims, ScenarioSpec
+from .scenario import DerivedDims, ScenarioError, ScenarioSpec
 
 
 def _as_samples(signal: ComplexSignal | np.ndarray) -> np.ndarray:
@@ -138,6 +138,13 @@ def _hann(n: int) -> np.ndarray:
     return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
 
 
+def welch_segment_len(fs: float, rbw_hz: float, n: int) -> int:
+    """Power of two whose bin spacing is nearest ``rbw_hz``, at most ``n``.
+
+    Every ratio above ``2n`` gives ``n``; capping it there avoids overflow."""
+    return min(2 ** int(round(np.log2(min(fs / rbw_hz, 2 * n)))), n)
+
+
 def psd_welch(signal: ComplexSignal, rbw_hz: float = 30e3, *,
               threads: int = 1) -> PsdEstimate:
     """Hann-windowed, 50 %-overlap averaged periodogram.
@@ -154,8 +161,7 @@ def psd_welch(signal: ComplexSignal, rbw_hz: float = 30e3, *,
     fs = signal.sample_rate_hz
     if rbw_hz <= 0 or rbw_hz >= fs:
         raise ValueError("resolution bandwidth must be in (0, sample rate)")
-    nperseg = 2 ** int(round(np.log2(fs / rbw_hz)))
-    nperseg = min(nperseg, x.size)
+    nperseg = welch_segment_len(fs, rbw_hz, x.size)
     hop = nperseg - nperseg // 2
     n_seg = (x.size - nperseg // 2) // hop
     win = _hann(nperseg)
@@ -267,6 +273,26 @@ class MetricsReport:
         if margin is not None and not np.isfinite(margin):
             out["mask_margin_db"] = "inf" if margin > 0 else "-inf"
         return out
+
+
+def check_settings(spec: ScenarioSpec, dims: DerivedDims) -> None:
+    """Raise ScenarioError unless the Welch resolution is below the sample
+    rate and each ACLR band spans a Welch bin (at the shortest stream, never
+    finer than ``psd_welch``'s), misses the main band and ends below Nyquist.
+    """
+    m, fs, bd = spec.measure, dims.fs_oversampled_hz, dims.bwps[0]
+    if m.psd_rbw_hz >= fs:
+        raise ScenarioError(f"measure.psd_rbw_hz must be below {fs:g} Hz")
+    lo = fs / welch_segment_len(fs, m.psd_rbw_hz, bd.num_symbols * bd.stride_os)
+    hi = min(spec.channel_bw_hz, fs - 2 * spec.channel_bw_hz)
+    if not lo <= m.aclr_measurement_bw_hz <= hi:
+        raise ScenarioError(f"measure.aclr_measurement_bw_hz must lie in [{lo:g}, "
+                            f"{hi:g}] Hz for this channel and sample rate")
+    if m.mask_file:
+        try:
+            load_mask(m.mask_file)
+        except (OSError, ValueError) as exc:
+            raise ScenarioError(f"measure.mask_file: {exc}") from exc
 
 
 def measure_all(signal: ComplexSignal, spec: ScenarioSpec, dims: DerivedDims,

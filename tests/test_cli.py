@@ -123,6 +123,13 @@ class TestRunCommand:
         assert rb["scenario"]["seed"] == 99
         assert ra["digest"] != rb["digest"]
 
+    def test_fc_runs_at_a_larger_nominal_transform(self, tmp_path):
+        # The filter bank's inverse transform follows the output rate.
+        out = tmp_path / "fc4096"
+        assert _run(out, "--set", "method=FC_F_OFDM",
+                    "--set", "nominal_transform=4096", "--dump-waveform") == 0
+        assert ofdm.read_waveform(str(out / "waveform.c128")).sample_rate_hz == 245.76e6
+
     def test_dump_waveform_round_trips(self, tmp_path):
         out = tmp_path / "dump"
         assert _run(out, "--dump-waveform") == 0
@@ -138,10 +145,18 @@ class TestRunCommand:
         rc = _run(tmp_path / "bad", "--set", "no_such_field=1")
         assert rc == 2
 
-    def test_missing_scenario_file_fails_cleanly(self, tmp_path):
-        rc = cli.main(["run", "--out", str(tmp_path / "x"),
-                       "--scenario", str(tmp_path / "absent.json")])
-        assert rc == 1
+    def test_missing_scenario_file_fails_cleanly(self, tmp_path, capsys):
+        # Also a malformed and a non-UTF-8 file: each is named, exits 2
+        # and leaves no --out behind.
+        (tmp_path / "bad.json").write_text('{"channel_bw_hz": ', encoding="utf-8")
+        (tmp_path / "latin1.json").write_bytes(b'{"method": "\xe9"}')
+        for name in ("absent.json", "bad.json", "latin1.json"):
+            path = tmp_path / name
+            rc = cli.main(["run", "--out", str(tmp_path / "x"),
+                           "--scenario", str(path)])
+            assert rc == 2
+            assert f"scenario error: --scenario {path}: " in capsys.readouterr().err
+            assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("field", ["papr_target_db", "stop_epsilon_db"])
     def test_unrepresentable_db_value_is_a_scenario_error(self, tmp_path,
@@ -163,9 +178,15 @@ class TestRunCommand:
         # subcarriers' index array alone would need 6 TiB.
         (["nominal_transform=1099511627776", "channel_bw_hz=1.6e16",
           "bwps.0.num_prbs=68719476736"], "bwps[0]"),
+        # Measurement settings that failed after the run or measured
+        # nothing: a resolution above the sample rate, ACLR bands that
+        # hold no Welch bin, reach past Nyquist or overlap the main band.
+        (["measure.psd_rbw_hz=2e9"], "measure.psd_rbw_hz"),
+        (["measure.aclr_measurement_bw_hz=1e3"], "measure.aclr_measurement_bw_hz"),
+        (["measure.aclr_measurement_bw_hz=1e8"], "measure.aclr_measurement_bw_hz"),
+        (["measure.aclr_measurement_bw_hz=3e7"], "measure.aclr_measurement_bw_hz"),
     ])
-    def test_scenario_too_large_for_memory_is_refused(self, tmp_path, capsys,
-                                                      sets, path):
+    def test_refused_before_the_run(self, tmp_path, capsys, sets, path):
         rc = cli.main(["run", "--out", str(tmp_path / "big"),
                        *[a for s in sets for a in ("--set", s)]])
         assert rc == 2

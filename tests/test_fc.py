@@ -66,17 +66,6 @@ class TestDesignWindow:
         assert (lo + lo[::-1] == 1.0).all()
         assert (lo > 0).all() and (lo < 1).all()
 
-    def test_allocation_overflowing_the_transform_is_rejected(self, desk_dims):
-        small = dataclasses.replace(desk_dims.fc, transform_len=256)
-        with pytest.raises(ValueError):
-            design_window(desk_dims.bwps[0], small)
-
-    def test_center_off_the_bin_grid_is_rejected(self, desk_dims):
-        bd = dataclasses.replace(desk_dims.bwps[0],
-                                 center_hz=desk_dims.bwps[0].center_hz + 7.5e3)
-        with pytest.raises(ValueError):
-            design_window(bd, desk_dims.fc)
-
 
 class TestSegmentAndExtract:
     def test_segment_geometry(self):
@@ -104,16 +93,6 @@ class TestSegmentAndExtract:
         back = ols_extract(segment(x, fcd, sample_rate_hz=2.0), fcd)
         assert back.sample_rate_hz == 2.0
         assert np.array_equal(back.samples, x)
-
-    def test_combine_rejects_mismatched_geometry(self):
-        fcd = _tiny_fcd()
-        w = _all_pass_window(fcd.transform_len)
-        a = subband_forward(segment(np.zeros(64), fcd, sample_rate_hz=1.0), w, fcd)
-        b = subband_forward(segment(np.zeros(96), fcd, sample_rate_hz=1.0), w, fcd)
-        with pytest.raises(ValueError):
-            combine([a, b])
-        with pytest.raises(ValueError):
-            combine([])
 
 
 class TestSubbandForward:
@@ -189,6 +168,7 @@ class TestSubbandForward:
         assert err <= 1e-9
 
     def test_wrong_block_length_is_rejected(self):
+        # The window weights do not broadcast against a short block.
         fcd = _tiny_fcd()
         blocks = segment(np.zeros(64), fcd, sample_rate_hz=1.0)
         short = dataclasses.replace(blocks, data=blocks.data[:, :16])

@@ -10,11 +10,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import make_spec
-from mixnum import cli
-from mixnum.scenario import (ScenarioError, default_scenario_dict,
-                             derive_dims, scenario_from_dict, snap_center_hz)
+from mixnum import cli, fc, wola
+from mixnum.scenario import (FC_METHODS, METHODS, REFERENCE_SCS_HZ,
+                             SUPPORTED_SCS_HZ, ScenarioError,
+                             default_scenario_dict, derive_dims,
+                             scenario_from_dict, snap_center_hz)
 
 
 class TestDerivedGeometry:
@@ -66,6 +69,14 @@ class TestDerivedGeometry:
         assert fcd.head_pad == 512
         assert fcd.bin_spacing_hz == 15e3
         assert fcd.transition_bins == 12
+
+    @pytest.mark.parametrize("overrides", [
+        {"nominal_transform": 4096}, {"fc": {"bin_spacing_hz": 7500.0}}])
+    def test_fc_inverse_transform_follows_the_output_rate(self, overrides):
+        # Forward size from the bin spacing, inverse size from the rate.
+        fcd = derive_dims(make_spec(method="FC_F_OFDM", **overrides)).fc
+        assert (fcd.transform_len, fcd.inverse_len) == (4096, 16384)
+        assert fcd.interpolation == 4
 
     def test_no_block_geometry_outside_filtered_methods(self):
         dims = derive_dims(make_spec(method="NONE"))
@@ -137,8 +148,8 @@ class TestValidation:
     def test_rejects_non_power_of_two_block_transform(self):
         raw = default_scenario_dict()
         raw["method"] = "FC_ICEF"
-        raw["fc"] = {"n_nom": 1000}
-        with pytest.raises(ScenarioError):
+        raw["fc"] = {"bin_spacing_hz": 10e3}  # a 3072-point block
+        with pytest.raises(ScenarioError, match="^fc.bin_spacing_hz"):
             scenario_from_dict(raw)
 
     @pytest.mark.parametrize("assignment, path", [
@@ -153,6 +164,7 @@ class TestValidation:
         ("seed=2.9", "seed"),
         ("bwps.0.num_prbs=52.7", "bwps[0].num_prbs"),
         ("fc.n_nomm=4096", "fc.n_nomm"),
+        ("fc.n_nom=2048", "fc.n_nom"),
         ("fc.transition_shape=\"raised_cosine\"", "fc.transition_shape"),
         ("bwps.0.extra=1", "bwps[0].extra"),
         ("measure.psd_rbw=1", "measure.psd_rbw"),
@@ -177,7 +189,7 @@ class TestValidation:
         # cast or a key shows up here.
         spec = scenario_from_dict(default_scenario_dict())
         assert cli.scenario_digest(spec) == (
-            "48d1dd15a0049ed4f116f03004a8fef657dd4d364ee2f6539710a5918de0e292")
+            "547bd52ffdc10b663c9981dec0d695ecf0a8d2ca361a5ccf9e88bc9d44f73480")
 
 
 class TestSnapAndRoundTrip:
@@ -199,3 +211,72 @@ class TestSnapAndRoundTrip:
         for x, y in zip(a.bwps, b.bwps):
             assert x.stride_os == y.stride_os
             assert np.array_equal(x.active_indices, y.active_indices)
+
+
+@st.composite
+def _derived(draw):
+    """A random scenario that ``derive_dims`` accepts, with its dims.
+
+    Each BWP sits near the middle of its own slot of the channel, so most
+    draws derive; the rest are rejected.  Allocations up to a whole slot
+    and wide transitions reach the FC window's overflow rule.
+    """
+    ch = draw(st.sampled_from([5e6, 10e6, 20e6]))
+    n = draw(st.integers(1, 3))
+    slot = ch / n
+    bwps = []
+    for i in range(n):
+        scs = draw(st.sampled_from(SUPPORTED_SCS_HZ))
+        bwps.append({
+            "scs_hz": scs, "modulation": "QPSK",
+            "num_prbs": draw(st.integers(1, max(1, int(slot / (12 * scs))))),
+            "center_offset_hz": slot * (i + 0.5 + draw(st.floats(-0.05, 0.05))) - ch / 2})
+    raw = {
+        "channel_bw_hz": ch, "bwps": bwps,
+        "nominal_transform": draw(st.sampled_from([512, 1024, 2048, 4096])),
+        "oversampling": draw(st.integers(1, 4)),
+        "duration_symbols_base": draw(st.integers(1, 3)),
+        "method": draw(st.sampled_from(METHODS + FC_METHODS)),
+        "wola_extension_factor": draw(st.floats(0.0, 1.0)),
+        "fc": {"bin_spacing_hz": draw(st.sampled_from([3750.0, 7500.0, 15e3, 30e3])),
+               "overlap_factor": draw(st.sampled_from([0.25, 0.5, 0.75])),
+               "transition_bins": draw(st.integers(0, 400))},
+    }
+    try:
+        spec = scenario_from_dict(raw)
+        return spec, derive_dims(spec)
+    except ScenarioError:
+        assume(False)
+
+
+class TestGateGuarantees:
+    """What the synthesis stages rely on without checking it themselves,
+    for any scenario that ``derive_dims`` accepts."""
+
+    @settings(max_examples=200)
+    @given(_derived())
+    def test_derived_geometry_fits_every_stage(self, case):
+        spec, dims = case
+        for bd in dims.bwps:
+            # The snapped center lies on the reference and the BWP grid.
+            assert bd.center_hz % REFERENCE_SCS_HZ == 0
+            assert bd.center_scs * bd.scs_hz == bd.center_hz
+            # ofdm._active_runs: every active subcarrier inside the transform.
+            for idx in (bd.active_base, bd.active_indices):
+                for l in (bd.l_ofdm, bd.l_ofdm_os):
+                    assert -(l // 2) <= idx[0] and idx[-1] < l // 2
+            p = wola.WolaParams.from_dims(bd, spec.wola_extension_factor)
+            assert p.l_ext % 2 == 0 and 0 <= p.l_ext <= p.l_cp
+        # fc.combine: every subband stream cuts into the same block rows.
+        assert len({bd.num_symbols * bd.stride for bd in dims.bwps}) == 1
+        fcd = dims.fc
+        if fcd is None:
+            return
+        # fc.ols_extract: the discarded part splits into equal halves.
+        assert (fcd.inverse_len - fcd.keep_len) % 2 == 0
+        assert fcd.inverse_len == spec.oversampling * fcd.transform_len
+        for bd in dims.bwps:
+            w = fc.design_window(bd, fcd)
+            half = w.passband.size // 2
+            assert half + fcd.transition_bins <= fcd.transform_len // 2
+            assert w.center_bin == bd.center_hz / fcd.bin_spacing_hz

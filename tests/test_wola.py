@@ -65,12 +65,6 @@ class TestWolaParams:
         assert p.l_ext == 0
         assert p.window_len == p.stride
 
-    def test_extension_must_fit_inside_the_prefix(self):
-        with pytest.raises(ValueError):
-            wola.WolaParams(l_ofdm=2048, l_cp=144, l_ext=146).validate()
-        with pytest.raises(ValueError):
-            wola.WolaParams(l_ofdm=2048, l_cp=144, l_ext=101).validate()
-
 
 class TestWindow:
     @pytest.mark.parametrize("l_ext", [0, 100, 402])
