@@ -20,7 +20,7 @@ import numpy as np
 
 from .fc import FcWindow, fc_subband_spectra, ols_extract
 from .icef import clip_polar
-from .ofdm import ComplexSignal, ResourceGrid, chunk_map, dft, idft
+from .ofdm import ComplexSignal, ResourceGrid, bin_runs, chunk_map, dft, idft
 from .scenario import DerivedDims, ScenarioSpec
 
 # FC_ICEF's unit of work: this many block rows of an active set.
@@ -30,15 +30,15 @@ _CHUNK_ROWS = 64
 def window_weights(windows: list[FcWindow], n: int) -> np.ndarray:
     """Subband window gains on the output bins, in standard DFT order.
 
-    Each window's weights land on the bins its subband is mapped to:
+    Each window's gains land on the bins its subband is mapped to:
     unity on the passband, the raised-cosine ramp (never zero) on the
-    transition bins, zero everywhere else; the nonzero bins are K_E.
+    transition bins, zero everywhere else; the nonzero bins are K_E.  A
+    later window overwrites an earlier one where their transitions meet.
     """
     weights = np.zeros(n)
     for w in windows:
-        signed = np.concatenate([w.passband, w.transition])
-        l = w.weights.size
-        weights[np.mod(w.center_bin + signed, n)] = w.weights[l // 2 + signed]
+        for cols, bins in bin_runs(w.center_bin - w.half, w.gains.size, n):
+            weights[bins] = w.gains[cols]
     return weights
 
 
@@ -62,9 +62,9 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims,
     and the power reduction is a single ordered sum, so the output is
     byte-identical for any thread count.
     """
-    v_f, v_t, windows = fc_subband_spectra(dims, grids, threads=threads)
-    n_blocks, n = v_f.data.shape
-    keep = v_f.step_len
+    cur, blocks, windows = fc_subband_spectra(dims, grids, threads=threads)
+    n_blocks, n = cur.shape
+    keep = dims.fc.keep_len
     discard = (n - keep) // 2
     keep_slice = slice(discard, discard + keep)
 
@@ -72,9 +72,8 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims,
     h_idx = np.flatnonzero(weights)
     h_w = weights[h_idx]
     keep_spectra = bool(info.get("keep_spectra")) if info is not None else False
-    v_f_orig = v_f.data.copy() if keep_spectra else None
+    v_f_orig = cur.copy() if keep_spectra else None
 
-    cur, blocks = v_f.data, v_t.data
     mag = np.abs(blocks)
     peaks = np.max(mag, axis=1) ** 2
     # Summed one element at a time down a transposed copy's columns, as the
@@ -116,4 +115,6 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims,
         if keep_spectra:
             info["v_f_orig"] = v_f_orig.T
             info["v_f_proc"] = cur.T
-    return ols_extract(v_t, dims.fc)
+    bd = dims.bwps[0]
+    samples = ols_extract(blocks, dims.fc, bd.num_symbols * bd.stride_os)
+    return ComplexSignal(samples=samples, sample_rate_hz=dims.fs_oversampled_hz)

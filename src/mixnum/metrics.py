@@ -219,13 +219,15 @@ def load_mask(path: str) -> tuple[np.ndarray, np.ndarray]:
 
     Offsets are magnitudes from the channel center; the mask is applied
     symmetrically.  Comment lines starting with ``#`` and a header row are
-    both tolerated; a non-finite value is an error.
+    both tolerated; a row of one field or a non-finite value is an error.
     """
     offs, limits = [], []
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
             if not row or row[0].lstrip().startswith("#"):
                 continue
+            if len(row) < 2:
+                raise ValueError(f"mask file {path!r} has a row of one field {row}")
             try:
                 off, lim = float(row[0]), float(row[1])
             except ValueError:
@@ -277,13 +279,18 @@ class MetricsReport:
 
 def check_settings(spec: ScenarioSpec, dims: DerivedDims) -> None:
     """Raise ScenarioError unless the Welch resolution is below the sample
-    rate and each ACLR band spans a Welch bin (at the shortest stream, never
-    finer than ``psd_welch``'s), misses the main band and ends below Nyquist.
+    rate and its segment fits in the shortest stream, and each ACLR band
+    spans a Welch bin, misses the main band and ends below Nyquist.
     """
     m, fs, bd = spec.measure, dims.fs_oversampled_hz, dims.bwps[0]
     if m.psd_rbw_hz >= fs:
         raise ScenarioError(f"measure.psd_rbw_hz must be below {fs:g} Hz")
-    lo = fs / welch_segment_len(fs, m.psd_rbw_hz, bd.num_symbols * bd.stride_os)
+    n = bd.num_symbols * bd.stride_os
+    seg = welch_segment_len(fs, m.psd_rbw_hz, 2 * n)  # capped at 2n to show seg > n
+    if seg > n:
+        raise ScenarioError(f"measure.psd_rbw_hz: {m.psd_rbw_hz:g} Hz needs a Welch "
+                            f"segment longer than the {n}-sample stream")
+    lo = fs / seg
     hi = min(spec.channel_bw_hz, fs - 2 * spec.channel_bw_hz)
     if not lo <= m.aclr_measurement_bw_hz <= hi:
         raise ScenarioError(f"measure.aclr_measurement_bw_hz must lie in [{lo:g}, "

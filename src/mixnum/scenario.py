@@ -156,14 +156,22 @@ class FcDims:
     """Derived fast-convolution block geometry (shared by all subbands)."""
 
     transform_len: int      # forward transform size per block
-    inverse_len: int        # inverse transform size per block
-    overlap_len: int        # overlapping samples between consecutive blocks
-    step_len: int           # non-overlapping hop between block starts
-    keep_len: int           # output samples kept per block (overlap-save)
-    interpolation: int      # inverse_len / transform_len
-    head_pad: int           # zeros prepended before the first block
+    interpolation: int      # inverse over forward transform size
+    step_len: int           # hop between block starts, at the nominal rate
     transition_bins: int
-    bin_spacing_hz: float = 0.0
+    bin_spacing_hz: float
+
+    @property
+    def inverse_len(self) -> int:  # inverse transform size per block
+        return self.interpolation * self.transform_len
+
+    @property
+    def keep_len(self) -> int:  # output samples kept per block (overlap-save)
+        return self.interpolation * self.step_len
+
+    @property
+    def head_pad(self) -> int:  # zeros before the first block: half the overlap
+        return (self.transform_len - self.step_len) // 2
 
     def num_blocks(self, source_len: int) -> int:
         """Blocks that cover ``source_len`` samples after the head pad."""
@@ -285,7 +293,7 @@ def _cast(tp, value, where: str):
 
 def validate_scenario(spec: ScenarioSpec) -> None:
     """Raise ScenarioError on any constraint violation."""
-    _require(spec.method in METHODS, f"unknown method {spec.method!r}")
+    _require(spec.method in METHODS, f"method: unknown method {spec.method!r}")
     _require(len(spec.bwps) >= 1, "bwps: at least one BWP is required")
     _require(spec.channel_bw_hz > 0, "channel_bw_hz must be positive")
     _require(_is_pow2(spec.nominal_transform), "nominal_transform must be a power of two")
@@ -302,7 +310,7 @@ def validate_scenario(spec: ScenarioSpec) -> None:
 
     fs_nominal = spec.nominal_transform * REFERENCE_SCS_HZ
     _require(spec.channel_bw_hz <= fs_nominal,
-             "channel bandwidth exceeds the nominal sampling rate")
+             f"channel_bw_hz exceeds the nominal sampling rate {fs_nominal:g} Hz")
 
     for i, b in enumerate(spec.bwps):
         _require(b.scs_hz in SUPPORTED_SCS_HZ,
@@ -396,8 +404,11 @@ def derive_dims(spec: ScenarioSpec) -> DerivedDims:
         ))
 
     # All BWPs must span exactly the same duration in samples.
-    durations = {d.num_symbols * d.stride_os for d in bwp_dims}
-    _require(len(durations) == 1, "BWP symbol streams do not cover equal durations")
+    span = bwp_dims[0].num_symbols * bwp_dims[0].stride_os
+    for i, d in enumerate(bwp_dims):
+        _require(d.num_symbols * d.stride_os == span,
+                 f"bwps[{i}]: its symbol stream covers {d.num_symbols * d.stride_os} "
+                 f"samples, bwps[0]'s covers {span}")
 
     # Allocations must be disjoint on the reference grid.
     seen: set[int] = set()
@@ -424,17 +435,9 @@ def derive_dims(spec: ScenarioSpec) -> DerivedDims:
             half = d.num_subcarriers // 2 * step_bins
             _require(half + fc.transition_bins <= l_fc // 2,
                      f"bwps[{i}]: passband plus transition overflows the fc transform")
-        fc_dims = FcDims(
-            transform_len=l_fc,
-            inverse_len=n_ov * l_fc,
-            overlap_len=overlap,
-            step_len=step,
-            keep_len=n_ov * step,
-            interpolation=n_ov,
-            head_pad=overlap // 2,
-            transition_bins=fc.transition_bins,
-            bin_spacing_hz=fc.bin_spacing_hz,
-        )
+        fc_dims = FcDims(transform_len=l_fc, interpolation=n_ov, step_len=step,
+                         transition_bins=fc.transition_bins,
+                         bin_spacing_hz=fc.bin_spacing_hz)
         # Every BWP covers the same samples (checked above): BWP 0 sizes them.
         d = bwp_dims[0]
         batch = fc_dims.num_blocks(d.num_symbols * d.stride) * fc_dims.inverse_len

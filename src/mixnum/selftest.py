@@ -93,22 +93,18 @@ def check_block_parseval() -> None:
 def _all_pass_recon_error(corrupt: bool) -> float:
     """Relative error of the bank as a pure interpolator on periodic input."""
     l, interp = 32, 4
-    fcd = FcDims(transform_len=l, inverse_len=interp * l, overlap_len=l // 2,
-                 step_len=l // 2, keep_len=interp * l // 2,
-                 interpolation=interp, head_pad=l // 4, transition_bins=0,
-                 bin_spacing_hz=15e3)
+    fcd = FcDims(transform_len=l, interpolation=interp, step_len=l // 2,
+                 transition_bins=0, bin_spacing_hz=15e3)
     t = np.arange(3 * l)
     x = (np.exp(2j * np.pi * 3 * t / l)
          + 0.25 * np.exp(-2j * np.pi * 7 * t / l))
-    weights = np.ones(l)
+    gains = np.ones(l)
     if corrupt:
-        weights[l // 2 + 3] = 1.6  # boost the bin carrying the first tone
-    window = FcWindow(center_bin=0, weights=weights,
-                      passband=np.arange(-l // 2, l // 2, dtype=np.int64),
-                      transition=np.zeros(0, dtype=np.int64))
-    mapped = subband_forward(segment(x, fcd, sample_rate_hz=1.0), window, fcd)
-    _, v_t = combine([mapped])
-    y = ols_extract(v_t, fcd).samples
+        gains[l // 2 + 3] = 1.6  # boost the bin carrying the first tone
+    window = FcWindow(center_bin=0, half=l // 2, gains=gains)
+    mapped = subband_forward(segment(x, fcd), window, fcd, 0)
+    spectra = np.zeros((mapped.shape[0], fcd.inverse_len), dtype=np.complex128)
+    y = ols_extract(combine(spectra, [mapped], [window]), fcd, interp * x.size)
 
     big = np.fft.fft(x)
     stuffed = np.zeros(x.size * interp, dtype=np.complex128)

@@ -208,20 +208,16 @@ class TestCriterion6Oracles:
         from mixnum.scenario import FcDims
 
         l, interp = 32, 4
-        fcd = FcDims(transform_len=l, inverse_len=interp * l,
-                     overlap_len=l // 2, step_len=l // 2,
-                     keep_len=interp * l // 2, interpolation=interp,
-                     head_pad=l // 4, transition_bins=0, bin_spacing_hz=15e3)
+        fcd = FcDims(transform_len=l, interpolation=interp, step_len=l // 2,
+                     transition_bins=0, bin_spacing_hz=15e3)
         t = np.arange(6 * l)
         x = (np.exp(2j * np.pi * 3 * t / l)
              + 0.25 * np.exp(-2j * np.pi * 7 * t / l))
-        window = fc.FcWindow(center_bin=0, weights=np.ones(l),
-                             passband=np.arange(-l // 2, l // 2, dtype=np.int64),
-                             transition=np.zeros(0, dtype=np.int64))
-        mapped = fc.subband_forward(fc.segment(x, fcd, sample_rate_hz=1.0),
-                                    window, fcd)
-        _, v_t = fc.combine([mapped])
-        y = fc.ols_extract(v_t, fcd).samples
+        window = fc.FcWindow(center_bin=0, half=l // 2, gains=np.ones(l))
+        mapped = fc.subband_forward(fc.segment(x, fcd), window, fcd, 0)
+        spectra = np.zeros((mapped.shape[0], fcd.inverse_len), dtype=np.complex128)
+        v_t = fc.combine(spectra, [mapped], [window])
+        y = fc.ols_extract(v_t, fcd, interp * x.size)
         big = np.fft.fft(x)
         stuffed = np.zeros(x.size * interp, dtype=np.complex128)
         stuffed[: x.size // 2] = big[: x.size // 2]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -185,19 +186,32 @@ class TestRunCommand:
         (["measure.aclr_measurement_bw_hz=1e3"], "measure.aclr_measurement_bw_hz"),
         (["measure.aclr_measurement_bw_hz=1e8"], "measure.aclr_measurement_bw_hz"),
         (["measure.aclr_measurement_bw_hz=3e7"], "measure.aclr_measurement_bw_hz"),
+        # A 4096-sample Welch segment fits 8 base symbols; a 100 Hz one
+        # would be clipped to the stream, widening its bins.
+        (["duration_symbols_base=8", "measure.psd_rbw_hz=100"], "measure.psd_rbw_hz"),
+        (["method=BOGUS"], "method"),
+        (["channel_bw_hz=40e6"], "channel_bw_hz"),
+        # At 512 points, the 120 kHz CP rounds from 4.5 to 4 samples, so
+        # its eight symbols run shorter than one 15 kHz symbol.
+        (["nominal_transform=512", "channel_bw_hz=5e6",
+          "bwps.0.num_prbs=10", "bwps.0.center_offset_hz=-1e6",
+          "bwps.1.scs_hz=120e3", "bwps.1.num_prbs=1",
+          "bwps.1.center_offset_hz=1.2e6"], "bwps[1]"),
     ])
     def test_refused_before_the_run(self, tmp_path, capsys, sets, path):
         rc = cli.main(["run", "--out", str(tmp_path / "big"),
                        *[a for s in sets for a in ("--set", s)]])
         assert rc == 2
-        assert f"scenario error: {path}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert re.match(rf"scenario error: {re.escape(path)}[ :]", err), err
         assert not (tmp_path / "big").exists()
 
     @pytest.mark.parametrize("text", [
         "1e7,-30\n1.5e7,nan\n2e7,-40\n",  # a non-finite limit
         "1e7,-30\n",                      # one point
         None,                             # no file
-    ], ids=["non_finite", "one_point", "missing"])
+        "1e7,-30\n1.5e7\n2e7,-40\n",      # a row of one field
+    ], ids=["non_finite", "one_point", "missing", "one_field"])
     def test_bad_mask_file_is_a_scenario_error(self, tmp_path, capsys, text):
         # Checked before the run, so no --out is left behind.
         mask = tmp_path / "mask.csv"

@@ -2,31 +2,32 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from mixnum import fc, ofdm, wola
-from mixnum.fc import (FcBlocks, FcWindow, combine, design_window, ols_extract,
-                       segment, subband_forward)
+from mixnum.fc import (FcWindow, combine, design_window, ols_extract, segment,
+                       subband_forward)
 from mixnum.scenario import FcDims, derive_dims
 
 from conftest import make_grids, rng, tiny_spec
 
 
-def _tiny_fcd(transition_bins=0):
-    l, interp = 32, 4
-    return FcDims(transform_len=l, inverse_len=interp * l, overlap_len=l // 2,
-                  step_len=l // 2, keep_len=interp * l // 2, interpolation=interp,
-                  head_pad=l // 4, transition_bins=transition_bins,
-                  bin_spacing_hz=15e3)
+def _tiny_fcd(interp=4):
+    l = 32
+    return FcDims(transform_len=l, interpolation=interp, step_len=l // 2,
+                  transition_bins=0, bin_spacing_hz=15e3)
 
 
 def _all_pass_window(l, center=0):
-    return FcWindow(center_bin=center, weights=np.ones(l),
-                    passband=np.arange(-l // 2, l // 2, dtype=np.int64),
-                    transition=np.zeros(0, dtype=np.int64))
+    return FcWindow(center_bin=center, half=l // 2, gains=np.ones(l))
+
+
+def _chain(x, window, fcd):
+    """Segment, map and combine one subband; return its time blocks."""
+    mapped = subband_forward(segment(x, fcd), window, fcd, 0)
+    spectra = np.zeros((mapped.shape[0], fcd.inverse_len), dtype=np.complex128)
+    return combine(spectra, [mapped], [window])
 
 
 def _interp_reference(x, interp):
@@ -44,23 +45,19 @@ class TestDesignWindow:
         w0 = design_window(desk_dims.bwps[0], desk_dims.fc)
         w1 = design_window(desk_dims.bwps[1], desk_dims.fc)
         assert w0.center_bin == -332 and w1.center_bin == 332
+        # The support is the passband plus 12 transition bins a side.
         # 15 kHz: one bin per subcarrier; 60 kHz: four bins per subcarrier.
-        assert w0.passband.size == 624 and w1.passband.size == 4 * 132
-        assert w0.transition.size == 24 and w1.transition.size == 24
-        l = desk_dims.fc.transform_len
+        t = desk_dims.fc.transition_bins
+        assert w0.gains.size == 648 == 624 + 2 * t
+        assert w1.gains.size == 4 * 132 + 2 * t
         for w in (w0, w1):
-            assert (w.weights[l // 2 + w.passband] == 1.0).all()
-            covered = np.zeros(l, dtype=bool)
-            covered[l // 2 + w.passband] = True
-            covered[l // 2 + w.transition] = True
-            assert (w.weights[~covered] == 0.0).all()
+            assert w.gains.size == 2 * w.half
+            assert (w.gains[t:-t] == 1.0).all()
 
     def test_transition_ramps_are_complementary(self, desk_dims):
         w = design_window(desk_dims.bwps[0], desk_dims.fc)
-        l = desk_dims.fc.transform_len
         t = desk_dims.fc.transition_bins
-        lo = w.weights[l // 2 + w.transition[:t]]
-        hi = w.weights[l // 2 + w.transition[t:]]
+        lo, hi = w.gains[:t], w.gains[-t:]
         assert np.array_equal(lo, wola.rc_ramp(t))
         assert np.array_equal(hi, lo[::-1])
         assert (lo + lo[::-1] == 1.0).all()
@@ -71,28 +68,31 @@ class TestSegmentAndExtract:
     def test_segment_geometry(self):
         fcd = _tiny_fcd()
         x = np.arange(100, dtype=np.complex128)
-        blocks = segment(x, fcd, sample_rate_hz=1.0)
-        assert blocks.source_len == 100
+        blocks = segment(x, fcd)
         n_blocks = -(-(100 + fcd.head_pad) // fcd.step_len)
-        assert blocks.data.shape == (n_blocks, fcd.transform_len)
-        assert blocks.data.flags.c_contiguous
+        assert blocks.shape == (n_blocks, fcd.transform_len)
+        assert blocks.flags.c_contiguous
         padded = np.zeros((n_blocks - 1) * fcd.step_len + fcd.transform_len,
                           dtype=np.complex128)
         padded[fcd.head_pad : fcd.head_pad + 100] = x
         for r in range(n_blocks):
             start = r * fcd.step_len
-            assert np.array_equal(blocks.data[r],
+            assert np.array_equal(blocks[r],
                                   padded[start : start + fcd.transform_len])
 
     def test_segment_then_extract_is_bit_exact(self):
         # With half an overlap of head padding, the kept centers tile the
         # source exactly; no transforms involved, so equality is bitwise.
-        fcd = _tiny_fcd()
+        # Without interpolation the inverse blocks are the forward blocks.
+        fcd = _tiny_fcd(interp=1)
         g = rng("ols")
         x = g.standard_normal(173) + 1j * g.standard_normal(173)
-        back = ols_extract(segment(x, fcd, sample_rate_hz=2.0), fcd)
-        assert back.sample_rate_hz == 2.0
-        assert np.array_equal(back.samples, x)
+        back = ols_extract(segment(x, fcd), fcd, x.size)
+        assert np.array_equal(back, x)
+        # A chunk of rows extracts its own stretch of the stream.
+        rows = slice(3, 7)
+        part = ols_extract(segment(x, fcd, rows), fcd, x.size, rows.start)
+        assert np.array_equal(part, x[3 * fcd.step_len: 7 * fcd.step_len])
 
 
 class TestSubbandForward:
@@ -100,17 +100,12 @@ class TestSubbandForward:
         fcd = _tiny_fcd()
         g = rng("parseval")
         x = g.standard_normal(96) + 1j * g.standard_normal(96)
-        blocks = segment(x, fcd, sample_rate_hz=1.0)
-        mapped = subband_forward(blocks, _all_pass_window(fcd.transform_len), fcd)
-        assert mapped.bins == (fcd.inverse_len - fcd.transform_len // 2,
-                               fcd.inverse_len)
-        assert mapped.step_len == fcd.interpolation * fcd.step_len
-        assert mapped.sample_rate_hz == fcd.interpolation * 1.0
-        _, v_t = combine([mapped])
+        blocks = segment(x, fcd)
+        v_t = _chain(x, _all_pass_window(fcd.transform_len), fcd)
         # Unity passband gain: each interpolated block carries interp times
         # the energy of its source block.
-        e_in = np.sum(np.abs(blocks.data) ** 2, axis=1)
-        e_out = np.sum(np.abs(v_t.data) ** 2, axis=1)
+        e_in = np.sum(np.abs(blocks) ** 2, axis=1)
+        e_out = np.sum(np.abs(v_t) ** 2, axis=1)
         assert np.allclose(e_out, fcd.interpolation * e_in, rtol=1e-12)
 
     def test_all_pass_chain_is_spectral_interpolation(self):
@@ -119,10 +114,8 @@ class TestSubbandForward:
         t = np.arange(6 * l)
         x = (np.exp(2j * np.pi * 3 * t / l)
              + 0.25 * np.exp(-2j * np.pi * 7 * t / l))
-        mapped = subband_forward(segment(x, fcd, sample_rate_hz=1.0),
-                                 _all_pass_window(l), fcd)
-        _, v_t = combine([mapped])
-        y = ols_extract(v_t, fcd).samples
+        y = ols_extract(_chain(x, _all_pass_window(l), fcd), fcd,
+                        fcd.interpolation * x.size)
         y_ref = _interp_reference(x, fcd.interpolation)
         margin = fcd.keep_len
         err = np.max(np.abs(y - y_ref)[margin:-margin]) / np.max(np.abs(y_ref))
@@ -134,11 +127,8 @@ class TestSubbandForward:
         t = np.arange(6 * l)
         x = np.exp(2j * np.pi * 3 * t / l)
         bad = _all_pass_window(l)
-        bad.weights = bad.weights.copy()
-        bad.weights[l // 2 + 3] = 1.05
-        mapped = subband_forward(segment(x, fcd, sample_rate_hz=1.0), bad, fcd)
-        _, v_t = combine([mapped])
-        y = ols_extract(v_t, fcd).samples
+        bad.gains[l // 2 + 3] = 1.05
+        y = ols_extract(_chain(x, bad, fcd), fcd, fcd.interpolation * x.size)
         y_ref = _interp_reference(x, fcd.interpolation)
         margin = fcd.keep_len
         err = np.max(np.abs(y - y_ref)[margin:-margin]) / np.max(np.abs(y_ref))
@@ -155,10 +145,8 @@ class TestSubbandForward:
         t = np.arange(6 * l)
         x = (np.exp(2j * np.pi * 3 * t / l)
              + 0.25 * np.exp(-2j * np.pi * 7 * t / l))
-        mapped = subband_forward(segment(x, fcd, sample_rate_hz=1.0),
-                                 _all_pass_window(l, center=center), fcd)
-        _, v_t = combine([mapped])
-        y = ols_extract(v_t, fcd).samples
+        y = ols_extract(_chain(x, _all_pass_window(l, center=center), fcd), fcd,
+                        interp * x.size)
         n = np.arange(x.size * interp)
         carrier = np.exp(2j * np.pi * center * (n + interp * fcd.head_pad)
                          / (interp * l))
@@ -168,12 +156,11 @@ class TestSubbandForward:
         assert err <= 1e-9
 
     def test_wrong_block_length_is_rejected(self):
-        # The window weights do not broadcast against a short block.
+        # The window gains do not broadcast against a short block.
         fcd = _tiny_fcd()
-        blocks = segment(np.zeros(64), fcd, sample_rate_hz=1.0)
-        short = dataclasses.replace(blocks, data=blocks.data[:, :16])
+        short = segment(np.zeros(64), fcd)[:, :16]
         with pytest.raises(ValueError):
-            subband_forward(short, _all_pass_window(fcd.transform_len), fcd)
+            subband_forward(short, _all_pass_window(fcd.transform_len), fcd, 0)
 
 
 class TestFilteredComposite:
@@ -201,24 +188,32 @@ class TestFilteredComposite:
         fcd = dims.fc
         nominal = dims.bwps[0].num_symbols * (dims.bwps[0].l_ofdm + dims.bwps[0].l_cp)
         expect_blocks = -(-(nominal + fcd.head_pad) // fcd.step_len)
-        assert v_f.data.shape == (expect_blocks, fcd.inverse_len)
-        assert v_t.data.shape == v_f.data.shape
-        assert np.array_equal(v_t.data, ofdm.idft(v_f.data))
+        assert v_f.shape == (expect_blocks, fcd.inverse_len)
+        assert v_t.shape == v_f.shape
+        assert np.array_equal(v_t, ofdm.idft(v_f))
         assert len(windows) == 2
 
     @staticmethod
     def _batch(dims, grids):
         """Whole-batch filter bank: every block of each subband at once,
-        one fancy-index scatter-add and one inverse transform."""
+        weighted by the full L-bin window (zeros off the support), one
+        fancy-index scatter-add and one inverse transform."""
         fcd = dims.fc
-        mapped = [subband_forward(segment(ofdm.ofdm_modulate(
-                      g, dims, oversampled=False, at_baseband=True).samples,
-                      fcd, dims.fs_nominal_hz), design_window(bd, fcd), fcd)
-                  for g, bd in zip(grids, dims.bwps)]
-        n = fcd.inverse_len
-        total = np.zeros((mapped[0].num_blocks, n), dtype=np.complex128)
-        for b in mapped:
-            total[:, np.mod(b.bins[0] + np.arange(b.block_len), n)] += b.data
+        l, n = fcd.transform_len, fcd.inverse_len
+        total = None
+        for g, bd in zip(grids, dims.bwps):
+            w = design_window(bd, fcd)
+            weights = np.zeros(l)
+            weights[l // 2 - w.half: l // 2 + w.half] = w.gains
+            x = ofdm.ofdm_modulate(g, dims, oversampled=False,
+                                   at_baseband=True).samples
+            out = np.fft.fftshift(ofdm.dft(segment(x, fcd)), axes=1)
+            out *= (weights * fcd.interpolation)[None, :]
+            r = np.arange(out.shape[0])
+            out *= np.exp(2j * np.pi * (w.center_bin * fcd.step_len / l) * r)[:, None]
+            if total is None:
+                total = np.zeros((out.shape[0], n), dtype=np.complex128)
+            total[:, np.mod(w.center_bin - l // 2 + np.arange(l), n)] += out
         return total, ofdm.idft(total)
 
     @pytest.mark.parametrize("rows", [1, 3, 1000])
@@ -233,9 +228,8 @@ class TestFilteredComposite:
         monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", rows * dims.fc.inverse_len)
         for threads in (1, 2, 3):
             v_f, v_t, _ = fc.fc_subband_spectra(dims, grids, threads=threads)
-            assert v_f.data.tobytes() == total.tobytes()
-            assert v_t.data.tobytes() == ref_t.tobytes()
-            assert (v_f.first_block, v_f.bins) == (0, None)
+            assert v_f.tobytes() == total.tobytes()
+            assert v_t.tobytes() == ref_t.tobytes()
 
     @pytest.mark.parametrize("chunk_samples", [1000, 5 * 8192, 1 << 18])
     def test_streamed_output_equals_the_batch_path(self, monkeypatch,
@@ -246,13 +240,13 @@ class TestFilteredComposite:
         dims = derive_dims(spec)
         grids = [ofdm.generate_grid(dims, m, spec.seed) for m in range(2)]
         _, ref_t = self._batch(dims, grids)
-        ref = ols_extract(dataclasses.replace(
-            fc.fc_subband_spectra(dims, grids)[1], data=ref_t), dims.fc)
+        bd = dims.bwps[0]
+        ref = ols_extract(ref_t, dims.fc, bd.num_symbols * bd.stride_os)
         monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", chunk_samples)
         for threads in (1, 3):
             out = fc.run_fc_f_ofdm(spec, dims, grids, threads=threads)
-            assert out.sample_rate_hz == ref.sample_rate_hz
-            assert out.samples.tobytes() == ref.samples.tobytes()
+            assert out.sample_rate_hz == dims.fs_oversampled_hz
+            assert out.samples.tobytes() == ref.tobytes()
 
     def test_out_of_band_rejection(self):
         # The filtered composite must be strongly suppressed between and

@@ -15,26 +15,22 @@ from conftest import make_grids, tiny_spec
 
 class TestWindowWeights:
     def test_each_window_lands_on_its_mapped_bins(self, desk_dims):
-        # Same bin mapping as the filter bank's forward half: shifted-order
-        # bin b goes to output bin (center - L/2 + b) mod N.
+        # Same bin mapping as the filter bank's forward half: signed bin k
+        # of the support goes to output bin (center + k) mod N.
         windows = [fc.design_window(bd, desk_dims.fc) for bd in desk_dims.bwps]
         n = desk_dims.fc.inverse_len
         w = window_weights(windows, n)
-        support = 0
         for win in windows:
-            l = win.weights.size
-            bins = np.mod(win.center_bin - l // 2 + np.arange(l), n)
-            nz = win.weights != 0.0
-            assert np.array_equal(w[bins[nz]], win.weights[nz])
-            support += int(nz.sum())
-        assert np.count_nonzero(w) == support
+            k = np.arange(-win.half, win.half)
+            assert np.array_equal(w[np.mod(win.center_bin + k, n)], win.gains)
+        assert np.count_nonzero(w) == sum(win.gains.size for win in windows)
 
 
 def _clean_blocks(spec, dims):
     """Unprocessed (B, N) time blocks and the slice overlap-save keeps of each."""
     _, v_t, _ = fc.fc_subband_spectra(dims, make_grids(spec, dims))
-    discard = (v_t.block_len - v_t.step_len) // 2
-    return v_t.data, slice(discard, discard + v_t.step_len)
+    discard = (dims.fc.inverse_len - dims.fc.keep_len) // 2
+    return v_t, slice(discard, discard + dims.fc.keep_len)
 
 
 class TestBlockIterate:
@@ -165,9 +161,9 @@ class TestRunFcIcef:
         info: dict = {"keep_spectra": True}
         out = run_fc_icef(spec, dims, grids, info=info, threads=threads)
         v_f, _, windows = fc.fc_subband_spectra(dims, grids)
-        cur = np.ascontiguousarray(v_f.data.T)
+        cur = np.ascontiguousarray(v_f.T)
         n, n_blocks = cur.shape
-        keep = v_f.step_len
+        keep = dims.fc.keep_len
         kept = slice((n - keep) // 2, (n + keep) // 2)
         weights = window_weights(windows, n)
         h_idx = np.flatnonzero(weights)
@@ -198,7 +194,8 @@ class TestRunFcIcef:
         assert np.array_equal(info["iterations"], iters)
         assert info["final_amp"] == amp
         assert np.array_equal(info["v_f_proc"], cur)
-        expect = v_t[kept, :].T.reshape(-1)[: v_f.source_len]
+        bd = dims.bwps[0]
+        expect = v_t[kept, :].T.reshape(-1)[: bd.num_symbols * bd.stride_os]
         assert np.array_equal(out.samples, expect)
 
     def test_generous_target_reduces_to_the_clean_filtered_waveform(self):

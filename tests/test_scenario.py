@@ -63,7 +63,6 @@ class TestDerivedGeometry:
         assert fcd.transform_len == 2048
         assert fcd.inverse_len == 8192
         assert fcd.interpolation == 4
-        assert fcd.overlap_len == 1024
         assert fcd.step_len == 1024
         assert fcd.keep_len == 4096
         assert fcd.head_pad == 512
@@ -276,7 +275,10 @@ class TestGateGuarantees:
         assert (fcd.inverse_len - fcd.keep_len) % 2 == 0
         assert fcd.inverse_len == spec.oversampling * fcd.transform_len
         for bd in dims.bwps:
+            # fc.subband_forward: the support fits the forward transform,
+            # and every gain is nonzero, so the support is K_E.
             w = fc.design_window(bd, fcd)
-            half = w.passband.size // 2
-            assert half + fcd.transition_bins <= fcd.transform_len // 2
+            assert w.gains.size == 2 * w.half
+            assert w.half <= fcd.transform_len // 2
+            assert (w.gains != 0.0).all()
             assert w.center_bin == bd.center_hz / fcd.bin_spacing_hz
