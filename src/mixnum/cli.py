@@ -146,16 +146,12 @@ def _require_threads(threads: int) -> None:
         raise ScenarioError(f"--threads must be at least 1, got {threads}")
 
 
-def _check_scenario(spec) -> None:
-    """Fail on bad geometry, sizes or measurement settings before ``--out`` exists."""
-    metrics.check_settings(spec, derive_dims(spec))
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     _require_threads(args.threads)
     raw = load_raw_scenario(args.scenario, args.set or [])
     spec = scenario_from_dict(raw)
-    _check_scenario(spec)
+    # Bad geometry, sizes or measurement settings fail before --out exists.
+    metrics.check_settings(spec, derive_dims(spec))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -215,7 +211,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raw["method"] = method
             raw["papr_target_db"] = target
             specs.append(scenario_from_dict(raw))
-            _check_scenario(specs[-1])
+            metrics.check_settings(specs[-1], derive_dims(specs[-1]))
     # Every spec has the base scenario's BWPs.
     header = (["method", "papr_target_db", "papr_at_p_db"]
               + [f"mse_db_{i}" for i in range(len(specs[0].bwps))]
@@ -246,20 +242,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _selftest_checks() -> list[tuple[str, object]]:
-    """(name, callable) pairs of ``selftest.check_*``, in definition order.
-
-    A check passes when it returns None.
-    """
-    from . import selftest as st
-
-    return [(name.removeprefix("check_"), fn) for name, fn in vars(st).items()
-            if name.startswith("check_")]
-
-
 def cmd_selftest(args: argparse.Namespace) -> int:
+    from . import selftest
+
     failures = 0
-    for name, check in _selftest_checks():
+    # Every ``selftest.check_*`` in definition order; it passes by returning.
+    for name, check in vars(selftest).items():
+        if not name.startswith("check_"):
+            continue
+        name = name.removeprefix("check_")
         try:
             check()
         except AssertionError as exc:

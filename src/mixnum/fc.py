@@ -135,8 +135,6 @@ def _filter_bank(dims: DerivedDims, grids: list[ResourceGrid]) -> tuple[
     into ``spectra`` (zeroed rows) and returns the time blocks of ``sl``.
     """
     fcd = dims.fc
-    if fcd is None:
-        raise ValueError("scenario has no fast-convolution geometry")
     windows = [design_window(bd, fcd) for bd in dims.bwps]
     streams = [ofdm_modulate(g, dims, oversampled=False, at_baseband=True).samples
                for g in grids]

@@ -88,7 +88,7 @@ def run_i_icef(spec: ScenarioSpec, dims: DerivedDims,
             vals_cur = vals_orig.copy()
             budget = (ofdm.evm_limit(bd.modulation) ** 2
                       * np.sum(np.abs(grid.values) ** 2, axis=0))
-            bodies = idft(grid_to_spectrum(grid, dims, at_baseband=True).T)
+            bodies = idft(grid_to_spectrum(grid, dims).T)
             iters = np.zeros(bd.num_symbols, dtype=np.int64)
             power = np.abs(bodies) ** 2
             # The initial mean power and the noise power are summed down the

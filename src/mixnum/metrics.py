@@ -17,20 +17,11 @@ from .ofdm import (ComplexSignal, ResourceGrid, chunk_map, ofdm_demodulate,
 from .scenario import DerivedDims, ScenarioError, ScenarioSpec
 
 
-def _as_samples(signal: ComplexSignal | np.ndarray) -> np.ndarray:
-    if isinstance(signal, ComplexSignal):
-        return signal.samples
-    return np.asarray(signal)
-
-
-def papr_per_sample(signal: ComplexSignal | np.ndarray) -> np.ndarray:
+def papr_per_sample(signal: ComplexSignal) -> np.ndarray:
     """Instantaneous-to-mean power ratio for every sample (linear)."""
-    p = np.abs(_as_samples(signal))
+    p = np.abs(signal.samples)
     np.square(p, out=p)
-    mean = p.mean()
-    if mean == 0:
-        raise ValueError("signal has zero power")
-    p /= mean
+    p /= p.mean()
     return p
 
 
@@ -51,11 +42,8 @@ class CcdfCurve:
 
 def ccdf(papr_linear: np.ndarray) -> CcdfCurve:
     """Survival curve of a per-sample PAPR sequence."""
-    ratios = np.asarray(papr_linear, dtype=np.float64)
-    if ratios.ndim != 1 or ratios.size == 0:
-        raise ValueError("need a non-empty 1-D PAPR sequence")
     # The sort's copy becomes the thresholds in place.
-    thresholds_db = np.sort(ratios)
+    thresholds_db = np.sort(np.asarray(papr_linear, dtype=np.float64))
     n = thresholds_db.size
     np.maximum(thresholds_db, 1e-300, out=thresholds_db)
     np.log10(thresholds_db, out=thresholds_db)
@@ -72,8 +60,6 @@ def papr_at_probability(curve: CcdfCurve, p: float) -> float:
     Interpolates linearly in probability between the two bracketing curve
     points; saturates at the curve extremes.
     """
-    if not 0 < p < 1:
-        raise ValueError("probability must be in (0, 1)")
     probs = curve.probabilities
     th = curve.thresholds_db
     idx = int(np.searchsorted(-probs, -p, side="left"))
@@ -107,8 +93,6 @@ def mse_per_bwp(signal: ComplexSignal, dims: DerivedDims,
         x = grid.values.reshape(-1)
         y = rx.values.reshape(-1)
         denom = np.vdot(x, x)
-        if denom == 0:
-            raise ValueError("reference grid has zero power")
         g = np.vdot(x, y) / denom
         err = y - g * x
         ref_power = np.abs(g) ** 2 * denom.real
@@ -133,8 +117,6 @@ class PsdEstimate:
 
 def _hann(n: int) -> np.ndarray:
     """Periodic Hann window, as ``scipy.signal.get_window("hann", n)``."""
-    if n <= 1:
-        return np.ones(n)
     return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
 
 
@@ -159,8 +141,6 @@ def psd_welch(signal: ComplexSignal, rbw_hz: float = 30e3, *,
     """
     x = signal.samples
     fs = signal.sample_rate_hz
-    if rbw_hz <= 0 or rbw_hz >= fs:
-        raise ValueError("resolution bandwidth must be in (0, sample rate)")
     nperseg = welch_segment_len(fs, rbw_hz, x.size)
     hop = nperseg - nperseg // 2
     n_seg = (x.size - nperseg // 2) // hop
@@ -191,8 +171,6 @@ def psd_welch(signal: ComplexSignal, rbw_hz: float = 30e3, *,
 
 def _band_power(psd: PsdEstimate, lo: float, hi: float) -> float:
     mask = (psd.freq_hz >= lo) & (psd.freq_hz < hi)
-    if not mask.any():
-        raise ValueError("no spectrum bins inside the requested band")
     df = float(psd.freq_hz[1] - psd.freq_hz[0])
     return float(psd.density[mask].sum() * df)
 
@@ -290,6 +268,9 @@ def check_settings(spec: ScenarioSpec, dims: DerivedDims) -> None:
     if seg > n:
         raise ScenarioError(f"measure.psd_rbw_hz: {m.psd_rbw_hz:g} Hz needs a Welch "
                             f"segment longer than the {n}-sample stream")
+    # The lower bound gives every half-open ACLR band a Welch bin (aclr
+    # relies on it); with the upper bound, at most fs/3, it makes the
+    # segment at least 4 samples (psd_welch's Hann window relies on that).
     lo = fs / seg
     hi = min(spec.channel_bw_hz, fs - 2 * spec.channel_bw_hz)
     if not lo <= m.aclr_measurement_bw_hz <= hi:

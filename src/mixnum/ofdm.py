@@ -104,15 +104,11 @@ _EVM_LIMIT = {"QPSK": 0.175, "16QAM": 0.125, "64QAM": 0.08, "256QAM": 0.035}
 
 
 def bits_per_symbol(modulation: str) -> int:
-    if modulation not in _QAM_BITS:
-        raise ValueError(f"unsupported modulation {modulation!r}")
     return _QAM_BITS[modulation]
 
 
 def evm_limit(modulation: str) -> float:
     """Largest RMS error-vector magnitude the modulation may carry."""
-    if modulation not in _EVM_LIMIT:
-        raise ValueError(f"unsupported modulation {modulation!r}")
     return _EVM_LIMIT[modulation]
 
 
@@ -131,16 +127,8 @@ def _gray_axis(bits: np.ndarray) -> np.ndarray:
 
 
 def qam_map(bits: np.ndarray, modulation: str) -> np.ndarray:
-    """Map a flat bit array onto unit-power Gray-coded square QAM symbols."""
-    nbits = bits_per_symbol(modulation)
-    bits = np.asarray(bits, dtype=np.int64).ravel()
-    if bits.size % nbits:
-        raise ValueError(f"bit count {bits.size} not a multiple of {nbits}")
-    if bits.size == 0:
-        return np.zeros(0, dtype=np.complex128)
-    if np.any((bits != 0) & (bits != 1)):
-        raise ValueError("bits must be 0 or 1")
-    groups = bits.reshape(-1, nbits)
+    """Map 0/1 bits (whole symbols) onto unit-power Gray-coded square QAM."""
+    groups = np.asarray(bits, dtype=np.int64).reshape(-1, bits_per_symbol(modulation))
     i_axis = _gray_axis(groups[:, 0::2])
     q_axis = _gray_axis(groups[:, 1::2])
     return (i_axis + 1j * q_axis) / np.sqrt(_QAM_NORM[modulation])
@@ -182,22 +170,14 @@ def bin_runs(first: int, count: int, n: int) -> list[tuple[slice, slice]]:
     Returns (positions, bins) slice pairs: positions ``k`` of one run land
     on one contiguous slice of the n bins.  A run that crosses bin n - 1
     (an allocation around DC) wraps to bin 0, so there are at most two.
+    ``count`` is at most ``n``.
     """
-    if not 0 <= count <= n:
-        raise ValueError("more positions than bins")
     first %= n
     head = min(count, n - first)
     runs = [(slice(0, head), slice(first, first + head))]
     if head < count:
         runs.append((slice(head, count), slice(0, count - head)))
     return runs
-
-
-def _active_runs(bd: BwpDims, l: int,
-                 at_baseband: bool) -> list[tuple[slice, slice]]:
-    """Where a BWP's active subcarriers (grid rows) sit on the l bins."""
-    idx = bd.active_base if at_baseband else bd.active_indices
-    return bin_runs(int(idx[0]), idx.size, l)
 
 
 def subband_carrier(bd: BwpDims, l: int, start: int, length: int, *,
@@ -218,19 +198,19 @@ def subband_carrier(bd: BwpDims, l: int, start: int, length: int, *,
 
 def grid_to_spectrum(grid: ResourceGrid, dims: DerivedDims, *,
                      oversampled: bool = True,
-                     at_baseband: bool = False,
                      symbols: slice = slice(None)) -> np.ndarray:
     """Zero-padded length-L transform input per symbol, shape (L, S).
 
-    Only the grid columns in ``symbols`` are taken.  The result is the
-    transpose of a C-ordered (S, L) buffer: its ``.T`` holds one
-    contiguous row per symbol, ready for a last-axis transform.
+    The allocation is centered on DC (``active_base``), and only the grid
+    columns in ``symbols`` are taken.  The result is the transpose of a
+    C-ordered (S, L) buffer: its ``.T`` holds one contiguous row per
+    symbol, ready for a last-axis transform.
     """
     bd = dims.bwps[grid.bwp_index]
     l, _ = _transform_dims(bd, oversampled)
     values = grid.values[:, symbols]
     x_f = np.zeros((values.shape[1], l), dtype=np.complex128)
-    for rows, bins in _active_runs(bd, l, at_baseband):
+    for rows, bins in bin_runs(int(bd.active_base[0]), bd.num_subcarriers, l):
         x_f[:, bins] = values[rows].T
     return x_f.T
 
@@ -248,8 +228,7 @@ def ofdm_modulate(grid: ResourceGrid, dims: DerivedDims, *,
     """
     bd = dims.bwps[grid.bwp_index]
     l, l_cp = _transform_dims(bd, oversampled)
-    body = idft(grid_to_spectrum(grid, dims, oversampled=oversampled,
-                                 at_baseband=True).T)
+    body = idft(grid_to_spectrum(grid, dims, oversampled=oversampled).T)
     flat = np.concatenate([body[:, l - l_cp:], body], axis=1).reshape(-1)
     if not at_baseband:
         # The carrier is the left operand: complex multiply may fuse one
@@ -269,22 +248,19 @@ def ofdm_demodulate(signal: ComplexSignal, dims: DerivedDims, bwp_index: int,
     ``symbol_start + l_cp + timing_offset``, downconverted by the BWP's
     continuous carrier and transformed; the known phase ramp caused by a
     window start inside the CP is compensated, so any ``timing_offset`` in
-    [-l_cp, 0] recovers an ISI-free symbol exactly.  Symbols are
-    demodulated in fixed chunks of rows on ``threads`` worker threads;
-    each row's arithmetic is the same in any chunk.
+    [-l_cp, 0] recovers an ISI-free symbol exactly.  The signal covers at
+    least the BWP's symbols.  Symbols are demodulated in fixed chunks of
+    rows on ``threads`` worker threads; each row's arithmetic is the same
+    in any chunk.
     """
     bd = dims.bwps[bwp_index]
     l, l_cp = bd.l_ofdm_os, bd.l_cp_os
     stride = l + l_cp
-    if not -l_cp <= timing_offset <= 0:
-        raise ValueError("timing_offset must lie in [-l_cp, 0]")
     n_sym = bd.num_symbols
-    if len(signal) < n_sym * stride:
-        raise ValueError("signal too short for the symbol count")
     start = l_cp + timing_offset
     frames = signal.samples[: n_sym * stride].reshape(n_sym, stride)
     idx = bd.active_base
-    runs = _active_runs(bd, l, True)
+    runs = bin_runs(int(idx[0]), idx.size, l)
     # The conjugate carrier over window s factors into a per-sample ramp
     # (shared by all windows) times a per-window scalar at its start.
     ramp = subband_carrier(bd, l, 0, l, conjugate=True)
@@ -317,14 +293,3 @@ def write_waveform(signal: ComplexSignal, path: str) -> None:
     with open(path + ".json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_waveform(path: str) -> ComplexSignal:
-    """Load a waveform written by :func:`write_waveform`."""
-    with open(path + ".json", "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    samples = np.fromfile(path, dtype="<c16")
-    if samples.size != sidecar["num_samples"]:
-        raise ValueError("waveform file length does not match its sidecar")
-    return ComplexSignal(samples=samples.astype(np.complex128),
-                         sample_rate_hz=float(sidecar["sample_rate_hz"]))

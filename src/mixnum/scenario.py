@@ -121,9 +121,8 @@ class BwpDims:
 
     ``l_ofdm``/``l_cp`` are at the nominal rate, ``l_ofdm_os``/``l_cp_os`` at
     the oversampled rate.  ``active_base`` holds the signed subcarrier indices
-    of the allocation centered on DC in the BWP's own grid;
-    ``active_indices`` adds the snapped center so the allocation sits at its
-    in-carrier position.
+    of the allocation centered on DC in the BWP's own grid; ``center_scs`` is
+    the snapped center in the same units.
     """
 
     scs_hz: float
@@ -133,10 +132,8 @@ class BwpDims:
     l_ofdm_os: int
     l_cp_os: int
     num_symbols: int
-    center_hz: float
     center_scs: int
     active_base: np.ndarray
-    active_indices: np.ndarray
 
     @property
     def stride(self) -> int:
@@ -397,10 +394,8 @@ def derive_dims(spec: ScenarioSpec) -> DerivedDims:
             l_ofdm_os=n_ov * l_ofdm,
             l_cp_os=n_ov * l_cp,
             num_symbols=num_symbols,
-            center_hz=center,
             center_scs=center_scs,
             active_base=active_base,
-            active_indices=active_base + center_scs,
         ))
 
     # All BWPs must span exactly the same duration in samples.
@@ -410,13 +405,17 @@ def derive_dims(spec: ScenarioSpec) -> DerivedDims:
                  f"bwps[{i}]: its symbol stream covers {d.num_symbols * d.stride_os} "
                  f"samples, bwps[0]'s covers {span}")
 
-    # Allocations must be disjoint on the reference grid.
-    seen: set[int] = set()
+    # Bands [(first - 1/2) scs, (last + 1/2) scs] may touch but not overlap;
+    # in half reference subcarriers their edges are integers.
+    bands = []
     for i, d in enumerate(bwp_dims):
         step = int(round(d.scs_hz / REFERENCE_SCS_HZ))
-        proj = {int(idx) * step for idx in d.active_indices}
-        _require(not (proj & seen), f"bwps[{i}] overlaps another BWP on the reference grid")
-        seen |= proj
+        first = d.center_scs + int(d.active_base[0])
+        last = d.center_scs + int(d.active_base[-1])
+        bands.append(((2 * first - 1) * step, (2 * last + 1) * step, i))
+    bands.sort()
+    for (_, hi, j), (lo, _, i) in zip(bands, bands[1:]):
+        _require(hi <= lo, f"bwps[{i}]: its band overlaps bwps[{j}]'s")
 
     fc_dims = None
     if spec.method in FC_METHODS:

@@ -139,7 +139,7 @@ def check_aggregate_noise_confinement() -> None:
     for m, out in enumerate(info["grids"]):
         d_spec = (ofdm.grid_to_spectrum(out, dims)
                   - ofdm.grid_to_spectrum(refs[m], dims))
-        rows = np.mod(dims.bwps[m].active_indices, dims.bwps[m].l_ofdm_os)
+        rows = np.mod(dims.bwps[m].active_base, dims.bwps[m].l_ofdm_os)
         off = np.setdiff1d(np.arange(dims.bwps[m].l_ofdm_os), rows)
         assert np.all(d_spec[off, :] == 0), \
             f"subband {m} leaked clipping noise outside its allocation"

@@ -144,8 +144,7 @@ def modulate_wola(grid: ResourceGrid, dims: DerivedDims,
     params = WolaParams.from_dims(bd, extension_factor)
 
     def body_rows(sl: slice) -> np.ndarray:
-        return idft(grid_to_spectrum(grid, dims, oversampled=True,
-                                     at_baseband=True, symbols=sl).T)
+        return idft(grid_to_spectrum(grid, dims, symbols=sl).T)
 
     flat = wola_assemble(body_rows, grid.num_symbols, params, threads=threads)
 
@@ -161,17 +160,13 @@ def modulate_wola(grid: ResourceGrid, dims: DerivedDims,
 def aggregate(signals: list[ComplexSignal]) -> ComplexSignal:
     """Element-wise sum of per-BWP streams, zero-padded to equal length.
 
-    The sum is taken in the longest stream's own buffer, which the result
-    takes over; the other streams are added to it in list order.
+    The streams share one sample rate.  The sum is taken in the longest
+    stream's own buffer, which the result takes over; the other streams
+    are added to it in list order.
     """
-    if not signals:
-        raise ValueError("nothing to aggregate")
-    rates = {s.sample_rate_hz for s in signals}
-    if len(rates) != 1:
-        raise ValueError("cannot aggregate signals with different sample rates")
     longest = max(signals, key=len)
     out = longest.samples
     for s in signals:
         if s is not longest:
             out[:len(s)] += s.samples
-    return ComplexSignal(samples=out, sample_rate_hz=rates.pop())
+    return ComplexSignal(samples=out, sample_rate_hz=longest.sample_rate_hz)

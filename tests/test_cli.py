@@ -129,14 +129,16 @@ class TestRunCommand:
         out = tmp_path / "fc4096"
         assert _run(out, "--set", "method=FC_F_OFDM",
                     "--set", "nominal_transform=4096", "--dump-waveform") == 0
-        assert ofdm.read_waveform(str(out / "waveform.c128")).sample_rate_hz == 245.76e6
+        sidecar = json.loads((out / "waveform.c128.json").read_text())
+        assert sidecar["sample_rate_hz"] == 245.76e6
 
     def test_dump_waveform_round_trips(self, tmp_path):
         out = tmp_path / "dump"
         assert _run(out, "--dump-waveform") == 0
-        sig = ofdm.read_waveform(str(out / "waveform.c128"))
-        assert sig.sample_rate_hz == 122.88e6
-        assert sig.samples.size > 0
+        sidecar = json.loads((out / "waveform.c128.json").read_text())
+        samples = np.fromfile(out / "waveform.c128", dtype="<c16")
+        assert sidecar["sample_rate_hz"] == 122.88e6
+        assert samples.size == sidecar["num_samples"] > 0
 
     def test_unknown_method_fails_cleanly(self, tmp_path):
         rc = _run(tmp_path / "bad", "--set", "method=BOGUS")
@@ -197,6 +199,10 @@ class TestRunCommand:
           "bwps.0.num_prbs=10", "bwps.0.center_offset_hz=-1e6",
           "bwps.1.scs_hz=120e3", "bwps.1.num_prbs=1",
           "bwps.1.center_offset_hz=1.2e6"], "bwps[1]"),
+        # Bands of [-187.5, 172.5] and [150, 870] kHz overlap, although no
+        # subcarrier centre of one lies on the other's.
+        (["bwps.0.num_prbs=2", "bwps.0.center_offset_hz=0",
+          "bwps.1.num_prbs=1", "bwps.1.center_offset_hz=540e3"], "bwps[1]"),
     ])
     def test_refused_before_the_run(self, tmp_path, capsys, sets, path):
         rc = cli.main(["run", "--out", str(tmp_path / "big"),

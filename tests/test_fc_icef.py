@@ -264,10 +264,3 @@ class TestRunFcIcef:
         clean = fc.run_fc_f_ofdm(spec, dims, grids)
         assert out.samples.size == clean.samples.size
         assert out.sample_rate_hz == clean.sample_rate_hz
-
-    def test_requires_filter_bank_geometry(self):
-        spec = tiny_spec(method="NONE")
-        dims = derive_dims(spec)
-        grids = make_grids(spec, dims)
-        with pytest.raises(ValueError):
-            run_fc_icef(spec, dims, grids)

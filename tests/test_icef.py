@@ -91,8 +91,7 @@ class TestIcefSymbol:
         assert (iters <= 6).all() and iters.max() > 0
 
         def papr(grid):
-            t = ofdm.idft(ofdm.grid_to_spectrum(grid, tiny_dims, at_baseband=True),
-                          axis=0)
+            t = ofdm.idft(ofdm.grid_to_spectrum(grid, tiny_dims), axis=0)
             p = np.abs(t) ** 2
             return np.max(p, axis=0) / np.mean(p, axis=0)
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import make_spec
-from mixnum import cli, fc, wola
+from mixnum import cli, fc, metrics, wola
 from mixnum.scenario import (FC_METHODS, METHODS, REFERENCE_SCS_HZ,
                              SUPPORTED_SCS_HZ, ScenarioError,
                              default_scenario_dict, derive_dims,
@@ -33,7 +33,7 @@ class TestDerivedGeometry:
         assert bd.num_symbols == 512
         assert len(bd.active_base) == 52 * 12 == 624
         assert bd.center_scs == -332
-        assert bd.center_hz == -4.98e6
+        assert bd.center_scs * bd.scs_hz == -4.98e6
 
     def test_high_scs_bwp_dimensions(self, desk_dims):
         bd = desk_dims.bwps[1]
@@ -44,7 +44,7 @@ class TestDerivedGeometry:
         assert bd.num_symbols == 2048
         assert len(bd.active_base) == 11 * 12 == 132
         assert bd.center_scs == 83
-        assert bd.center_hz == 4.98e6
+        assert bd.center_scs * bd.scs_hz == 4.98e6
 
     def test_equal_time_span(self, desk_dims):
         spans = [bd.num_symbols * bd.stride_os for bd in desk_dims.bwps]
@@ -55,8 +55,6 @@ class TestDerivedGeometry:
             k = len(bd.active_base)
             assert np.array_equal(bd.active_base,
                                   np.arange(-k // 2, k // 2))
-            assert np.array_equal(bd.active_indices,
-                                  bd.active_base + bd.center_scs)
 
     def test_block_filter_geometry(self, desk_dims):
         fcd = desk_dims.fc
@@ -107,6 +105,22 @@ class TestValidation:
         raw["bwps"][1]["center_offset_hz"] = -4.98e6
         with pytest.raises(ScenarioError):
             derive_dims(scenario_from_dict(raw))
+
+    def test_rejects_overlapping_bands_with_disjoint_centers(self):
+        # 15 kHz x 24 at 0 Hz spans [-187.5, 172.5] kHz and 60 kHz x 12 at
+        # 540 kHz spans [150, 870] kHz: 22.5 kHz of overlap, although no
+        # subcarrier centre of one lies on the other's.
+        raw = default_scenario_dict()
+        raw["bwps"] = [
+            {"scs_hz": 15e3, "num_prbs": 2, "modulation": "QPSK",
+             "center_offset_hz": 0.0},
+            {"scs_hz": 60e3, "num_prbs": 1, "modulation": "64QAM",
+             "center_offset_hz": 540e3}]
+        with pytest.raises(ScenarioError, match=r"^bwps\[1\]"):
+            derive_dims(scenario_from_dict(raw))
+        # A 15 kHz x 12 band at 270 kHz starts at 172.5 kHz: bands may touch.
+        raw["bwps"][1].update(scs_hz=15e3, center_offset_hz=270e3)
+        derive_dims(scenario_from_dict(raw))
 
     def test_rejects_bwp_wider_than_channel(self):
         raw = default_scenario_dict()
@@ -209,30 +223,41 @@ class TestSnapAndRoundTrip:
         assert a.fc == b.fc
         for x, y in zip(a.bwps, b.bwps):
             assert x.stride_os == y.stride_os
-            assert np.array_equal(x.active_indices, y.active_indices)
+            assert x.center_scs == y.center_scs
+            assert np.array_equal(x.active_base, y.active_base)
 
 
 @st.composite
 def _derived(draw):
-    """A random scenario that ``derive_dims`` accepts, with its dims.
+    """A random scenario that ``derive_dims`` and ``check_settings`` accept,
+    with its dims.
 
-    Each BWP sits near the middle of its own slot of the channel, so most
-    draws derive; the rest are rejected.  Allocations up to a whole slot
-    and wide transitions reach the FC window's overflow rule.
+    BWPs are packed up from near the lower channel edge, each a few half
+    reference subcarriers from the band below it before snapping, so many
+    draws put two bands within a subcarrier of each other.  Allocations up
+    to a share of the channel and wide transitions reach the FC window's
+    overflow rule.  The ACLR bandwidth spans six octaves below the channel,
+    and the Welch resolution a few octaves around it, across the rule that
+    a band holds a Welch bin.
     """
     ch = draw(st.sampled_from([5e6, 10e6, 20e6]))
     n = draw(st.integers(1, 3))
-    slot = ch / n
+    edge = ch * (draw(st.floats(0.0, 0.1)) - 0.5)
     bwps = []
-    for i in range(n):
+    for _ in range(n):
         scs = draw(st.sampled_from(SUPPORTED_SCS_HZ))
-        bwps.append({
-            "scs_hz": scs, "modulation": "QPSK",
-            "num_prbs": draw(st.integers(1, max(1, int(slot / (12 * scs))))),
-            "center_offset_hz": slot * (i + 0.5 + draw(st.floats(-0.05, 0.05))) - ch / 2})
+        prbs = draw(st.integers(1, max(1, int(ch / n / (12 * scs)))))
+        half = 6 * prbs * scs
+        center = edge + half + draw(st.integers(-1, 8)) * REFERENCE_SCS_HZ / 2
+        bwps.append({"scs_hz": scs, "modulation": "QPSK", "num_prbs": prbs,
+                     "center_offset_hz": center})
+        edge = center + half
+    nominal = draw(st.sampled_from([x for x in (512, 1024, 2048, 4096)
+                                    if x * REFERENCE_SCS_HZ >= ch]))
+    aclr_bw = ch / 2 ** draw(st.floats(0.0, 6.0))
     raw = {
         "channel_bw_hz": ch, "bwps": bwps,
-        "nominal_transform": draw(st.sampled_from([512, 1024, 2048, 4096])),
+        "nominal_transform": nominal,
         "oversampling": draw(st.integers(1, 4)),
         "duration_symbols_base": draw(st.integers(1, 3)),
         "method": draw(st.sampled_from(METHODS + FC_METHODS)),
@@ -240,34 +265,61 @@ def _derived(draw):
         "fc": {"bin_spacing_hz": draw(st.sampled_from([3750.0, 7500.0, 15e3, 30e3])),
                "overlap_factor": draw(st.sampled_from([0.25, 0.5, 0.75])),
                "transition_bins": draw(st.integers(0, 400))},
+        "measure": {"psd_rbw_hz": aclr_bw * 2 ** draw(st.floats(-4.0, 1.0)),
+                    "aclr_measurement_bw_hz": aclr_bw},
     }
     try:
         spec = scenario_from_dict(raw)
-        return spec, derive_dims(spec)
+        dims = derive_dims(spec)
+        metrics.check_settings(spec, dims)
+        return spec, dims
     except ScenarioError:
         assume(False)
 
 
+def _band_hz(bd):
+    """A BWP's band: half a subcarrier beyond its first and last centre."""
+    first = bd.center_scs + int(bd.active_base[0])
+    last = bd.center_scs + int(bd.active_base[-1])
+    return (first - 0.5) * bd.scs_hz, (last + 0.5) * bd.scs_hz
+
+
 class TestGateGuarantees:
-    """What the synthesis stages rely on without checking it themselves,
-    for any scenario that ``derive_dims`` accepts."""
+    """What the synthesis and measurement stages rely on without checking
+    it themselves, for any scenario that ``derive_dims`` and
+    ``metrics.check_settings`` accept."""
 
     @settings(max_examples=200)
     @given(_derived())
     def test_derived_geometry_fits_every_stage(self, case):
         spec, dims = case
-        for bd in dims.bwps:
-            # The snapped center lies on the reference and the BWP grid.
-            assert bd.center_hz % REFERENCE_SCS_HZ == 0
-            assert bd.center_scs * bd.scs_hz == bd.center_hz
-            # ofdm._active_runs: every active subcarrier inside the transform.
-            for idx in (bd.active_base, bd.active_indices):
-                for l in (bd.l_ofdm, bd.l_ofdm_os):
-                    assert -(l // 2) <= idx[0] and idx[-1] < l // 2
+        for bd, b in zip(dims.bwps, spec.bwps):
+            # The snapped center lies on the BWP grid.
+            assert bd.center_scs * bd.scs_hz == snap_center_hz(
+                b.center_offset_hz, [x.scs_hz for x in spec.bwps])
+            # ofdm.bin_runs: every allocation fits its transform.
+            for l in (bd.l_ofdm, bd.l_ofdm_os):
+                assert -(l // 2) <= bd.active_base[0] and bd.active_base[-1] < l // 2
+                assert bd.num_subcarriers <= l
             p = wola.WolaParams.from_dims(bd, spec.wola_extension_factor)
             assert p.l_ext % 2 == 0 and 0 <= p.l_ext <= p.l_cp
+        # No two bands overlap; they may touch.
+        bands = sorted(_band_hz(bd) for bd in dims.bwps)
+        assert all(hi <= lo for (_, hi), (lo, _) in zip(bands, bands[1:]))
         # fc.combine: every subband stream cuts into the same block rows.
         assert len({bd.num_symbols * bd.stride for bd in dims.bwps}) == 1
+        # metrics.psd_welch: the segment is a Hann window of at least 2
+        # samples that fits the shortest stream (every output is at least
+        # this long, so it is the segment psd_welch takes).
+        fs, m = dims.fs_oversampled_hz, spec.measure
+        shortest = min(bd.num_symbols * bd.stride_os for bd in dims.bwps)
+        seg = metrics.welch_segment_len(fs, m.psd_rbw_hz, 2 * shortest)
+        assert 2 <= seg <= shortest
+        # metrics.aclr: every half-open band holds a Welch bin.
+        freq = np.fft.fftshift(np.fft.fftfreq(seg, 1 / fs))
+        half = m.aclr_measurement_bw_hz / 2
+        for off in (0.0, -spec.channel_bw_hz, spec.channel_bw_hz):
+            assert ((freq >= off - half) & (freq < off + half)).any()
         fcd = dims.fc
         if fcd is None:
             return
@@ -281,4 +333,6 @@ class TestGateGuarantees:
             assert w.gains.size == 2 * w.half
             assert w.half <= fcd.transform_len // 2
             assert (w.gains != 0.0).all()
-            assert w.center_bin == bd.center_hz / fcd.bin_spacing_hz
+            assert w.center_bin * fcd.bin_spacing_hz == bd.center_scs * bd.scs_hz
+            # fc.combine and fc_icef.window_weights: bin_runs fits the support.
+            assert w.gains.size <= fcd.inverse_len
