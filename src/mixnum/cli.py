@@ -125,12 +125,12 @@ def _ccdf_row_subset(n: int, per_decade: int = 200) -> np.ndarray:
 
 
 def _write_ccdf_csv(path: Path, curve: metrics.CcdfCurve) -> None:
-    rows = _ccdf_row_subset(curve.thresholds_db.size)
+    rows = _ccdf_row_subset(curve.sample_count)
     lines = [f"# schema={SCHEMA_CCDF} window={curve.window} "
              f"samples={curve.sample_count}", "papr_db,probability"]
     lines += [f"{t!r},{p!r}" for t, p in
-              zip(curve.thresholds_db[rows].tolist(),
-                  curve.probabilities[rows].tolist())]
+              zip(curve.thresholds_db_at(rows).tolist(),
+                  curve.probabilities_at(rows).tolist())]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -18,7 +18,10 @@ from .scenario import DerivedDims, ScenarioError, ScenarioSpec
 
 
 def papr_per_sample(signal: ComplexSignal) -> np.ndarray:
-    """Instantaneous-to-mean power ratio for every sample (linear)."""
+    """Instantaneous-to-mean power ratio for every sample (linear).
+
+    The array is fresh, so ``ccdf`` may take it over and sort it in place.
+    """
     p = np.abs(signal.samples)
     np.square(p, out=p)
     p /= p.mean()
@@ -29,29 +32,27 @@ def papr_per_sample(signal: ComplexSignal) -> np.ndarray:
 class CcdfCurve:
     """Empirical survival curve of per-sample PAPR.
 
-    ``thresholds_db`` ascends and ``probabilities`` is non-increasing;
-    entry i is the fraction of samples whose PAPR exceeds threshold i.
+    ``ratios`` ascends; rank i's threshold is ``ratios[i]`` in dB, and its
+    exceedance probability ``(n-1-i)/n`` is the fraction of samples above
+    it.  Both are computed only at the ranks that are read.
     """
 
-    thresholds_db: np.ndarray
-    probabilities: np.ndarray
+    ratios: np.ndarray
     sample_count: int
     # Samples pooled per curve point; ccdf.csv and report.json echo it.
     window = 1
 
+    def thresholds_db_at(self, ranks: np.ndarray | list[int]) -> np.ndarray:
+        return 10.0 * np.log10(np.maximum(self.ratios[ranks], 1e-300))
+
+    def probabilities_at(self, ranks: np.ndarray | list[int]) -> np.ndarray:
+        return (self.sample_count - 1 - np.asarray(ranks)) / self.sample_count
+
 
 def ccdf(papr_linear: np.ndarray) -> CcdfCurve:
-    """Survival curve of a per-sample PAPR sequence."""
-    # The sort's copy becomes the thresholds in place.
-    thresholds_db = np.sort(np.asarray(papr_linear, dtype=np.float64))
-    n = thresholds_db.size
-    np.maximum(thresholds_db, 1e-300, out=thresholds_db)
-    np.log10(thresholds_db, out=thresholds_db)
-    thresholds_db *= 10.0
-    probabilities = np.arange(n - 1.0, -1.0, -1.0)
-    probabilities /= n
-    return CcdfCurve(thresholds_db=thresholds_db, probabilities=probabilities,
-                     sample_count=n)
+    """Survival curve of a per-sample PAPR array, sorted in place and kept."""
+    papr_linear.sort()
+    return CcdfCurve(ratios=papr_linear, sample_count=papr_linear.size)
 
 
 def papr_at_probability(curve: CcdfCurve, p: float) -> float:
@@ -60,18 +61,22 @@ def papr_at_probability(curve: CcdfCurve, p: float) -> float:
     Interpolates linearly in probability between the two bracketing curve
     points; saturates at the curve extremes.
     """
-    probs = curve.probabilities
-    th = curve.thresholds_db
-    idx = int(np.searchsorted(-probs, -p, side="left"))
-    if idx == 0:
-        return float(th[0])
-    if idx >= probs.size:
-        return float(th[-1])
-    p_hi, p_lo = probs[idx - 1], probs[idx]
+    n = curve.sample_count
+    # Probabilities fall with rank: step from the estimate to the first rank
+    # whose probability is at most p (searchsorted's rule on -probabilities).
+    idx = min(max(int(np.ceil(n - 1 - p * n)), 0), n)
+    while idx > 0 and (n - idx) / n <= p:
+        idx -= 1
+    while idx < n and (n - 1 - idx) / n > p:
+        idx += 1
+    if idx == 0 or idx == n:
+        return float(curve.thresholds_db_at([min(idx, n - 1)])[0])
+    p_hi, p_lo = curve.probabilities_at([idx - 1, idx])
+    th_hi, th_lo = curve.thresholds_db_at([idx - 1, idx])
     if p_hi == p_lo:
-        return float(th[idx])
+        return float(th_lo)
     frac = (p_hi - p) / (p_hi - p_lo)
-    return float(th[idx - 1] + frac * (th[idx] - th[idx - 1]))
+    return float(th_hi + frac * (th_lo - th_hi))
 
 
 def mse_per_bwp(signal: ComplexSignal, dims: DerivedDims,
@@ -291,18 +296,20 @@ def measure_all(signal: ComplexSignal, spec: ScenarioSpec, dims: DerivedDims,
     """Full measurement pass over one generated waveform.
 
     When ``artifacts`` is a dict, the intermediate CCDF curve and PSD
-    estimate are stored in it under ``"ccdf"`` and ``"psd"``.  The MSE
-    demodulation and the Welch segments run on ``threads`` worker
-    threads, one stage after the other; the report does not depend on it.
+    estimate are stored in it under ``"ccdf"`` and ``"psd"``.  Welch runs
+    first, then MSE, then the CCDF, so Welch's segment powers are freed
+    before the per-sample ratios exist.  The MSE demodulation and the
+    Welch segments run on ``threads`` worker threads, one stage after the
+    other; the report does not depend on it.
     """
-    curve = ccdf(papr_per_sample(signal))
-    papr_db = papr_at_probability(curve, spec.measure.ccdf_probability)
-    mse = mse_per_bwp(signal, dims, grids, threads=threads)
     psd = psd_welch(signal, spec.measure.psd_rbw_hz, threads=threads)
     aclr_db = aclr(psd, spec.channel_bw_hz, spec.measure.aclr_measurement_bw_hz)
     margin = None
     if spec.measure.mask_file:
         margin = mask_margin(psd, spec.measure.mask_file)
+    mse = mse_per_bwp(signal, dims, grids, threads=threads)
+    curve = ccdf(papr_per_sample(signal))
+    papr_db = papr_at_probability(curve, spec.measure.ccdf_probability)
     hist: list[int] = []
     if iterations is not None and np.size(iterations):
         hist = np.bincount(np.atleast_1d(np.asarray(iterations,

@@ -49,6 +49,19 @@ def rng(tag) -> np.random.Generator:
         np.random.Philox(key=np.array([2024, tag], dtype=np.uint64)))
 
 
+def full_ccdf(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every threshold (dB) and exceedance probability of the survival
+    curve, built at full length: the oracle for the rank accessors."""
+    thresholds_db = np.sort(ratios)
+    n = thresholds_db.size
+    np.maximum(thresholds_db, 1e-300, out=thresholds_db)
+    np.log10(thresholds_db, out=thresholds_db)
+    thresholds_db *= 10.0
+    probabilities = np.arange(n - 1.0, -1.0, -1.0)
+    probabilities /= n
+    return thresholds_db, probabilities
+
+
 @pytest.fixture
 def fast_switching():
     """Switch threads every microsecond, so chunks on a pool interleave."""

@@ -12,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixnum import cli, ofdm
+from mixnum import cli, metrics, ofdm
 from mixnum.scenario import ScenarioError
+
+from conftest import full_ccdf, rng
 
 
 TINY = ["--set", "duration_symbols_base=8", "--set", "max_iterations=5"]
@@ -338,3 +340,20 @@ class TestCcdfThinning:
         assert (np.diff(rows) > 0).all()
         # Tail must stay dense: every survivor count from 1 to 100 present.
         assert np.isin(np.arange(n - 100, n), rows).sum() >= 90
+
+    def test_csv_matches_the_full_curve(self, tmp_path):
+        # 10^5 samples, so the rows are a log-spaced subset; ten zero
+        # ratios read at the -3000 dB floor.
+        n = 10**5
+        ratios = rng("ccdf csv").exponential(size=n)
+        ratios[:10] = 0.0
+        thresholds_db, probabilities = full_ccdf(ratios)
+        rows = cli._ccdf_row_subset(n)
+        assert rows.size < n
+        lines = [f"# schema=mixnum-ccdf-1 window=1 samples={n}",
+                 "papr_db,probability"]
+        lines += [f"{t!r},{p!r}" for t, p in
+                  zip(thresholds_db[rows].tolist(), probabilities[rows].tolist())]
+        cli._write_ccdf_csv(tmp_path / "ccdf.csv", metrics.ccdf(ratios))
+        assert ((tmp_path / "ccdf.csv").read_bytes()
+                == ("\n".join(lines) + "\n").encode("utf-8"))

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mixnum import icef, metrics, ofdm
 from mixnum.metrics import (CcdfCurve, PsdEstimate, aclr, ccdf, load_mask,
                             mask_margin, measure_all, mse_per_bwp,
                             papr_at_probability, papr_per_sample, psd_welch)
 from mixnum.ofdm import ComplexSignal
+from mixnum.scenario import derive_dims
 
-from conftest import make_spec, rng, tiny_spec
+from conftest import full_ccdf, make_grids, make_spec, rng, tiny_spec
 
 FS = 122.88e6
 
@@ -52,10 +55,19 @@ class TestCcdf:
                                       + 1j * g.standard_normal(512)))
         curve = ccdf(ratios)
         assert curve.sample_count == 512 and curve.window == 1
-        assert (np.diff(curve.thresholds_db) >= 0).all()
-        assert (np.diff(curve.probabilities) <= 0).all()
-        assert curve.probabilities[0] == pytest.approx(511 / 512)
-        assert curve.probabilities[-1] == 0.0
+        ranks = np.arange(512)
+        assert (np.diff(curve.thresholds_db_at(ranks)) >= 0).all()
+        assert (np.diff(curve.probabilities_at(ranks)) <= 0).all()
+        assert curve.probabilities_at([0])[0] == pytest.approx(511 / 512)
+        assert curve.probabilities_at([511])[0] == 0.0
+
+    def test_sorts_the_ratios_in_place(self):
+        ratios = np.array([4.0, 1.0, 0.0, 2.0])
+        curve = ccdf(ratios)
+        assert curve.ratios is ratios
+        assert np.array_equal(ratios, [0.0, 1.0, 2.0, 4.0])
+        # A zero ratio reads at the 1e-300 floor, -3000 dB.
+        assert curve.thresholds_db_at([0])[0] == -3000.0
 
     def test_rare_peak_quantile(self):
         # 998 commonplace samples plus two peaks at exactly 8 dB: the
@@ -71,17 +83,48 @@ class TestCcdf:
 
     def test_quantile_saturates_at_curve_ends(self):
         curve = ccdf(np.array([1.0, 2.0, 4.0]))
-        assert papr_at_probability(curve, 0.9) == curve.thresholds_db[0]
+        assert papr_at_probability(curve, 0.9) == curve.thresholds_db_at([0])[0]
         assert papr_at_probability(curve, 1e-9) == pytest.approx(
-            curve.thresholds_db[-1], abs=1e-6)
+            curve.thresholds_db_at([2])[0], abs=1e-6)
 
     def test_interpolates_between_bracketing_points(self):
         # Exceedance drops 0.75 -> 0.5 across the 0 dB -> ~3 dB step;
         # querying p=0.625 must land halfway between those thresholds.
         curve = ccdf(np.array([1.0, 2.0, 4.0, 8.0]))
         mid = papr_at_probability(curve, 0.625)
-        lo, hi = curve.thresholds_db[0], curve.thresholds_db[1]
+        lo, hi = curve.thresholds_db_at([0, 1])
         assert mid == pytest.approx((lo + hi) / 2, abs=1e-12)
+
+    @staticmethod
+    def _full_curve_readout(ratios, p):
+        """The readout on the full-length curve, bracketing by searchsorted
+        on the negated probabilities."""
+        th, probs = full_ccdf(ratios)
+        idx = int(np.searchsorted(-probs, -p, side="left"))
+        if idx == 0:
+            return float(th[0])
+        if idx >= probs.size:
+            return float(th[-1])
+        p_hi, p_lo = probs[idx - 1], probs[idx]
+        if p_hi == p_lo:
+            return float(th[idx])
+        frac = (p_hi - p) / (p_hi - p_lo)
+        return float(th[idx - 1] + frac * (th[idx] - th[idx - 1]))
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_readout_matches_the_full_curve_bit_for_bit(self, data):
+        n = data.draw(st.integers(1, 5000), label="n")
+        k = data.draw(st.integers(0, n), label="k")
+        p = data.draw(st.one_of(st.floats(0.0, 1.0), st.just(k / n)), label="p")
+        p = float(data.draw(st.sampled_from(
+            [p, np.nextafter(p, 0.0), np.nextafter(p, 1.0)]), label="p'"))
+        g = rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # Rounded to a few levels, so that ties and zero ratios occur too.
+        ratios = np.round(g.exponential(size=n), data.draw(st.integers(0, 17)))
+        expect = self._full_curve_readout(ratios, p)
+        got = papr_at_probability(ccdf(ratios.copy()), p)
+        assert got.hex() == expect.hex()
 
 
 class TestPsdWelch:
@@ -300,6 +343,24 @@ class TestMeasureAll:
         assert report.iterations_histogram == [1, 0, 2]
         assert isinstance(artifacts["ccdf"], CcdfCurve)
         assert isinstance(artifacts["psd"], PsdEstimate)
+
+    def test_holds_one_working_array_beside_the_signal(self):
+        # 128 base symbols, 1.12 M samples.  Welch's segment powers take
+        # 16 B a sample and the sorted ratios 8 B, one after the other:
+        # the traced peak is 1.47 signal sizes.  A full-length curve (sorted
+        # dB plus probabilities) held across Welch makes it 2.47.
+        spec = make_spec(method="NONE", duration_symbols_base=128)
+        dims = derive_dims(spec)
+        grids = make_grids(spec, dims)
+        sig = icef.run_none(spec, dims, grids)
+        assert sig.samples.size >= 2**20
+        tracemalloc.start()
+        try:
+            measure_all(sig, spec, dims, grids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * sig.samples.nbytes
 
     def test_report_serializes_infinities(self):
         report = metrics.MetricsReport(
