@@ -125,7 +125,7 @@ def ols_extract(blocks: np.ndarray, fc: FcDims, length: int,
     return blocks[:, discard: discard + keep].reshape(-1)[: length - first_block * keep]
 
 
-def _filter_bank(dims: DerivedDims, grids: list[ResourceGrid]) -> tuple[
+def filter_bank(dims: DerivedDims, grids: list[ResourceGrid]) -> tuple[
         list[FcWindow], int, Callable[[slice, np.ndarray], np.ndarray]]:
     """Subband windows, block count and the bank's step on a chunk of rows.
 
@@ -147,27 +147,17 @@ def _filter_bank(dims: DerivedDims, grids: list[ResourceGrid]) -> tuple[
     return windows, fcd.num_blocks(streams[0].size), step
 
 
-def fc_subband_spectra(dims: DerivedDims, grids: list[ResourceGrid], *,
-                       threads: int = 1
+def fc_subband_spectra(dims: DerivedDims, grids: list[ResourceGrid]
                        ) -> tuple[np.ndarray, np.ndarray, list[FcWindow]]:
-    """Forward half of the filter bank for every BWP, summed into one batch.
+    """The whole filter bank in one batch: the (B, N) spectra and time
+    blocks of every block, and the subband windows.
 
-    Each fixed chunk of block rows runs segment, forward transform,
-    window and rotation, subband scatter-add and inverse transform, on
-    ``threads`` worker threads.  Returns the (B, N) spectra and time
-    blocks and the subband windows.
+    The runners go through the bank in chunks of rows instead; this form
+    is for inspecting the full sum.
     """
-    windows, n_blocks, step = _filter_bank(dims, grids)
-    n = dims.fc.inverse_len
-    spectra = np.zeros((n_blocks, n), dtype=np.complex128)
-    blocks = np.empty_like(spectra)
-
-    def synthesize(sl: slice) -> None:
-        blocks[sl] = step(sl, spectra[sl])
-
-    with chunk_map(threads) as pmap:
-        pmap(synthesize, stage_chunks(n_blocks, n))
-    return spectra, blocks, windows
+    windows, n_blocks, step = filter_bank(dims, grids)
+    spectra = np.zeros((n_blocks, dims.fc.inverse_len), dtype=np.complex128)
+    return spectra, step(slice(0, n_blocks), spectra), windows
 
 
 def run_fc_f_ofdm(spec: ScenarioSpec, dims: DerivedDims,
@@ -180,7 +170,7 @@ def run_fc_f_ofdm(spec: ScenarioSpec, dims: DerivedDims,
     worker threads, so no batch of all blocks exists; the output does not
     depend on ``threads``.
     """
-    windows, n_blocks, step = _filter_bank(dims, grids)
+    windows, n_blocks, step = filter_bank(dims, grids)
     fcd = dims.fc
     bd = dims.bwps[0]
     out = np.empty(bd.num_symbols * bd.stride_os, dtype=np.complex128)

@@ -4,27 +4,25 @@ Each combined frequency-domain block is clipped in time against an
 amplitude ceiling; the clipping noise is transformed, weighted by the
 subband windows' own gains (unity on the allocations, the raised-cosine
 ramp on the transition bins) and added to the block spectrum, so the
-noise is filtered exactly like the signal.  Out-of-window bins always
-retain their original values, so spectral containment is preserved
-bit-exactly.  The full-signal driver shares one ceiling across all
-blocks, re-referenced every round to the mean power of the current
-output samples, which pins the achieved peak-to-average ratio to the
-commanded target whenever that target is below the unprocessed
-composite's own; blocks can be processed in any order or in parallel
-without changing the result.
+noise is filtered exactly like the signal.  Only the bins the windows
+reach (K_E) are stored and edited; every other bin stays exactly zero,
+so spectral containment holds by construction.  The full-signal runner
+shares one ceiling across all blocks, re-referenced every round to the
+mean power of the current output samples, which pins the achieved
+peak-to-average ratio to the commanded target whenever that target is
+below the unprocessed composite's own; blocks can be processed in any
+order or in parallel without changing the result.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fc import FcWindow, fc_subband_spectra, ols_extract
-from .icef import clip_polar
+from . import ofdm
+from .fc import FcWindow, filter_bank, ols_extract
+from .icef import _row_chunks, clip_polar
 from .ofdm import ComplexSignal, ResourceGrid, bin_runs, chunk_map, dft, idft
 from .scenario import DerivedDims, ScenarioSpec
-
-# FC_ICEF's unit of work: this many block rows of an active set.
-_CHUNK_ROWS = 64
 
 
 def window_weights(windows: list[FcWindow], n: int) -> np.ndarray:
@@ -42,6 +40,25 @@ def window_weights(windows: list[FcWindow], n: int) -> np.ndarray:
     return weights
 
 
+def _support_runs(weights: np.ndarray) -> list[tuple[slice, slice]]:
+    """(columns, bins) slice pairs of K_E's contiguous runs; the columns
+    number the nonzero bins of ``weights`` in ascending order."""
+    edges = np.flatnonzero(np.diff(weights != 0, prepend=False, append=False))
+    runs, col = [], 0
+    for a, b in zip(edges[::2].tolist(), edges[1::2].tolist()):
+        runs.append((slice(col, col + b - a), slice(a, b)))
+        col += b - a
+    return runs
+
+
+def _expand(compact: np.ndarray, runs: list[tuple[slice, slice]],
+            out: np.ndarray) -> np.ndarray:
+    """Write compact K_E rows onto their bins of ``out`` (zeroed full rows)."""
+    for cols, bins in runs:
+        out[:, bins] = compact[:, cols]
+    return out
+
+
 def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims,
                 grids: list[ResourceGrid], *,
                 info: dict | None = None, threads: int = 1) -> ComplexSignal:
@@ -56,56 +73,77 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims,
     is scaled by the subband window weights on K_E before it is added,
     so it sees the filter's raised-cosine transitions rather than a
     brick wall, whose long time response overlap-save would truncate
-    into adjacent-channel leakage.  Blocks are rows of C-ordered (B, N)
-    spectra and time samples.  Work inside a round is split into fixed
-    chunks of whole rows whose content does not depend on ``threads``,
-    and the power reduction is a single ordered sum, so the output is
-    byte-identical for any thread count.
+    into adjacent-channel leakage.
+
+    The filter bank writes nothing off K_E, the union of the window
+    supports, and neither does the noise, so each block's spectrum is
+    kept as a compact row of its K_E bins only, next to the full (B, N)
+    time blocks; a block is expanded onto a zeroed row just before its
+    inverse transform.  Synthesis and every round run in fixed chunks of
+    whole rows whose content does not depend on ``threads``, and the
+    power reduction is a single ordered sum, so the output is
+    byte-identical for any thread count.  With ``info["keep_spectra"]``
+    the clean and processed spectra are returned expanded, as (N, B).
     """
-    cur, blocks, windows = fc_subband_spectra(dims, grids, threads=threads)
-    n_blocks, n = cur.shape
-    keep = dims.fc.keep_len
+    windows, n_blocks, step = filter_bank(dims, grids)
+    n, keep = dims.fc.inverse_len, dims.fc.keep_len
     discard = (n - keep) // 2
     keep_slice = slice(discard, discard + keep)
-
     weights = window_weights(windows, n)
-    h_idx = np.flatnonzero(weights)
-    h_w = weights[h_idx]
-    keep_spectra = bool(info.get("keep_spectra")) if info is not None else False
-    v_f_orig = cur.copy() if keep_spectra else None
+    runs = _support_runs(weights)
+    h_w = weights[weights != 0]
+    # Chunks span about one stage chunk of samples; larger ones make each
+    # temporary a fresh, page-faulted allocation.
+    size = max(2, ofdm._STAGE_CHUNK_SAMPLES // n)
 
-    mag = np.abs(blocks)
-    peaks = np.max(mag, axis=1) ** 2
-    # Summed one element at a time down a transposed copy's columns, as the
-    # block-per-column loop did; its in-loop energies were row sums (pairwise).
-    energies = np.sum((mag[:, keep_slice] ** 2).T.copy(), axis=0)
-    del mag
-    iters = np.zeros(n_blocks, dtype=np.int64)
-    total_kept = float(keep) * n_blocks
-    tau = 10.0 ** (spec.papr_target_db / 10.0)
-    stop = 10.0 ** (spec.stop_epsilon_db / 10.0)
-    amp = float(np.sqrt(energies.sum() / total_kept * tau))
-    amp0 = amp
+    cur = np.empty((n_blocks, h_w.size), dtype=np.complex128)
+    blocks = np.empty((n_blocks, n), dtype=np.complex128)
+    peaks = np.empty(n_blocks)
+    energies = np.empty(n_blocks)
+
+    def synthesize(sl: slice) -> None:
+        spectra = np.zeros((sl.stop - sl.start, n), dtype=np.complex128)
+        blocks[sl] = fresh = step(sl, spectra)
+        for cols, bins in runs:
+            cur[sl, cols] = spectra[:, bins]
+        mag = np.abs(fresh)
+        peaks[sl] = np.max(mag, axis=1) ** 2
+        # Summed one element at a time down a transposed copy's columns, as
+        # the block-per-column loop did (its in-loop energies were row sums,
+        # pairwise).  A lone row would be summed pairwise, which is why the
+        # chunks come from _row_chunks.
+        energies[sl] = np.sum((mag[:, keep_slice] ** 2).T.copy(), axis=0)
 
     def work(rows: np.ndarray) -> None:
         x = blocks[rows]
         spectra = cur[rows]
-        spectra[:, h_idx] += h_w * dft(clip_polar(x, amp) - x)[:, h_idx]
+        noise = dft(clip_polar(x, amp) - x)
+        for cols, bins in runs:
+            spectra[:, cols] += h_w[cols] * noise[:, bins]
         cur[rows] = spectra
-        blocks[rows] = fresh = idft(spectra)
+        # Reusing the noise spectrum's buffer saves a fresh (rows, N) array.
+        noise.fill(0)
+        blocks[rows] = fresh = idft(_expand(spectra, runs, noise))
         mag = np.abs(fresh)
         peaks[rows] = np.max(mag, axis=1) ** 2
         energies[rows] = np.sum(mag[:, keep_slice] ** 2, axis=1)
 
+    keep_spectra = bool(info.get("keep_spectra")) if info is not None else False
+    iters = np.zeros(n_blocks, dtype=np.int64)
+    total_kept = float(keep) * n_blocks
+    tau = 10.0 ** (spec.papr_target_db / 10.0)
+    stop = 10.0 ** (spec.stop_epsilon_db / 10.0)
     with chunk_map(threads) as pmap:
+        pmap(synthesize, _row_chunks(n_blocks, size))
+        v_f_orig = cur.copy() if keep_spectra else None
+        amp = amp0 = float(np.sqrt(energies.sum() / total_kept * tau))
         for _ in range(spec.max_iterations):
             amp = float(np.sqrt(energies.sum() / total_kept * tau))
             active = np.flatnonzero(peaks > amp ** 2 * stop)
             if active.size == 0:
                 break
             iters[active] += 1
-            pmap(work, [active[c: c + _CHUNK_ROWS]
-                        for c in range(0, active.size, _CHUNK_ROWS)])
+            pmap(work, [active[sl] for sl in _row_chunks(active.size, size)])
 
     if info is not None:
         info["iterations"] = iters
@@ -113,8 +151,9 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims,
         info["final_amp"] = amp
         info["windows"] = windows
         if keep_spectra:
-            info["v_f_orig"] = v_f_orig.T
-            info["v_f_proc"] = cur.T
+            for key, compact in (("v_f_orig", v_f_orig), ("v_f_proc", cur)):
+                full = np.zeros((n_blocks, n), dtype=np.complex128)
+                info[key] = _expand(compact, runs, full).T
     bd = dims.bwps[0]
     samples = ols_extract(blocks, dims.fc, bd.num_symbols * bd.stride_os)
     return ComplexSignal(samples=samples, sample_rate_hz=dims.fs_oversampled_hz)

@@ -17,14 +17,25 @@ from .ofdm import (ComplexSignal, ResourceGrid, chunk_map, ofdm_demodulate,
 from .scenario import DerivedDims, ScenarioError, ScenarioSpec
 
 
-def papr_per_sample(signal: ComplexSignal) -> np.ndarray:
+def signal_power(signal: ComplexSignal) -> float:
+    """Mean power of the whole signal: ``|x|^2`` summed pairwise over one
+    full-length array, the reduction the PAPR ratios and Welch share."""
+    p = np.abs(signal.samples)
+    np.square(p, out=p)
+    return float(p.mean())
+
+
+def papr_per_sample(signal: ComplexSignal,
+                    mean_power: float | None = None) -> np.ndarray:
     """Instantaneous-to-mean power ratio for every sample (linear).
 
-    The array is fresh, so ``ccdf`` may take it over and sort it in place.
+    ``mean_power`` is ``signal_power(signal)`` when the caller already has
+    it.  The array is fresh, so ``ccdf`` may take it over and sort it in
+    place.
     """
     p = np.abs(signal.samples)
     np.square(p, out=p)
-    p /= p.mean()
+    p /= p.mean() if mean_power is None else mean_power
     return p
 
 
@@ -133,7 +144,7 @@ def welch_segment_len(fs: float, rbw_hz: float, n: int) -> int:
 
 
 def psd_welch(signal: ComplexSignal, rbw_hz: float = 30e3, *,
-              threads: int = 1) -> PsdEstimate:
+              threads: int = 1, mean_power: float | None = None) -> PsdEstimate:
     """Hann-windowed, 50 %-overlap averaged periodogram.
 
     The segment length is the power of two whose bin spacing is nearest
@@ -143,6 +154,8 @@ def psd_welch(signal: ComplexSignal, rbw_hz: float = 30e3, *,
     and the segment powers are stored frequency-major and averaged along
     their contiguous rows, which numpy sums pairwise.  Segments are
     transformed in fixed chunks of rows on ``threads`` worker threads.
+    ``psd_db`` is relative to ``mean_power``, ``signal_power(signal)`` unless
+    the caller passes it.
     """
     x = signal.samples
     fs = signal.sample_rate_hz
@@ -167,7 +180,7 @@ def psd_welch(signal: ComplexSignal, rbw_hz: float = 30e3, *,
     del power
     freq = np.fft.fftshift(np.fft.fftfreq(nperseg, 1 / fs))
     density = np.fft.fftshift(density)
-    total = float(np.mean(np.abs(x) ** 2))
+    total = signal_power(signal) if mean_power is None else mean_power
     rel = density * rbw_hz / max(total, 1e-300)
     psd_db = 10.0 * np.log10(np.maximum(rel, 1e-300))
     return PsdEstimate(freq_hz=freq, density=density, psd_db=psd_db,
@@ -298,17 +311,20 @@ def measure_all(signal: ComplexSignal, spec: ScenarioSpec, dims: DerivedDims,
     When ``artifacts`` is a dict, the intermediate CCDF curve and PSD
     estimate are stored in it under ``"ccdf"`` and ``"psd"``.  Welch runs
     first, then MSE, then the CCDF, so Welch's segment powers are freed
-    before the per-sample ratios exist.  The MSE demodulation and the
-    Welch segments run on ``threads`` worker threads, one stage after the
-    other; the report does not depend on it.
+    before the per-sample ratios exist; the signal's mean power, which
+    both Welch and the ratios use, is computed once.  The MSE demodulation
+    and the Welch segments run on ``threads`` worker threads, one stage
+    after the other; the report does not depend on it.
     """
-    psd = psd_welch(signal, spec.measure.psd_rbw_hz, threads=threads)
+    power = signal_power(signal)
+    psd = psd_welch(signal, spec.measure.psd_rbw_hz, threads=threads,
+                    mean_power=power)
     aclr_db = aclr(psd, spec.channel_bw_hz, spec.measure.aclr_measurement_bw_hz)
     margin = None
     if spec.measure.mask_file:
         margin = mask_margin(psd, spec.measure.mask_file)
     mse = mse_per_bwp(signal, dims, grids, threads=threads)
-    curve = ccdf(papr_per_sample(signal))
+    curve = ccdf(papr_per_sample(signal, power))
     papr_db = papr_at_probability(curve, spec.measure.ccdf_probability)
     hist: list[int] = []
     if iterations is not None and np.size(iterations):

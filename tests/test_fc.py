@@ -8,6 +8,7 @@ import pytest
 from mixnum import fc, ofdm, wola
 from mixnum.fc import (FcWindow, combine, design_window, ols_extract, segment,
                        subband_forward)
+from mixnum.fc_icef import run_fc_icef
 from mixnum.scenario import FcDims, derive_dims
 
 from conftest import make_grids, rng, tiny_spec
@@ -219,17 +220,22 @@ class TestFilteredComposite:
     @pytest.mark.parametrize("rows", [1, 3, 1000])
     def test_threads_and_chunks_leave_the_batch_unchanged(self, monkeypatch,
                                                           fast_switching, rows):
-        # The whole-batch bank, kept as the bit-exact reference; chunks of
-        # 1, 3 and all block rows.
-        spec = tiny_spec(method="FC_F_OFDM")
+        # The whole-batch bank, kept as the bit-exact reference, against
+        # FC_ICEF's chunked synthesis with no clipping round: chunks of 2
+        # (at least), 3 and all block rows.  The spectra FC_ICEF keeps on
+        # K_E, expanded, must equal the full sum, +0.0 bits off K_E included.
+        spec = tiny_spec(method="FC_ICEF", max_iterations=0)
         dims = derive_dims(spec)
         grids = [ofdm.generate_grid(dims, m, spec.seed) for m in range(2)]
         total, ref_t = self._batch(dims, grids)
+        bd = dims.bwps[0]
+        ref = ols_extract(ref_t, dims.fc, bd.num_symbols * bd.stride_os)
         monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", rows * dims.fc.inverse_len)
         for threads in (1, 2, 3):
-            v_f, v_t, _ = fc.fc_subband_spectra(dims, grids, threads=threads)
-            assert v_f.tobytes() == total.tobytes()
-            assert v_t.tobytes() == ref_t.tobytes()
+            info: dict = {"keep_spectra": True}
+            out = run_fc_icef(spec, dims, grids, info=info, threads=threads)
+            assert np.ascontiguousarray(info["v_f_orig"].T).tobytes() == total.tobytes()
+            assert out.samples.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("chunk_samples", [1000, 5 * 8192, 1 << 18])
     def test_streamed_output_equals_the_batch_path(self, monkeypatch,

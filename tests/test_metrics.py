@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from mixnum import icef, metrics, ofdm
 from mixnum.metrics import (CcdfCurve, PsdEstimate, aclr, ccdf, load_mask,
                             mask_margin, measure_all, mse_per_bwp,
-                            papr_at_probability, papr_per_sample, psd_welch)
+                            papr_at_probability, papr_per_sample, psd_welch,
+                            signal_power)
 from mixnum.ofdm import ComplexSignal
 from mixnum.scenario import derive_dims
 
@@ -46,6 +47,18 @@ class TestPaprPerSample:
         g = rng(seed)
         x = g.standard_normal(256) + 1j * g.standard_normal(256)
         assert np.mean(papr_per_sample(_sig(x))) == pytest.approx(1.0, abs=1e-12)
+
+    def test_shared_mean_power_changes_no_bit(self):
+        # measure_all computes the mean power once and hands it to Welch and
+        # to the ratios; each of them would otherwise reduce |x|^2 itself.
+        g = rng("shared-power")
+        sig = _sig(g.standard_normal(100_003) + 1j * g.standard_normal(100_003))
+        power = signal_power(sig)
+        assert power == float(np.mean(np.abs(sig.samples) ** 2))
+        assert (papr_per_sample(sig, power).tobytes()
+                == papr_per_sample(sig).tobytes())
+        shared, own = psd_welch(sig, mean_power=power), psd_welch(sig)
+        assert shared.psd_db.tobytes() == own.psd_db.tobytes()
 
 
 class TestCcdf:
