@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import ofdm
 from .fc import FcWindow, filter_bank, ols_extract
-from .icef import _row_chunks, clip_polar
-from .ofdm import ComplexSignal, ResourceGrid, bin_runs, chunk_map, dft, idft
+from .icef import clip_polar
+from .ofdm import (ComplexSignal, ResourceGrid, bin_runs, chunk_map, dft, idft,
+                   stage_chunks)
 from .scenario import DerivedDims, ScenarioSpec
 
 
@@ -80,10 +80,11 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims,
     kept as a compact row of its K_E bins only, next to the full (B, N)
     time blocks; a block is expanded onto a zeroed row just before its
     inverse transform.  Synthesis and every round run in fixed chunks of
-    whole rows whose content does not depend on ``threads``, and the
-    power reduction is a single ordered sum, so the output is
-    byte-identical for any thread count.  With ``info["keep_spectra"]``
-    the clean and processed spectra are returned expanded, as (N, B).
+    whole rows whose content does not depend on ``threads``; each block's
+    energy is a sum along its own contiguous row, so the output is
+    byte-identical for any thread count and chunk size.  With
+    ``info["keep_spectra"]`` the clean and processed spectra are returned
+    expanded, as (N, B).
     """
     windows, n_blocks, step = filter_bank(dims, grids)
     n, keep = dims.fc.inverse_len, dims.fc.keep_len
@@ -92,27 +93,24 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims,
     weights = window_weights(windows, n)
     runs = _support_runs(weights)
     h_w = weights[weights != 0]
-    # Chunks span about one stage chunk of samples; larger ones make each
-    # temporary a fresh, page-faulted allocation.
-    size = max(2, ofdm._STAGE_CHUNK_SAMPLES // n)
 
     cur = np.empty((n_blocks, h_w.size), dtype=np.complex128)
     blocks = np.empty((n_blocks, n), dtype=np.complex128)
     peaks = np.empty(n_blocks)
     energies = np.empty(n_blocks)
 
+    def store(rows: slice | np.ndarray, fresh: np.ndarray) -> None:
+        """Keep time blocks ``rows`` with their peaks and kept energies."""
+        blocks[rows] = fresh
+        mag = np.abs(fresh)
+        peaks[rows] = np.max(mag, axis=1) ** 2
+        energies[rows] = np.sum(mag[:, keep_slice] ** 2, axis=1)
+
     def synthesize(sl: slice) -> None:
         spectra = np.zeros((sl.stop - sl.start, n), dtype=np.complex128)
-        blocks[sl] = fresh = step(sl, spectra)
+        store(sl, step(sl, spectra))
         for cols, bins in runs:
             cur[sl, cols] = spectra[:, bins]
-        mag = np.abs(fresh)
-        peaks[sl] = np.max(mag, axis=1) ** 2
-        # Summed one element at a time down a transposed copy's columns, as
-        # the block-per-column loop did (its in-loop energies were row sums,
-        # pairwise).  A lone row would be summed pairwise, which is why the
-        # chunks come from _row_chunks.
-        energies[sl] = np.sum((mag[:, keep_slice] ** 2).T.copy(), axis=0)
 
     def work(rows: np.ndarray) -> None:
         x = blocks[rows]
@@ -123,10 +121,7 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims,
         cur[rows] = spectra
         # Reusing the noise spectrum's buffer saves a fresh (rows, N) array.
         noise.fill(0)
-        blocks[rows] = fresh = idft(_expand(spectra, runs, noise))
-        mag = np.abs(fresh)
-        peaks[rows] = np.max(mag, axis=1) ** 2
-        energies[rows] = np.sum(mag[:, keep_slice] ** 2, axis=1)
+        store(rows, idft(_expand(spectra, runs, noise)))
 
     keep_spectra = bool(info.get("keep_spectra")) if info is not None else False
     iters = np.zeros(n_blocks, dtype=np.int64)
@@ -134,7 +129,7 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims,
     tau = 10.0 ** (spec.papr_target_db / 10.0)
     stop = 10.0 ** (spec.stop_epsilon_db / 10.0)
     with chunk_map(threads) as pmap:
-        pmap(synthesize, _row_chunks(n_blocks, size))
+        pmap(synthesize, stage_chunks(n_blocks, n))
         v_f_orig = cur.copy() if keep_spectra else None
         amp = amp0 = float(np.sqrt(energies.sum() / total_kept * tau))
         for _ in range(spec.max_iterations):
@@ -143,7 +138,7 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims,
             if active.size == 0:
                 break
             iters[active] += 1
-            pmap(work, [active[sl] for sl in _row_chunks(active.size, size)])
+            pmap(work, [active[sl] for sl in stage_chunks(active.size, n)])
 
     if info is not None:
         info["iterations"] = iters

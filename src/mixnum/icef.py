@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from .ofdm import (ComplexSignal, ResourceGrid, chunk_map, dft,
-                   grid_to_spectrum, idft, ofdm_demodulate, ofdm_modulate)
+                   grid_to_spectrum, idft, ofdm_demodulate, ofdm_modulate,
+                   stage_chunks)
 from .scenario import DerivedDims, ScenarioSpec
 from . import ofdm, wola
 
@@ -35,24 +36,6 @@ def clip_polar(x: np.ndarray, threshold_amp, mag=None) -> np.ndarray:
     scale = np.minimum(1.0, np.asarray(threshold_amp)
                        / np.maximum(mag, 1e-300))
     return x * scale
-
-
-# I_ICEF's unit of work: whole symbols, about this many body samples.
-_CHUNK_SAMPLES = 1 << 16
-
-
-def _row_chunks(n: int, size: int) -> list[slice]:
-    """Slices of ``n`` rows, ``size`` (at least 2) each but the last.
-
-    A remainder of one row joins the slice before it: numpy sums a single
-    column pairwise but several columns one element at a time, so a lone
-    row would change the noise power of a symbol that shares its round
-    with others.
-    """
-    bounds = list(range(0, n, size))
-    if n > 1 and n % size == 1:
-        bounds.pop()
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:] + [n])]
 
 
 def run_i_icef(spec: ScenarioSpec, dims: DerivedDims,
@@ -71,66 +54,69 @@ def run_i_icef(spec: ScenarioSpec, dims: DerivedDims,
 
     Each round splits the active symbols into fixed chunks of rows whose
     content does not depend on ``threads`` and runs them on that many
-    worker threads; every symbol's arithmetic is the same in any chunk,
-    so the output is byte-identical for any thread count.
+    worker threads; every per-symbol sum runs along the symbol's own
+    contiguous row, so the output is byte-identical for any thread count
+    and chunk size.
     """
-    all_iters: list[np.ndarray] = []
-    out_grids = []
-    tau = 10.0 ** (spec.papr_target_db / 10.0)
-    stop = 10.0 ** (spec.stop_epsilon_db / 10.0)
     with chunk_map(threads) as pmap:
-        for m, grid in enumerate(grids):
-            bd = dims.bwps[m]
-            l = bd.l_ofdm_os
-            rows = np.mod(bd.active_base, l)
-            # One row per symbol: (S, K) values, (S, L) spectra and bodies.
-            vals_orig = grid.values.T
-            vals_cur = vals_orig.copy()
-            budget = (ofdm.evm_limit(bd.modulation) ** 2
-                      * np.sum(np.abs(grid.values) ** 2, axis=0))
-            bodies = idft(grid_to_spectrum(grid, dims).T)
-            iters = np.zeros(bd.num_symbols, dtype=np.int64)
-            power = np.abs(bodies) ** 2
-            # The initial mean power and the noise power are summed down the
-            # columns of a transposed copy: a column sum adds one element at
-            # a time, which a row reduction (pairwise) would not reproduce.
-            amps = np.sqrt(np.mean(power.T.copy(), axis=0) * tau)
-            peaks = np.max(power, axis=1)
-            del power
-            active = np.flatnonzero(peaks > amps ** 2 * stop)
-            # Only the active symbols' bodies are needed from here on.
-            bodies = bodies[active]
-
-            def clip_rows(sl: slice) -> np.ndarray:
-                """One round on active rows ``sl``; which of them stay active."""
-                idx = active[sl]
-                clipped_f = dft(clip_polar(bodies[sl], amps[idx, None]))
-                noise = clipped_f[:, rows] - vals_orig[idx]
-                noise_pow = np.sum((np.abs(noise) ** 2).T.copy(), axis=0)
-                noise *= np.sqrt(np.minimum(
-                    1.0, budget[idx] / np.maximum(noise_pow, 1e-300)))[:, None]
-                vals_cur[idx] = vals = vals_orig[idx] + noise
-                spec_rows = np.zeros((idx.size, l), dtype=np.complex128)
-                spec_rows[:, rows] = vals
-                bodies[sl] = fresh = idft(spec_rows)
-                power = np.abs(fresh) ** 2
-                amps[idx] = np.sqrt(np.mean(power, axis=1) * tau)
-                return np.max(power, axis=1) > amps[idx] ** 2 * stop
-
-            size = max(2, _CHUNK_SAMPLES // l)
-            for _ in range(spec.max_iterations):
-                if active.size == 0:
-                    break
-                iters[active] += 1
-                keep = np.concatenate(
-                    pmap(clip_rows, _row_chunks(active.size, size)))
-                active, bodies = active[keep], bodies[keep]
-            out_grids.append(ResourceGrid(bwp_index=m, values=vals_cur.T))
-            all_iters.append(iters)
+        done = [_clip_symbols(spec, dims, grid, pmap) for grid in grids]
+    out_grids = [grid for grid, _ in done]
     if info is not None:
-        info["iterations"] = np.concatenate(all_iters)
+        info["iterations"] = np.concatenate([iters for _, iters in done])
         info["grids"] = out_grids
     return run_none(spec, dims, out_grids, threads=threads)
+
+
+def _clip_symbols(spec: ScenarioSpec, dims: DerivedDims, grid: ResourceGrid,
+                  pmap) -> tuple[ResourceGrid, np.ndarray]:
+    """I_ICEF on one BWP: its processed grid and each symbol's rounds.
+    The (S, L) bodies die with the call, before ``run_none`` runs."""
+    bd = dims.bwps[grid.bwp_index]
+    l = bd.l_ofdm_os
+    rows = np.mod(bd.active_base, l)
+    tau = 10.0 ** (spec.papr_target_db / 10.0)
+    stop = 10.0 ** (spec.stop_epsilon_db / 10.0)
+    # One row per symbol: (S, K) values, (S, L) spectra and bodies.
+    vals_orig = grid.values.T
+    vals_cur = vals_orig.copy()
+    budget = (ofdm.evm_limit(bd.modulation) ** 2
+              * np.sum(np.abs(vals_orig) ** 2, axis=1))
+    bodies = idft(grid_to_spectrum(grid, dims).T)
+    iters = np.zeros(bd.num_symbols, dtype=np.int64)
+
+    def ceilings(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each body row's ceiling and whether its peak still exceeds it."""
+        power = np.abs(x) ** 2
+        amp = np.sqrt(np.mean(power, axis=1) * tau)
+        return amp, np.max(power, axis=1) > amp ** 2 * stop
+
+    amps, over = ceilings(bodies)
+    active = np.flatnonzero(over)
+    # Only the active symbols' bodies are needed from here on.
+    bodies = bodies[active]
+
+    def clip_rows(sl: slice) -> np.ndarray:
+        """One round on active rows ``sl``; which of them stay active."""
+        idx = active[sl]
+        clipped_f = dft(clip_polar(bodies[sl], amps[idx, None]))
+        noise = clipped_f[:, rows] - vals_orig[idx]
+        noise_pow = np.sum(np.abs(noise) ** 2, axis=1)
+        noise *= np.sqrt(np.minimum(
+            1.0, budget[idx] / np.maximum(noise_pow, 1e-300)))[:, None]
+        vals_cur[idx] = vals = vals_orig[idx] + noise
+        spec_rows = np.zeros((idx.size, l), dtype=np.complex128)
+        spec_rows[:, rows] = vals
+        bodies[sl] = fresh = idft(spec_rows)
+        amps[idx], still = ceilings(fresh)
+        return still
+
+    for _ in range(spec.max_iterations):
+        if active.size == 0:
+            break
+        iters[active] += 1
+        keep = np.concatenate(pmap(clip_rows, stage_chunks(active.size, l)))
+        active, bodies = active[keep], bodies[keep]
+    return ResourceGrid(bwp_index=grid.bwp_index, values=vals_cur.T), iters
 
 
 def run_e_icef(spec: ScenarioSpec, dims: DerivedDims,

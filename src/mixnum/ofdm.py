@@ -73,9 +73,10 @@ def chunk_map(threads: int):
         yield lambda fn, chunks: list(pool.map(fn, chunks))
 
 
-# The full-length stages (WOLA and filter-bank synthesis, demodulation,
-# Welch's segments) work in chunks of about this many samples.  Their
-# arithmetic is per row or per sample, so the chunk size changes no result.
+# The full-length stages (WOLA and filter-bank synthesis, the clip loops,
+# demodulation, Welch's segments) work in chunks of about this many
+# samples.  Their arithmetic is per row or per sample, so the chunk size
+# changes no result.
 _STAGE_CHUNK_SAMPLES = 1 << 18
 
 
@@ -151,10 +152,7 @@ def generate_grid(dims: DerivedDims, bwp_index: int, seed: int) -> ResourceGrid:
                        dtype=np.uint64)
         bits[s] = np.random.Generator(np.random.Philox(key=key)).integers(
             0, 2, size=bits.shape[1])
-    # values stays C-ordered (K, S): callers sum its columns, and a
-    # transposed view would turn those sums pairwise.
-    values = np.ascontiguousarray(
-        qam_map(bits, bd.modulation).reshape(bd.num_symbols, k).T)
+    values = qam_map(bits, bd.modulation).reshape(bd.num_symbols, k).T
     return ResourceGrid(bwp_index=bwp_index, values=values)
 
 

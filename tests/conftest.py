@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -47,6 +48,16 @@ def rng(tag) -> np.random.Generator:
         tag = zlib.crc32(tag.encode("utf-8"))
     return np.random.Generator(
         np.random.Philox(key=np.array([2024, tag], dtype=np.uint64)))
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the peak bytes tracemalloc saw during it."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def full_ccdf(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,7 @@ from mixnum.fc_icef import run_fc_icef, window_weights
 from mixnum.icef import clip_polar
 from mixnum.scenario import derive_dims
 
-from conftest import make_grids, make_spec, tiny_spec
+from conftest import make_grids, make_spec, tiny_spec, traced_peak
 
 
 class TestWindowWeights:
@@ -38,10 +36,10 @@ def _clean_blocks(spec, dims):
 def _column_loop(spec, dims, grids):
     """The loop on (N, B) spectra and time blocks, kept as the bit-exact
     reference: iterations, first and final ceilings, processed spectra and
-    output samples.  Its sums run in memory order: the initial energies add
-    one element at a time down the columns of a C-ordered slice, the
-    in-loop energies pairwise along each column of the transform's
-    column-contiguous output."""
+    output samples.  Every block energy is a pairwise sum down the block's
+    own contiguous column: the initial ones on a Fortran-ordered copy of
+    the clean blocks, the in-loop ones on the transform's column-contiguous
+    output."""
     v_f, _, windows = fc.fc_subband_spectra(dims, grids)
     cur = np.ascontiguousarray(v_f.T)
     n, n_blocks = cur.shape
@@ -52,7 +50,7 @@ def _column_loop(spec, dims, grids):
     h_w = weights[h_idx, None]
     v_t = ofdm.idft(cur, axis=0)
     peaks = np.max(np.abs(v_t) ** 2, axis=0)
-    energies = np.sum(np.abs(v_t[kept, :]) ** 2, axis=0)
+    energies = np.sum(np.abs(np.asfortranarray(v_t[kept, :])) ** 2, axis=0)
     iters = np.zeros(n_blocks, dtype=np.int64)
     tau = 10.0 ** (spec.papr_target_db / 10.0)
     stop = 10.0 ** (spec.stop_epsilon_db / 10.0)
@@ -104,29 +102,6 @@ class TestCompactSpectra:
         # no tiny values.
         assert not np.ascontiguousarray(v_f[:, off]).view(np.uint64).any()
 
-    @pytest.mark.parametrize("target", [5.0, 8.0])
-    def test_lone_last_synthesis_row_matches_the_column_loop(self, target):
-        # 15 base symbols give 33 blocks: one more than a 32-row chunk.  The
-        # initial energy of the last block must still be summed one element
-        # at a time, as in the column loop; summed pairwise, it differs in
-        # its last bits.  For most seeds the 33-block total rounds that
-        # away; seed 16 is one of the few (1 in 40 tried) where the first
-        # ceiling changes with it.
-        spec = tiny_spec(method="FC_ICEF", papr_target_db=target,
-                         duration_symbols_base=15, seed=16)
-        dims = derive_dims(spec)
-        grids = make_grids(spec, dims)
-        size = max(2, ofdm._STAGE_CHUNK_SAMPLES // dims.fc.inverse_len)
-        info: dict = {"keep_spectra": True}
-        out = run_fc_icef(spec, dims, grids, info=info)
-        assert info["iterations"].size % size == 1
-        iters, amp0, amp, cur, expect = _column_loop(spec, dims, grids)
-        assert np.array_equal(info["iterations"], iters)
-        assert info["threshold_amp"] == amp0
-        assert info["final_amp"] == amp
-        assert np.array_equal(info["v_f_proc"], cur)
-        assert out.samples.tobytes() == expect.tobytes()
-
     def test_holds_the_time_blocks_and_the_k_e_rows(self):
         # 64 base symbols, 561,152 samples, one thread.  The (B, N) time
         # blocks take 2 signal sizes (N is twice the kept length), the K_E
@@ -137,12 +112,7 @@ class TestCompactSpectra:
         spec = make_spec(method="FC_ICEF", duration_symbols_base=64)
         dims = derive_dims(spec)
         grids = make_grids(spec, dims)
-        tracemalloc.start()
-        try:
-            out = run_fc_icef(spec, dims, grids)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(run_fc_icef, spec, dims, grids)
         assert peak <= 5.5 * out.samples.nbytes
 
 
@@ -243,8 +213,10 @@ class TestRunFcIcef:
     def test_threads_and_chunks_leave_the_output_unchanged(self, monkeypatch,
                                                           target):
         # 32 base symbols give 69 blocks, up to three default chunks of 32
-        # rows a round.  Stage chunks of 1 to 31 rows (2 at least) reproduce
-        # the default run byte for byte at every thread count.
+        # rows a round.  Stage chunks of 1 to 31 rows reproduce the default
+        # run byte for byte at every thread count, in synthesis (the first
+        # ceiling) and in the loop: one-row chunks, and 2-row chunks that
+        # leave a lone last row, included.
         spec = tiny_spec(method="FC_ICEF", papr_target_db=target,
                          duration_symbols_base=32)
         dims = derive_dims(spec)
@@ -259,6 +231,7 @@ class TestRunFcIcef:
                 out = run_fc_icef(spec, dims, grids, info=info, threads=threads)
                 assert out.samples.tobytes() == ref.samples.tobytes()
                 assert np.array_equal(info["iterations"], ref_info["iterations"])
+                assert info["threshold_amp"] == ref_info["threshold_amp"]
                 assert info["final_amp"] == ref_info["final_amp"]
 
     @pytest.mark.parametrize("threads", [1, 3])

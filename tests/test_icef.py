@@ -11,7 +11,7 @@ from mixnum import icef, ofdm, wola
 from mixnum.icef import clip_polar
 from mixnum.scenario import derive_dims, scenario_from_dict
 
-from conftest import make_grids, make_spec, rng, tiny_spec
+from conftest import make_grids, make_spec, rng, tiny_spec, traced_peak
 
 
 def _spec_dict(**top):
@@ -219,10 +219,11 @@ class TestRunIndependent:
 
     def test_matches_the_symbol_per_column_loop(self):
         # The loop on (L, S) spectra and bodies, kept as the bit-exact
-        # reference.  Its sums run in memory order: the initial mean power
-        # and the noise power add one element at a time down the columns
-        # of C-ordered arrays, the in-loop mean pairwise along each
-        # gathered (Fortran-ordered) column.
+        # reference.  Every per-symbol sum is pairwise down the symbol's own
+        # contiguous column: the grid's columns are contiguous, the initial
+        # mean power and the noise power are taken on Fortran-ordered
+        # copies, and the in-loop mean on each gathered (Fortran-ordered)
+        # column.
         spec = tiny_spec(method="I_ICEF")
         dims = derive_dims(spec)
         grids = [ofdm.generate_grid(dims, m, spec.seed) for m in range(2)]
@@ -242,7 +243,8 @@ class TestRunIndependent:
             spec_full[rows, :] = vals_orig
             bodies = ofdm.idft(spec_full, axis=0)
             iters = np.zeros(bd.num_symbols, dtype=np.int64)
-            amps = np.sqrt(np.mean(np.abs(bodies) ** 2, axis=0) * tau)
+            amps = np.sqrt(np.mean(np.abs(np.asfortranarray(bodies)) ** 2,
+                                   axis=0) * tau)
             peaks = np.max(np.abs(bodies) ** 2, axis=0)
             active = np.flatnonzero(peaks > amps ** 2 * stop)
             for _ in range(spec.max_iterations):
@@ -252,7 +254,8 @@ class TestRunIndependent:
                 clipped_f = ofdm.dft(
                     clip_polar(bodies[:, active], amps[None, active]), axis=0)
                 noise = clipped_f[rows, :] - vals_orig[:, active]
-                noise_pow = np.sum(np.abs(noise) ** 2, axis=0)
+                noise_pow = np.sum(np.abs(np.asfortranarray(noise)) ** 2,
+                                   axis=0)
                 noise *= np.sqrt(np.minimum(
                     1.0, budget[active] / np.maximum(noise_pow, 1e-300)))
                 vals_cur[:, active] = vals_orig[:, active] + noise
@@ -267,19 +270,20 @@ class TestRunIndependent:
         assert np.array_equal(info["iterations"], np.concatenate(all_iters))
         assert info["iterations"].max() == spec.max_iterations
 
-    @pytest.mark.parametrize("chunk_samples", [1 << 13, 3 * 2048, 31 * 2048])
+    @pytest.mark.parametrize("chunk_samples",
+                             [2048, 1 << 13, 3 * 2048, 31 * 2048])
     def test_threads_and_chunks_leave_the_output_unchanged(self, monkeypatch,
                                                           chunk_samples):
-        # Chunks of 2 to 31 symbols reproduce the default run byte for byte
-        # at every thread count.  31 rows leave one 64-QAM symbol over; at
-        # seed 2 that symbol sits on its EVM budget, so its noise power,
-        # which numpy would sum pairwise in a lone row, sets its output.
+        # Chunks of 1 to 31 symbols (one row of 2048 or 8192 samples at
+        # least) reproduce the default run byte for byte at every thread
+        # count.  At seed 2 a 64-QAM symbol sits on its EVM budget, so its
+        # noise power sets its output.
         spec = tiny_spec(method="I_ICEF", seed=2)
         dims = derive_dims(spec)
         grids = [ofdm.generate_grid(dims, m, spec.seed) for m in range(2)]
         ref_info: dict = {}
         ref = icef.run_i_icef(spec, dims, grids, info=ref_info)
-        monkeypatch.setattr(icef, "_CHUNK_SAMPLES", chunk_samples)
+        monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", chunk_samples)
         for threads in (1, 2, 3):
             info: dict = {}
             out = icef.run_i_icef(spec, dims, grids, info=info, threads=threads)
@@ -287,6 +291,17 @@ class TestRunIndependent:
             assert np.array_equal(info["iterations"], ref_info["iterations"])
             for got, want in zip(info["grids"], ref_info["grids"]):
                 assert got.values.tobytes() == want.values.tobytes()
+
+    def test_frees_the_symbol_bodies_before_synthesis(self):
+        # 64 base symbols at 5 dB, one thread.  The traced peak is 3.58
+        # output sizes, and run_none alone takes 3.43; with the last
+        # subband's (S, L) bodies held through run_none it was 4.51.
+        spec = make_spec(method="I_ICEF", duration_symbols_base=64,
+                         papr_target_db=5.0)
+        dims = derive_dims(spec)
+        grids = make_grids(spec, dims)
+        out, peak = traced_peak(icef.run_i_icef, spec, dims, grids)
+        assert peak <= 4.0 * out.samples.nbytes
 
     def test_reduces_the_aggregate_peak(self):
         spec = tiny_spec(method="I_ICEF", max_iterations=8)

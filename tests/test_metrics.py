@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +14,8 @@ from mixnum.metrics import (CcdfCurve, PsdEstimate, aclr, ccdf, load_mask,
 from mixnum.ofdm import ComplexSignal
 from mixnum.scenario import derive_dims
 
-from conftest import full_ccdf, make_grids, make_spec, rng, tiny_spec
+from conftest import (full_ccdf, make_grids, make_spec, rng, tiny_spec,
+                      traced_peak)
 
 FS = 122.88e6
 
@@ -367,12 +366,7 @@ class TestMeasureAll:
         grids = make_grids(spec, dims)
         sig = icef.run_none(spec, dims, grids)
         assert sig.samples.size >= 2**20
-        tracemalloc.start()
-        try:
-            measure_all(sig, spec, dims, grids)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(measure_all, sig, spec, dims, grids)
         assert peak <= 1.75 * sig.samples.nbytes
 
     def test_report_serializes_infinities(self):
