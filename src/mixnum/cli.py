@@ -106,6 +106,17 @@ def execute(spec, threads: int = 1, info: dict | None = None):
     return sig, dims, grids
 
 
+def _execute_and_measure(spec, threads: int, artifacts: dict | None = None):
+    """``execute`` then ``metrics.measure_all``: (signal, report, wall s)."""
+    t0 = time.perf_counter()
+    info: dict = {}
+    sig, dims, grids = execute(spec, threads=threads, info=info)
+    report = metrics.measure_all(sig, spec, dims, grids,
+                                 iterations=info.get("iterations"),
+                                 artifacts=artifacts, threads=threads)
+    return sig, report, time.perf_counter() - t0
+
+
 def _ccdf_row_subset(n: int, per_decade: int = 200) -> np.ndarray:
     """Deterministic log-spaced row picks for the CCDF artifact.
 
@@ -155,14 +166,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    t0 = time.perf_counter()
-    info: dict = {}
-    sig, dims, grids = execute(spec, threads=args.threads, info=info)
     artifacts: dict = {}
-    report = metrics.measure_all(sig, spec, dims, grids,
-                                 iterations=info.get("iterations"),
-                                 artifacts=artifacts, threads=args.threads)
-    wall = time.perf_counter() - t0
+    sig, report, wall = _execute_and_measure(spec, args.threads, artifacts)
 
     _write_ccdf_csv(out_dir / "ccdf.csv", artifacts["ccdf"])
     _write_psd_csv(out_dir / "psd.csv", artifacts["psd"])
@@ -221,13 +226,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     rows = []
     for spec in specs:
-        t0 = time.perf_counter()
-        info: dict = {}
-        sig, dims, grids = execute(spec, threads=args.threads, info=info)
-        report = metrics.measure_all(sig, spec, dims, grids,
-                                     iterations=info.get("iterations"),
-                                     threads=args.threads)
-        wall = time.perf_counter() - t0
+        _, report, wall = _execute_and_measure(spec, args.threads)
         rows.append([spec.method, repr(spec.papr_target_db),
                      repr(report.papr_at_p_db)]
                     + [repr(v) for v in report.mse_db]

@@ -84,7 +84,7 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims,
     energy is a sum along its own contiguous row, so the output is
     byte-identical for any thread count and chunk size.  With
     ``info["keep_spectra"]`` the clean and processed spectra are returned
-    expanded, as (N, B).
+    expanded, as (B, N).
     """
     windows, n_blocks, step = filter_bank(dims, grids)
     n, keep = dims.fc.inverse_len, dims.fc.keep_len
@@ -148,7 +148,7 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims,
         if keep_spectra:
             for key, compact in (("v_f_orig", v_f_orig), ("v_f_proc", cur)):
                 full = np.zeros((n_blocks, n), dtype=np.complex128)
-                info[key] = _expand(compact, runs, full).T
+                info[key] = _expand(compact, runs, full)
     bd = dims.bwps[0]
     samples = ols_extract(blocks, dims.fc, bd.num_symbols * bd.stride_os)
     return ComplexSignal(samples=samples, sample_rate_hz=dims.fs_oversampled_hz)

@@ -76,12 +76,11 @@ def _clip_symbols(spec: ScenarioSpec, dims: DerivedDims, grid: ResourceGrid,
     rows = np.mod(bd.active_base, l)
     tau = 10.0 ** (spec.papr_target_db / 10.0)
     stop = 10.0 ** (spec.stop_epsilon_db / 10.0)
-    # One row per symbol: (S, K) values, (S, L) spectra and bodies.
-    vals_orig = grid.values.T
+    vals_orig = grid.values
     vals_cur = vals_orig.copy()
     budget = (ofdm.evm_limit(bd.modulation) ** 2
               * np.sum(np.abs(vals_orig) ** 2, axis=1))
-    bodies = idft(grid_to_spectrum(grid, dims).T)
+    bodies = idft(grid_to_spectrum(grid, dims))
     iters = np.zeros(bd.num_symbols, dtype=np.int64)
 
     def ceilings(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -116,7 +115,7 @@ def _clip_symbols(spec: ScenarioSpec, dims: DerivedDims, grid: ResourceGrid,
         iters[active] += 1
         keep = np.concatenate(pmap(clip_rows, stage_chunks(active.size, l)))
         active, bodies = active[keep], bodies[keep]
-    return ResourceGrid(bwp_index=grid.bwp_index, values=vals_cur.T), iters
+    return ResourceGrid(bwp_index=grid.bwp_index, values=vals_cur), iters
 
 
 def run_e_icef(spec: ScenarioSpec, dims: DerivedDims,

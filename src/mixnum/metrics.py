@@ -101,20 +101,20 @@ def mse_per_bwp(signal: ComplexSignal, dims: DerivedDims,
     analysis window clear of symbol-edge shaping.  ``threads`` worker
     threads demodulate the symbols.
     """
-    out = []
-    for m, grid in enumerate(grids):
+    def error_db(m: int) -> float:
         rx = ofdm_demodulate(signal, dims, m,
                              timing_offset=-dims.bwps[m].l_cp_os // 2,
                              threads=threads)
-        x = grid.values.reshape(-1)
-        y = rx.values.reshape(-1)
+        x = grids[m].values.reshape(-1)
+        err = rx.values.reshape(-1)  # the received rows, then their error
         denom = np.vdot(x, x)
-        g = np.vdot(x, y) / denom
-        err = y - g * x
+        g = np.vdot(x, err) / denom
+        err -= g * x
         ref_power = np.abs(g) ** 2 * denom.real
         mse = np.abs(err) ** 2
-        out.append(float(10.0 * np.log10(max(mse.sum() / ref_power, 1e-300))))
-    return out
+        return float(10.0 * np.log10(max(mse.sum() / ref_power, 1e-300)))
+
+    return [error_db(m) for m in range(len(grids))]
 
 
 @dataclass

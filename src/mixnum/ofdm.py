@@ -6,12 +6,10 @@ Conventions used throughout the package:
   (numpy convention), so ``dft(idft(x)) == x``;
 * frequency-domain vectors are in natural DFT order, DC at bin 0; signed
   subcarrier indexes are folded with ``k mod L``;
-* a resource-grid column holds the active subcarriers of one OFDM symbol;
-* on the modem's hot path a symbol is one contiguous row: transform
-  inputs and bodies are C-ordered (num_symbols, L) arrays, so every
-  transform runs along the last axis and a set of symbols is a set of
-  rows.  Arrays handed out in the (L, S) or (K, S) grid shape are
-  transposed views of such row-major buffers;
+* one OFDM symbol is one contiguous row: grids are C-ordered
+  (num_symbols, K) arrays and transform inputs and bodies C-ordered
+  (num_symbols, L) arrays, so every transform runs along the last axis
+  and a set of symbols is a set of rows;
 * work on many rows or samples is cut into fixed chunks that
   ``chunk_map`` runs on the ``--threads`` pool; the chunks never depend
   on the thread count.
@@ -44,8 +42,8 @@ class ComplexSignal:
 class ResourceGrid:
     """Frequency-domain payload of one BWP.
 
-    ``values`` has shape (num_subcarriers, num_symbols): one column per OFDM
-    symbol, one row per active subcarrier in ascending index order.
+    ``values`` is a C-ordered (num_symbols, num_subcarriers) array: one row
+    per OFDM symbol, its active subcarriers in ascending index order.
     """
 
     bwp_index: int
@@ -53,7 +51,7 @@ class ResourceGrid:
 
     @property
     def num_symbols(self) -> int:
-        return int(self.values.shape[1])
+        return int(self.values.shape[0])
 
 
 @contextmanager
@@ -76,7 +74,9 @@ def chunk_map(threads: int):
 # The full-length stages (WOLA and filter-bank synthesis, the clip loops,
 # demodulation, Welch's segments) work in chunks of about this many
 # samples.  Their arithmetic is per row or per sample, so the chunk size
-# changes no result.
+# changes no result while every chunk of samples holds at least 2: numpy
+# multiplies a 1-sample complex slice (WOLA's carrier) on another code
+# path, whose last bits differ in about 40 % of products.
 _STAGE_CHUNK_SAMPLES = 1 << 18
 
 
@@ -152,7 +152,7 @@ def generate_grid(dims: DerivedDims, bwp_index: int, seed: int) -> ResourceGrid:
                        dtype=np.uint64)
         bits[s] = np.random.Generator(np.random.Philox(key=key)).integers(
             0, 2, size=bits.shape[1])
-    values = qam_map(bits, bd.modulation).reshape(bd.num_symbols, k).T
+    values = qam_map(bits, bd.modulation).reshape(bd.num_symbols, k)
     return ResourceGrid(bwp_index=bwp_index, values=values)
 
 
@@ -197,20 +197,19 @@ def subband_carrier(bd: BwpDims, l: int, start: int, length: int, *,
 def grid_to_spectrum(grid: ResourceGrid, dims: DerivedDims, *,
                      oversampled: bool = True,
                      symbols: slice = slice(None)) -> np.ndarray:
-    """Zero-padded length-L transform input per symbol, shape (L, S).
+    """Zero-padded length-L transform input per symbol, shape (S, L).
 
     The allocation is centered on DC (``active_base``), and only the grid
-    columns in ``symbols`` are taken.  The result is the transpose of a
-    C-ordered (S, L) buffer: its ``.T`` holds one contiguous row per
-    symbol, ready for a last-axis transform.
+    rows in ``symbols`` are taken, one C-ordered row each, ready for a
+    last-axis transform.
     """
     bd = dims.bwps[grid.bwp_index]
     l, _ = _transform_dims(bd, oversampled)
-    values = grid.values[:, symbols]
-    x_f = np.zeros((values.shape[1], l), dtype=np.complex128)
-    for rows, bins in bin_runs(int(bd.active_base[0]), bd.num_subcarriers, l):
-        x_f[:, bins] = values[rows].T
-    return x_f.T
+    values = grid.values[symbols]
+    x_f = np.zeros((values.shape[0], l), dtype=np.complex128)
+    for cols, bins in bin_runs(int(bd.active_base[0]), bd.num_subcarriers, l):
+        x_f[:, bins] = values[:, cols]
+    return x_f
 
 
 def ofdm_modulate(grid: ResourceGrid, dims: DerivedDims, *,
@@ -226,7 +225,7 @@ def ofdm_modulate(grid: ResourceGrid, dims: DerivedDims, *,
     """
     bd = dims.bwps[grid.bwp_index]
     l, l_cp = _transform_dims(bd, oversampled)
-    body = idft(grid_to_spectrum(grid, dims, oversampled=oversampled).T)
+    body = idft(grid_to_spectrum(grid, dims, oversampled=oversampled))
     flat = np.concatenate([body[:, l - l_cp:], body], axis=1).reshape(-1)
     if not at_baseband:
         # The carrier is the left operand: complex multiply may fuse one
@@ -274,10 +273,9 @@ def ofdm_demodulate(signal: ComplexSignal, dims: DerivedDims, bwp_index: int,
 
     with chunk_map(threads) as pmap:
         pmap(demodulate, stage_chunks(n_sym, l))
-    values = rows.T
     if timing_offset:
-        values = values * np.exp(-2j * np.pi * idx * timing_offset / l)[:, None]
-    return ResourceGrid(bwp_index=bwp_index, values=values)
+        rows *= np.exp(-2j * np.pi * idx * timing_offset / l)
+    return ResourceGrid(bwp_index=bwp_index, values=rows)
 
 
 def write_waveform(signal: ComplexSignal, path: str) -> None:

@@ -139,9 +139,9 @@ def check_aggregate_noise_confinement() -> None:
     for m, out in enumerate(info["grids"]):
         d_spec = (ofdm.grid_to_spectrum(out, dims)
                   - ofdm.grid_to_spectrum(refs[m], dims))
-        rows = np.mod(dims.bwps[m].active_base, dims.bwps[m].l_ofdm_os)
-        off = np.setdiff1d(np.arange(dims.bwps[m].l_ofdm_os), rows)
-        assert np.all(d_spec[off, :] == 0), \
+        bins = np.mod(dims.bwps[m].active_base, dims.bwps[m].l_ofdm_os)
+        off = np.setdiff1d(np.arange(dims.bwps[m].l_ofdm_os), bins)
+        assert np.all(d_spec[:, off] == 0), \
             f"subband {m} leaked clipping noise outside its allocation"
         changed = changed or bool(np.any(d_spec != 0))
     assert changed, "no grid was modified despite iterations"
@@ -152,9 +152,9 @@ def check_fc_noise_confinement() -> None:
     info: dict = {"keep_spectra": True}
     execute(spec, info=info)
     delta = info["v_f_proc"] - info["v_f_orig"]
-    off = fc_icef.window_weights(info["windows"], delta.shape[0]) == 0.0
+    off = fc_icef.window_weights(info["windows"], delta.shape[1]) == 0.0
     assert np.any(delta != 0), "aggressive target left every block untouched"
-    assert np.all(delta[off, :] == 0), \
+    assert np.all(delta[:, off] == 0), \
         "clipping noise leaked outside the allocation/transition bins"
 
 

@@ -144,7 +144,7 @@ def modulate_wola(grid: ResourceGrid, dims: DerivedDims,
     params = WolaParams.from_dims(bd, extension_factor)
 
     def body_rows(sl: slice) -> np.ndarray:
-        return idft(grid_to_spectrum(grid, dims, symbols=sl).T)
+        return idft(grid_to_spectrum(grid, dims, symbols=sl))
 
     flat = wola_assemble(body_rows, grid.num_symbols, params, threads=threads)
 

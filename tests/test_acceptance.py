@@ -53,7 +53,7 @@ def bench():
             # Exact-confinement evidence, checked while the arrays exist:
             # the emitted stream is bit-identical to the WOLA synthesis of
             # the reported grids, and those grids place nothing outside
-            # each subband's active rows when expanded to full spectra.
+            # each subband's active bins when expanded to full spectra.
             rebuilt = wola.aggregate([
                 wola.modulate_wola(g, dims, spec.wola_extension_factor)
                 for g in info["grids"]
@@ -68,15 +68,15 @@ def bench():
                 bd = dims.bwps[m]
                 mask = np.ones(bd.l_ofdm_os, dtype=bool)
                 mask[np.mod(bd.active_base, bd.l_ofdm_os)] = False
-                off_active = max(off_active, float(np.abs(full[mask, :]).max()))
+                off_active = max(off_active, float(np.abs(full[:, mask]).max()))
             entry["off_active_max"] = off_active
         if method == METHOD_FC_ICEF:
             delta = info["v_f_proc"] - info["v_f_orig"]
-            k_e = fc_icef.window_weights(info["windows"], delta.shape[0]) > 0
+            k_e = fc_icef.window_weights(info["windows"], delta.shape[1]) > 0
             entry["protected_delta_max"] = float(
-                np.abs(delta[~k_e, :]).max())
+                np.abs(delta[:, ~k_e]).max())
             entry["shaped_delta_max"] = float(
-                np.abs(delta[k_e, :]).max())
+                np.abs(delta[:, k_e]).max())
         results["at5"][method] = entry
         del sig, info
     for target in EXTRA_TARGETS:

@@ -234,7 +234,7 @@ class TestFilteredComposite:
         for threads in (1, 2, 3):
             info: dict = {"keep_spectra": True}
             out = run_fc_icef(spec, dims, grids, info=info, threads=threads)
-            assert np.ascontiguousarray(info["v_f_orig"].T).tobytes() == total.tobytes()
+            assert info["v_f_orig"].tobytes() == total.tobytes()
             assert out.samples.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("chunk_samples", [1000, 5 * 8192, 1 << 18])

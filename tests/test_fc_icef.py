@@ -34,23 +34,20 @@ def _clean_blocks(spec, dims):
 
 
 def _column_loop(spec, dims, grids):
-    """The loop on (N, B) spectra and time blocks, kept as the bit-exact
-    reference: iterations, first and final ceilings, processed spectra and
-    output samples.  Every block energy is a pairwise sum down the block's
-    own contiguous column: the initial ones on a Fortran-ordered copy of
-    the clean blocks, the in-loop ones on the transform's column-contiguous
-    output."""
-    v_f, _, windows = fc.fc_subband_spectra(dims, grids)
-    cur = np.ascontiguousarray(v_f.T)
-    n, n_blocks = cur.shape
+    """The loop on full (B, N) spectra and time blocks, in fixed chunks of
+    64 active blocks, kept as the bit-exact reference: iterations, first
+    and final ceilings, processed spectra and output samples.  Every block
+    energy is a pairwise sum along the block's own contiguous row."""
+    cur, _, windows = fc.fc_subband_spectra(dims, grids)
+    n_blocks, n = cur.shape
     keep = dims.fc.keep_len
     kept = slice((n - keep) // 2, (n + keep) // 2)
     weights = window_weights(windows, n)
     h_idx = np.flatnonzero(weights)
-    h_w = weights[h_idx, None]
-    v_t = ofdm.idft(cur, axis=0)
-    peaks = np.max(np.abs(v_t) ** 2, axis=0)
-    energies = np.sum(np.abs(np.asfortranarray(v_t[kept, :])) ** 2, axis=0)
+    h_w = weights[None, h_idx]
+    v_t = ofdm.idft(cur)
+    peaks = np.max(np.abs(v_t) ** 2, axis=1)
+    energies = np.sum(np.abs(v_t[:, kept]) ** 2, axis=1)
     iters = np.zeros(n_blocks, dtype=np.int64)
     tau = 10.0 ** (spec.papr_target_db / 10.0)
     stop = 10.0 ** (spec.stop_epsilon_db / 10.0)
@@ -62,17 +59,16 @@ def _column_loop(spec, dims, grids):
             break
         iters[active] += 1
         for c in range(0, active.size, 64):
-            cols = active[c: c + 64]
-            blocks = v_t[:, cols]
-            noise_f = ofdm.dft(clip_polar(blocks, amp) - blocks,
-                               axis=0)[h_idx, :]
-            cur[np.ix_(h_idx, cols)] += h_w * noise_f
-            fresh = ofdm.idft(cur[:, cols], axis=0)
-            v_t[:, cols] = fresh
-            peaks[cols] = np.max(np.abs(fresh) ** 2, axis=0)
-            energies[cols] = np.sum(np.abs(fresh[kept, :]) ** 2, axis=0)
+            rows = active[c: c + 64]
+            blocks = v_t[rows]
+            noise_f = ofdm.dft(clip_polar(blocks, amp) - blocks)[:, h_idx]
+            cur[np.ix_(rows, h_idx)] += h_w * noise_f
+            fresh = ofdm.idft(cur[rows])
+            v_t[rows] = fresh
+            peaks[rows] = np.max(np.abs(fresh) ** 2, axis=1)
+            energies[rows] = np.sum(np.abs(fresh[:, kept]) ** 2, axis=1)
     bd = dims.bwps[0]
-    samples = v_t[kept, :].T.reshape(-1)[: bd.num_symbols * bd.stride_os]
+    samples = v_t[:, kept].reshape(-1)[: bd.num_symbols * bd.stride_os]
     return iters, amp0, amp, cur, samples
 
 
@@ -141,21 +137,21 @@ class TestBlockIterate:
         info: dict = {"keep_spectra": True}
         run_fc_icef(spec, dims, grids, info=info)
         v_f, proc = info["v_f_orig"], info["v_f_proc"]
-        w = window_weights(info["windows"], v_f.shape[0])
+        w = window_weights(info["windows"], v_f.shape[1])
         assert np.any((w > 0) & (w < 1))
         amp = info["threshold_amp"]
-        v_t = ofdm.idft(v_f, axis=0)
-        active = (np.max(np.abs(v_t) ** 2, axis=0)
+        v_t = ofdm.idft(v_f)
+        active = (np.max(np.abs(v_t) ** 2, axis=1)
                   > amp ** 2 * 10 ** (spec.stop_epsilon_db / 10))
         assert active.any() and not active.all()
         assert np.array_equal(info["iterations"] == 1, active)
         k_e = w > 0
-        noise = ofdm.dft(clip_polar(v_t, amp) - v_t, axis=0)
-        manual = v_f + w[:, None] * noise
-        assert np.allclose(proc[np.ix_(k_e, active)],
-                           manual[np.ix_(k_e, active)], rtol=1e-12, atol=0)
-        assert np.array_equal(proc[~k_e, :], v_f[~k_e, :])
-        assert np.array_equal(proc[:, ~active], v_f[:, ~active])
+        noise = ofdm.dft(clip_polar(v_t, amp) - v_t)
+        manual = v_f + w[None, :] * noise
+        assert np.allclose(proc[np.ix_(active, k_e)],
+                           manual[np.ix_(active, k_e)], rtol=1e-12, atol=0)
+        assert np.array_equal(proc[:, ~k_e], v_f[:, ~k_e])
+        assert np.array_equal(proc[~active], v_f[~active])
 
     def test_satisfied_peak_stops_immediately(self):
         # A target just above the highest block's peak-to-mean ratio leaves
@@ -270,9 +266,9 @@ class TestRunFcIcef:
         info: dict = {"keep_spectra": True}
         run_fc_icef(spec, dims, grids, info=info)
         delta = info["v_f_proc"] - info["v_f_orig"]
-        k_e = window_weights(info["windows"], delta.shape[0]) > 0
-        assert np.abs(delta[~k_e, :]).max() == 0.0
-        assert np.abs(delta[k_e, :]).max() > 0.0
+        k_e = window_weights(info["windows"], delta.shape[1]) > 0
+        assert np.abs(delta[:, ~k_e]).max() == 0.0
+        assert np.abs(delta[:, k_e]).max() > 0.0
 
     def test_clipping_keeps_the_clean_adjacent_channel_leakage(self):
         # The clipping noise passes through the subband windows, so the
@@ -301,8 +297,8 @@ class TestRunFcIcef:
         grids = make_grids(spec, dims)
         info: dict = {"keep_spectra": True}
         run_fc_icef(spec, dims, grids, info=info)
-        v_t = ofdm.idft(info["v_f_proc"], axis=0)
-        peaks = np.max(np.abs(v_t) ** 2, axis=0)
+        v_t = ofdm.idft(info["v_f_proc"])
+        peaks = np.max(np.abs(v_t) ** 2, axis=1)
         margin = info["final_amp"] ** 2 * 10 ** 0.03
         assert np.mean(peaks <= margin) >= 0.9
         assert 0 < info["threshold_amp"]

@@ -91,9 +91,9 @@ class TestIcefSymbol:
         assert (iters <= 6).all() and iters.max() > 0
 
         def papr(grid):
-            t = ofdm.idft(ofdm.grid_to_spectrum(grid, tiny_dims), axis=0)
+            t = ofdm.idft(ofdm.grid_to_spectrum(grid, tiny_dims))
             p = np.abs(t) ** 2
-            return np.max(p, axis=0) / np.mean(p, axis=0)
+            return np.max(p, axis=1) / np.mean(p, axis=1)
 
         before = np.concatenate([papr(g) for g in grids])
         after = np.concatenate([papr(g) for g in info["grids"]])
@@ -106,7 +106,7 @@ class TestIcefSymbol:
         g = rng(seed)
         grids = []
         for m, bd in enumerate(tiny_dims.bwps):
-            shape = (bd.num_subcarriers, bd.num_symbols)
+            shape = (bd.num_symbols, bd.num_subcarriers)
             grids.append(ofdm.ResourceGrid(
                 bwp_index=m,
                 values=g.standard_normal(shape) + 1j * g.standard_normal(shape)))
@@ -157,7 +157,7 @@ class TestComputeIni:
             scale = max(scale, float(np.max(np.abs(grid.values))))
         for m in (0, 1):
             leak = _interference(streams, m, dims)
-            assert leak.shape == (dims.bwps[m].num_subcarriers, 4)
+            assert leak.shape == (4, dims.bwps[m].num_subcarriers)
             assert np.max(np.abs(leak)) <= 1e-10 * scale
 
     def test_mixed_numerology_subbands_do_interfere(self, tiny_dims):
@@ -166,7 +166,7 @@ class TestComputeIni:
         for m in range(2):
             grid = ofdm.generate_grid(tiny_dims, m, spec.seed)
             streams.append(ofdm.ofdm_modulate(grid, tiny_dims).samples)
-        leak = _interference(streams, 0, tiny_dims)[:, 0]
+        leak = _interference(streams, 0, tiny_dims)[0]
         assert np.max(np.abs(leak)) > 1e-4
 
 
@@ -209,8 +209,8 @@ class TestRunIndependent:
         worst = []
         for m, out in enumerate(info["grids"]):
             ref = grids[m].values
-            ratio = (np.sum(np.abs(out.values - ref) ** 2, axis=0)
-                     / np.sum(np.abs(ref) ** 2, axis=0))
+            ratio = (np.sum(np.abs(out.values - ref) ** 2, axis=1)
+                     / np.sum(np.abs(ref) ** 2, axis=1))
             worst.append(ratio.max() / ofdm.evm_limit(dims.bwps[m].modulation) ** 2)
         assert max(worst) <= 1 + 1e-9
         # The 64-QAM budget binds at this target: some symbol sits on it.
@@ -218,12 +218,9 @@ class TestRunIndependent:
         assert worst[1] >= 1 - 1e-9
 
     def test_matches_the_symbol_per_column_loop(self):
-        # The loop on (L, S) spectra and bodies, kept as the bit-exact
-        # reference.  Every per-symbol sum is pairwise down the symbol's own
-        # contiguous column: the grid's columns are contiguous, the initial
-        # mean power and the noise power are taken on Fortran-ordered
-        # copies, and the in-loop mean on each gathered (Fortran-ordered)
-        # column.
+        # The loop on (S, L) spectra and bodies over all active symbols at
+        # once, kept as the bit-exact reference.  Every per-symbol sum is
+        # pairwise along the symbol's own contiguous row.
         spec = tiny_spec(method="I_ICEF")
         dims = derive_dims(spec)
         grids = [ofdm.generate_grid(dims, m, spec.seed) for m in range(2)]
@@ -234,36 +231,33 @@ class TestRunIndependent:
         all_iters = []
         for m, grid in enumerate(grids):
             bd = dims.bwps[m]
-            rows = np.mod(bd.active_base, bd.l_ofdm_os)
+            bins = np.mod(bd.active_base, bd.l_ofdm_os)
             vals_orig = grid.values
             vals_cur = vals_orig.copy()
             budget = (ofdm.evm_limit(bd.modulation) ** 2
-                      * np.sum(np.abs(vals_orig) ** 2, axis=0))
-            spec_full = np.zeros((bd.l_ofdm_os, bd.num_symbols), dtype=np.complex128)
-            spec_full[rows, :] = vals_orig
-            bodies = ofdm.idft(spec_full, axis=0)
+                      * np.sum(np.abs(vals_orig) ** 2, axis=1))
+            spec_full = np.zeros((bd.num_symbols, bd.l_ofdm_os), dtype=np.complex128)
+            spec_full[:, bins] = vals_orig
+            bodies = ofdm.idft(spec_full)
             iters = np.zeros(bd.num_symbols, dtype=np.int64)
-            amps = np.sqrt(np.mean(np.abs(np.asfortranarray(bodies)) ** 2,
-                                   axis=0) * tau)
-            peaks = np.max(np.abs(bodies) ** 2, axis=0)
+            amps = np.sqrt(np.mean(np.abs(bodies) ** 2, axis=1) * tau)
+            peaks = np.max(np.abs(bodies) ** 2, axis=1)
             active = np.flatnonzero(peaks > amps ** 2 * stop)
             for _ in range(spec.max_iterations):
                 if active.size == 0:
                     break
                 iters[active] += 1
-                clipped_f = ofdm.dft(
-                    clip_polar(bodies[:, active], amps[None, active]), axis=0)
-                noise = clipped_f[rows, :] - vals_orig[:, active]
-                noise_pow = np.sum(np.abs(np.asfortranarray(noise)) ** 2,
-                                   axis=0)
+                clipped_f = ofdm.dft(clip_polar(bodies[active], amps[active, None]))
+                noise = clipped_f[:, bins] - vals_orig[active]
+                noise_pow = np.sum(np.abs(noise) ** 2, axis=1)
                 noise *= np.sqrt(np.minimum(
-                    1.0, budget[active] / np.maximum(noise_pow, 1e-300)))
-                vals_cur[:, active] = vals_orig[:, active] + noise
-                spec_full[rows[:, None], active[None, :]] = vals_cur[:, active]
-                bodies[:, active] = ofdm.idft(spec_full[:, active], axis=0)
+                    1.0, budget[active] / np.maximum(noise_pow, 1e-300)))[:, None]
+                vals_cur[active] = vals_orig[active] + noise
+                spec_full[active[:, None], bins[None, :]] = vals_cur[active]
+                bodies[active] = ofdm.idft(spec_full[active])
                 amps[active] = np.sqrt(
-                    np.mean(np.abs(bodies[:, active]) ** 2, axis=0) * tau)
-                peaks = np.max(np.abs(bodies[:, active]) ** 2, axis=0)
+                    np.mean(np.abs(bodies[active]) ** 2, axis=1) * tau)
+                peaks = np.max(np.abs(bodies[active]) ** 2, axis=1)
                 active = active[peaks > amps[active] ** 2 * stop]
             all_iters.append(iters)
             assert np.array_equal(info["grids"][m].values, vals_cur)

@@ -281,6 +281,30 @@ class TestMse:
                 assert rx.values.tobytes() == ref_rx[m]
             assert mse_per_bwp(sig, tiny_dims, tiny_grids, threads=threads) == ref
 
+    def test_reads_the_symbol_rows_without_copying_them(self, monkeypatch):
+        # Grids, symbol spectra and received grids are C-ordered rows, one
+        # per symbol, so mse_per_bwp flattens both grids as free views and
+        # takes the error in the received grid's own buffer.  128 base
+        # symbols, demodulated in chunks of 2 and 8 rows: the traced peak
+        # is 2.0 grid sizes (the received grid and the fitted payload).
+        # Flattening (K, S) grids copies both, and with an out-of-place
+        # error it was 6.3.
+        spec = make_spec(method="NONE", duration_symbols_base=128)
+        dims = derive_dims(spec)
+        grids = make_grids(spec, dims)
+        sig = icef.run_none(spec, dims, grids)
+        for m, grid in enumerate(grids):
+            bd = dims.bwps[m]
+            rx = ofdm.ofdm_demodulate(sig, dims, m)
+            for rows, width in ((grid.values, bd.num_subcarriers),
+                                (rx.values, bd.num_subcarriers),
+                                (ofdm.grid_to_spectrum(grid, dims), bd.l_ofdm_os)):
+                assert rows.shape == (bd.num_symbols, width)
+                assert rows.flags.c_contiguous
+        monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", 1 << 14)
+        _, peak = traced_peak(mse_per_bwp, sig, dims, grids)
+        assert peak <= 2.5 * max(g.values.nbytes for g in grids)
+
 
 class TestMask:
     def _write_mask(self, path, rows):

@@ -141,8 +141,8 @@ class TestGridGeneration:
         spec = make_spec(method="FC_ICEF")
         g0 = ofdm.generate_grid(desk_dims, 0, spec.seed)
         g1 = ofdm.generate_grid(desk_dims, 1, spec.seed)
-        assert g0.values.shape == (624, 512)
-        assert g1.values.shape == (132, 2048)
+        assert g0.values.shape == (512, 624)
+        assert g1.values.shape == (2048, 132)
         assert g0.bwp_index == 0 and g1.bwp_index == 1
 
     def test_deterministic_in_seed_and_distinct_across_bwps(self, tiny_dims):
@@ -156,18 +156,18 @@ class TestGridGeneration:
         assert a.values.shape != d.values.shape or not np.array_equal(a.values, d.values)
 
     def test_matches_a_per_symbol_reference(self, tiny_dims):
-        # The symbol-per-column generator, kept as the bit-exact reference:
-        # one generator and one mapping call per symbol, into a (K, S)
+        # The symbol-per-row generator, kept as the bit-exact reference:
+        # one generator and one mapping call per symbol, into an (S, K)
         # array.
         for m, bd in enumerate(tiny_dims.bwps):
             k = bd.num_subcarriers
             nbits = ofdm.bits_per_symbol(bd.modulation)
-            ref = np.empty((k, bd.num_symbols), dtype=np.complex128)
+            ref = np.empty((bd.num_symbols, k), dtype=np.complex128)
             for s in range(bd.num_symbols):
                 key = np.array([7, (m << 32) | s], dtype=np.uint64)
                 bits = np.random.Generator(np.random.Philox(key=key)).integers(
                     0, 2, size=k * nbits)
-                ref[:, s] = ofdm.qam_map(bits, bd.modulation)
+                ref[s] = ofdm.qam_map(bits, bd.modulation)
             grid = ofdm.generate_grid(tiny_dims, m, 7)
             assert grid.values.tobytes() == ref.tobytes()
 
@@ -219,14 +219,14 @@ class TestModem:
         n = bd.num_symbols * stride + stride // 2
         x = g.standard_normal(n) + 1j * g.standard_normal(n)
         ramp = ofdm.subband_carrier(bd, l, 0, l, conjugate=True)
-        windows = np.empty((l, bd.num_symbols), dtype=np.complex128)
+        windows = np.empty((bd.num_symbols, l), dtype=np.complex128)
         for s in range(bd.num_symbols):
             start = s * stride + l_cp + offset
             phase = np.exp(-2j * np.pi * bd.center_scs * start / l)
-            windows[:, s] = x[start: start + l] * ramp * phase
-        ref = ofdm.dft(windows, axis=0)[np.mod(bd.active_base, l), :]
+            windows[s] = x[start: start + l] * ramp * phase
+        ref = ofdm.dft(windows)[:, np.mod(bd.active_base, l)]
         if offset:
-            ref = ref * np.exp(-2j * np.pi * bd.active_base * offset / l)[:, None]
+            ref = ref * np.exp(-2j * np.pi * bd.active_base * offset / l)[None, :]
         sig = ofdm.ComplexSignal(samples=x, sample_rate_hz=tiny_dims.fs_oversampled_hz)
         rec = ofdm.ofdm_demodulate(sig, tiny_dims, 1, offset)
         assert np.array_equal(rec.values, ref)
@@ -235,17 +235,17 @@ class TestModem:
     @pytest.mark.parametrize("at_baseband", [True, False])
     def test_stream_matches_a_per_column_reference(self, tiny_dims, tiny_grids,
                                                    bwp_index, at_baseband):
-        # The symbol-per-column modem, kept as the bit-exact reference: an
-        # (L, S) spectrum, IDFT down the columns, CP stacked on axis 0 and
-        # the stream read column by column.  The carrier is the left operand
+        # The symbol-per-row modem, kept as the bit-exact reference: an
+        # (S, L) spectrum, IDFT along the rows, CP stacked on axis 1 and
+        # the stream read row by row.  The carrier is the left operand
         # of the upconversion; for streams above 256 KiB, numpy's temporary
         # elision turns ``flat * subband_carrier(...)`` into exactly this.
         grid, bd = tiny_grids[bwp_index], tiny_dims.bwps[bwp_index]
         l, l_cp = bd.l_ofdm_os, bd.l_cp_os
-        x_f = np.zeros((l, grid.num_symbols), dtype=np.complex128)
-        x_f[np.mod(bd.active_base, l), :] = grid.values
-        body = ofdm.idft(x_f, axis=0)
-        ref = np.concatenate([body[l - l_cp:, :], body], axis=0).T.reshape(-1)
+        x_f = np.zeros((grid.num_symbols, l), dtype=np.complex128)
+        x_f[:, np.mod(bd.active_base, l)] = grid.values
+        body = ofdm.idft(x_f)
+        ref = np.concatenate([body[:, l - l_cp:], body], axis=1).reshape(-1)
         if not at_baseband:
             ref = ofdm.subband_carrier(bd, l, 0, ref.size) * ref
         sig = ofdm.ofdm_modulate(grid, tiny_dims, at_baseband=at_baseband)
@@ -255,17 +255,17 @@ class TestModem:
         grid = tiny_grids[1]
         full = ofdm.grid_to_spectrum(grid, tiny_dims)
         part = ofdm.grid_to_spectrum(grid, tiny_dims, symbols=slice(5, 12))
-        assert part.shape == (full.shape[0], 7)
-        assert np.array_equal(part, full[:, 5:12])
+        assert part.shape == (7, full.shape[1])
+        assert np.array_equal(part, full[5:12])
 
     def test_carrier_phase_is_continuous_across_symbols(self, tiny_dims):
         # A single center subcarrier must come out as one uninterrupted
         # complex tone at the subband center frequency, with no phase reset
         # at symbol boundaries and the cyclic prefix consistent with it.
         bd = tiny_dims.bwps[1]
-        values = np.zeros((len(bd.active_base), bd.num_symbols), dtype=np.complex128)
+        values = np.zeros((bd.num_symbols, len(bd.active_base)), dtype=np.complex128)
         k0 = int(np.flatnonzero(bd.active_base == 0)[0])
-        values[k0, :] = 1.0
+        values[:, k0] = 1.0
         grid = ofdm.ResourceGrid(bwp_index=1, values=values)
         sig = ofdm.ofdm_modulate(grid, tiny_dims)
         n = np.arange(sig.samples.size)

@@ -186,20 +186,22 @@ class TestModulateAndRecover:
         err = np.max(np.abs(rec.values - tiny_grids[0].values))
         assert err > 1e-3
 
-    @pytest.mark.parametrize("chunk_samples", [1000, 12345, 27510, 1 << 18])
+    @pytest.mark.parametrize("chunk_samples", [7, 1000, 12345, 27510, 1 << 18])
     def test_threads_and_chunks_leave_the_stream_unchanged(
             self, monkeypatch, fast_switching, tiny_dims, tiny_grids,
             chunk_samples):
         # The whole-batch overlap-add of all bodies and the whole-stream
         # carrier multiply, kept as the bit-exact reference.  27510 samples
         # are three 15 kHz windows (8 symbols) or twelve 60 kHz ones (32),
-        # so chunks end mid-stream and leave a remainder.
+        # so chunks end mid-stream and leave a remainder.  7 samples is
+        # near the carrier multiply's floor of 2: the streams' last chunks
+        # hold 2 (70345 samples) and 5 (70194).
         spec = tiny_spec()
         refs = []
         for g in tiny_grids:
             bd = tiny_dims.bwps[g.bwp_index]
             params = wola.WolaParams.from_dims(bd, spec.wola_extension_factor)
-            bodies = ofdm.idft(ofdm.grid_to_spectrum(g, tiny_dims).T)
+            bodies = ofdm.idft(ofdm.grid_to_spectrum(g, tiny_dims))
             flat = _batch_assemble(bodies, params)
             flat *= ofdm.subband_carrier(bd, bd.l_ofdm_os, 0, flat.size)
             refs.append(flat.tobytes())
