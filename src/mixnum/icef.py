@@ -134,8 +134,8 @@ def run_e_icef(spec: ScenarioSpec, dims: DerivedDims,
     (the other subbands' streams seen through the window), with one
     observation per subband and round instead of three; the two forms
     agree to rounding.  Each subband is then resynthesized
-    (``ofdm_modulate`` at baseband, times the subband's carrier, which is
-    computed once per call).  The iteration stops early once the
+    (``ofdm_modulate``, which places it at its carrier in frequency, so
+    no full-length carrier is built).  The iteration stops early once the
     composite peak-to-average ratio meets the target.
 
     Each subband's observe-and-resynthesize step is one task on
@@ -155,15 +155,8 @@ def run_e_icef(spec: ScenarioSpec, dims: DerivedDims,
         sig = ComplexSignal(samples=samples, sample_rate_hz=dims.fs_oversampled_hz)
         return ofdm_demodulate(sig, dims, m).values
 
-    # Each subband's carrier, computed once: a synthesis is the baseband
-    # stream times it, in the operand order ``ofdm_modulate`` uses.
-    carriers = [ofdm.subband_carrier(bd, bd.l_ofdm_os, 0,
-                                     bd.num_symbols * bd.stride_os)
-                for bd in dims.bwps]
-
     def synthesize(m: int) -> np.ndarray:
-        grid = ResourceGrid(bwp_index=m, values=vals[m])
-        return carriers[m] * ofdm_modulate(grid, dims, at_baseband=True).samples
+        return ofdm_modulate(ResourceGrid(bwp_index=m, values=vals[m]), dims).samples
 
     def update(m: int, heard: np.ndarray) -> np.ndarray:
         seen = observe(heard, m)

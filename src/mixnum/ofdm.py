@@ -6,6 +6,9 @@ Conventions used throughout the package:
   (numpy convention), so ``dft(idft(x)) == x``;
 * frequency-domain vectors are in natural DFT order, DC at bin 0; signed
   subcarrier indexes are folded with ``k mod L``;
+* a BWP's carrier is a shift of ``center_scs`` bins plus one exact phase
+  per symbol (``symbol_bodies``), removed the same way by the receiver;
+  no full-length carrier array is ever built;
 * one OFDM symbol is one contiguous row: grids are C-ordered
   (num_symbols, K) arrays and transform inputs and bodies C-ordered
   (num_symbols, L) arrays, so every transform runs along the last axis
@@ -74,9 +77,7 @@ def chunk_map(threads: int):
 # The full-length stages (WOLA and filter-bank synthesis, the clip loops,
 # demodulation, Welch's segments) work in chunks of about this many
 # samples.  Their arithmetic is per row or per sample, so the chunk size
-# changes no result while every chunk of samples holds at least 2: numpy
-# multiplies a 1-sample complex slice (WOLA's carrier) on another code
-# path, whose last bits differ in about 40 % of products.
+# changes no result.
 _STAGE_CHUNK_SAMPLES = 1 << 18
 
 
@@ -178,38 +179,53 @@ def bin_runs(first: int, count: int, n: int) -> list[tuple[slice, slice]]:
     return runs
 
 
-def subband_carrier(bd: BwpDims, l: int, start: int, length: int, *,
-                    conjugate: bool = False) -> np.ndarray:
-    """Continuous upconversion carrier for a BWP, sampled at absolute index.
-
-    ``exp(2j*pi*center*(start+n)/l)`` for ``n`` in ``[0, length)``, where
-    ``center`` is the snapped center in the BWP's own subcarrier units and
-    ``l`` the matching transform size.  The carrier runs continuously over
-    the whole stream — it does not reset at symbol boundaries — which is
-    what a mixing upconverter (or the filter bank's bin mapping with its
-    per-block phase rotation) produces.
-    """
-    sign = -1.0 if conjugate else 1.0
-    n = start + np.arange(length)
-    return np.exp(sign * 2j * np.pi * bd.center_scs * n / l)
-
-
-def grid_to_spectrum(grid: ResourceGrid, dims: DerivedDims, *,
-                     oversampled: bool = True,
-                     symbols: slice = slice(None)) -> np.ndarray:
-    """Zero-padded length-L transform input per symbol, shape (S, L).
-
-    The allocation is centered on DC (``active_base``), and only the grid
-    rows in ``symbols`` are taken, one C-ordered row each, ready for a
-    last-axis transform.
-    """
-    bd = dims.bwps[grid.bwp_index]
-    l, _ = _transform_dims(bd, oversampled)
-    values = grid.values[symbols]
+def _place(values: np.ndarray, first: int, l: int) -> np.ndarray:
+    """Length-``l`` zero rows with ``values[:, k]`` on bin ``(first + k) mod l``."""
     x_f = np.zeros((values.shape[0], l), dtype=np.complex128)
-    for cols, bins in bin_runs(int(bd.active_base[0]), bd.num_subcarriers, l):
+    for cols, bins in bin_runs(first, values.shape[1], l):
         x_f[:, bins] = values[:, cols]
     return x_f
+
+
+def grid_to_spectrum(grid: ResourceGrid, dims: DerivedDims) -> np.ndarray:
+    """Zero-padded oversampled transform input per symbol, shape (S, L).
+
+    The allocation is centered on DC (``active_base``), one C-ordered row
+    per symbol, ready for a last-axis transform.
+    """
+    bd = dims.bwps[grid.bwp_index]
+    return _place(grid.values, int(bd.active_base[0]), bd.l_ofdm_os)
+
+
+def _carrier_phase(center: int, n: np.ndarray, l: int) -> np.ndarray:
+    """``exp(2j*pi*center*n/l)``, with ``center*n`` reduced mod ``l`` in
+    integers first, so its error does not grow with ``n``."""
+    return np.exp(2j * np.pi * ((center * n) % l) / l)
+
+
+def symbol_bodies(grid: ResourceGrid, dims: DerivedDims,
+                  symbols: slice = slice(None), *, oversampled: bool = True,
+                  at_baseband: bool = False) -> np.ndarray:
+    """The (S, L) time bodies of grid rows ``symbols``, at the BWP's carrier.
+
+    The allocation sits at bins ``active_base + c`` (``c = center_scs``, an
+    integer), so each body carries the carrier ``exp(2j*pi*c*n/l)`` over
+    its own samples, and row ``s`` is multiplied by the carrier's phase at
+    its first body sample ``s*stride + l_cp``.  CP and WOLA extensions are
+    cyclic copies and windows pointwise, so a stream built from these
+    bodies is the baseband one mixed by the continuous carrier.
+    ``at_baseband`` keeps the allocation on DC, with no phase.
+    """
+    bd = dims.bwps[grid.bwp_index]
+    l, l_cp = _transform_dims(bd, oversampled)
+    c = 0 if at_baseband else bd.center_scs
+    values = grid.values[symbols]
+    body = idft(_place(values, int(bd.active_base[0]) + c, l))
+    if c:
+        first = symbols.indices(grid.num_symbols)[0]
+        n0 = (first + np.arange(values.shape[0])) * (l + l_cp) + l_cp
+        body *= _carrier_phase(c, n0, l)[:, None]
+    return body
 
 
 def ofdm_modulate(grid: ResourceGrid, dims: DerivedDims, *,
@@ -217,21 +233,15 @@ def ofdm_modulate(grid: ResourceGrid, dims: DerivedDims, *,
                   at_baseband: bool = False) -> ComplexSignal:
     """Synthesize the CP-OFDM sample stream of one BWP.
 
-    The symbol bodies are synthesized around DC and the last ``l_cp`` body
-    samples are prepended as the cyclic prefix (every symbol uses the same
-    CP length).  Unless ``at_baseband`` is requested, the assembled stream
-    is then upconverted to the BWP's in-carrier position by one carrier
-    that runs continuously across symbol boundaries.
+    Each symbol is its body (``symbol_bodies``: at the BWP's carrier
+    unless ``at_baseband`` is requested) with its last ``l_cp`` samples
+    prepended as the cyclic prefix (every symbol uses the same CP length).
     """
     bd = dims.bwps[grid.bwp_index]
     l, l_cp = _transform_dims(bd, oversampled)
-    body = idft(grid_to_spectrum(grid, dims, oversampled=oversampled))
+    body = symbol_bodies(grid, dims, oversampled=oversampled,
+                         at_baseband=at_baseband)
     flat = np.concatenate([body[:, l - l_cp:], body], axis=1).reshape(-1)
-    if not at_baseband:
-        # The carrier is the left operand: complex multiply may fuse one
-        # of its products into an FMA, so the operand order fixes the last
-        # bit.  Callers that cache the carrier multiply the same way.
-        flat = subband_carrier(bd, l, 0, flat.size) * flat
     rate = dims.fs_oversampled_hz if oversampled else dims.fs_nominal_hz
     return ComplexSignal(samples=flat, sample_rate_hz=rate)
 
@@ -241,9 +251,10 @@ def ofdm_demodulate(signal: ComplexSignal, dims: DerivedDims, bwp_index: int,
                     threads: int = 1) -> ResourceGrid:
     """Recover a BWP's grid from an oversampled composite stream.
 
-    Per symbol, an L-sample window is taken at
-    ``symbol_start + l_cp + timing_offset``, downconverted by the BWP's
-    continuous carrier and transformed; the known phase ramp caused by a
+    Per symbol, the L-sample window at ``symbol_start + l_cp +
+    timing_offset`` is transformed, bins ``active_base + center_scs`` are
+    read and multiplied by the conjugate carrier phase at the window start
+    (the mirror of ``symbol_bodies``).  The known phase ramp caused by a
     window start inside the CP is compensated, so any ``timing_offset`` in
     [-l_cp, 0] recovers an ISI-free symbol exactly.  The signal covers at
     least the BWP's symbols.  Symbols are demodulated in fixed chunks of
@@ -257,19 +268,16 @@ def ofdm_demodulate(signal: ComplexSignal, dims: DerivedDims, bwp_index: int,
     start = l_cp + timing_offset
     frames = signal.samples[: n_sym * stride].reshape(n_sym, stride)
     idx = bd.active_base
-    runs = bin_runs(int(idx[0]), idx.size, l)
-    # The conjugate carrier over window s factors into a per-sample ramp
-    # (shared by all windows) times a per-window scalar at its start.
-    ramp = subband_carrier(bd, l, 0, l, conjugate=True)
-    starts = start + stride * np.arange(n_sym)
-    phase = np.exp(-2j * np.pi * bd.center_scs * starts / l)
+    runs = bin_runs(int(idx[0]) + bd.center_scs, idx.size, l)
+    phase = np.conj(_carrier_phase(bd.center_scs,
+                                   start + stride * np.arange(n_sym), l))
     rows = np.empty((n_sym, idx.size), dtype=np.complex128)
 
     def demodulate(sl: slice) -> None:
-        windows = frames[sl, start: start + l] * ramp[None, :] * phase[sl, None]
-        spectra = dft(windows)
+        spectra = dft(frames[sl, start: start + l])
         for cols, bins in runs:
             rows[sl, cols] = spectra[:, bins]
+        rows[sl] *= phase[sl, None]
 
     with chunk_map(threads) as pmap:
         pmap(demodulate, stage_chunks(n_sym, l))

@@ -14,8 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .ofdm import (ComplexSignal, ResourceGrid, chunk_map, grid_to_spectrum,
-                   idft, stage_chunks, subband_carrier)
+from .ofdm import (ComplexSignal, ResourceGrid, chunk_map, stage_chunks,
+                   symbol_bodies)
 from .scenario import BwpDims, DerivedDims
 
 
@@ -130,30 +130,14 @@ def modulate_wola(grid: ResourceGrid, dims: DerivedDims,
                   threads: int = 1) -> ComplexSignal:
     """WOLA-shaped oversampled waveform of one BWP.
 
-    Shaping happens at baseband and the assembled stream is upconverted by
-    the BWP's continuous carrier afterwards; since windowing is pointwise
-    and the cyclic extensions of neighbouring symbols overlap at identical
-    absolute times, this equals upconverting each extended symbol first.
+    The symbol bodies come at the BWP's carrier (``symbol_bodies``), so
+    this equals shaping at baseband and mixing the stream by the carrier.
     Each chunk of symbols is synthesized from the grid, transformed and
-    windowed on its own (``wola_assemble``), and the carrier multiply runs
-    in fixed chunks of samples, all on ``threads`` worker threads; each
-    chunk's carrier is sampled at the same absolute indexes as the whole
-    stream's.
+    windowed on its own (``wola_assemble``), on ``threads`` worker threads.
     """
-    bd = dims.bwps[grid.bwp_index]
-    params = WolaParams.from_dims(bd, extension_factor)
-
-    def body_rows(sl: slice) -> np.ndarray:
-        return idft(grid_to_spectrum(grid, dims, symbols=sl))
-
-    flat = wola_assemble(body_rows, grid.num_symbols, params, threads=threads)
-
-    def upconvert(sl: slice) -> None:
-        flat[sl] *= subband_carrier(bd, bd.l_ofdm_os, sl.start,
-                                    sl.stop - sl.start)
-
-    with chunk_map(threads) as pmap:
-        pmap(upconvert, stage_chunks(flat.size))
+    params = WolaParams.from_dims(dims.bwps[grid.bwp_index], extension_factor)
+    flat = wola_assemble(lambda sl: symbol_bodies(grid, dims, sl),
+                         grid.num_symbols, params, threads=threads)
     return ComplexSignal(samples=flat, sample_rate_hz=dims.fs_oversampled_hz)
 
 

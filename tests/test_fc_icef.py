@@ -33,7 +33,7 @@ def _clean_blocks(spec, dims):
     return v_t, slice(discard, discard + dims.fc.keep_len)
 
 
-def _column_loop(spec, dims, grids):
+def _block_row_loop(spec, dims, grids):
     """The loop on full (B, N) spectra and time blocks, in fixed chunks of
     64 active blocks, kept as the bit-exact reference: iterations, first
     and final ceilings, processed spectra and output samples.  Every block
@@ -232,13 +232,13 @@ class TestRunFcIcef:
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("target", [5.0, 8.0])
-    def test_matches_the_block_per_column_loop(self, target, threads):
+    def test_matches_the_block_row_loop(self, target, threads):
         spec = tiny_spec(method="FC_ICEF", papr_target_db=target)
         dims = derive_dims(spec)
         grids = [ofdm.generate_grid(dims, m, spec.seed) for m in range(2)]
         info: dict = {"keep_spectra": True}
         out = run_fc_icef(spec, dims, grids, info=info, threads=threads)
-        iters, amp0, amp, cur, expect = _column_loop(spec, dims, grids)
+        iters, amp0, amp, cur, expect = _block_row_loop(spec, dims, grids)
         assert iters.max() > 1
         assert np.array_equal(info["iterations"], iters)
         assert info["threshold_amp"] == amp0

@@ -217,7 +217,7 @@ class TestRunIndependent:
         assert dims.bwps[1].modulation == "64QAM"
         assert worst[1] >= 1 - 1e-9
 
-    def test_matches_the_symbol_per_column_loop(self):
+    def test_matches_the_symbol_row_loop(self):
         # The loop on (S, L) spectra and bodies over all active symbols at
         # once, kept as the bit-exact reference.  Every per-symbol sum is
         # pairwise along the symbol's own contiguous row.
@@ -344,6 +344,17 @@ class TestRunAggregate:
         assert runs[0][1] == spec.max_iterations
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
+    def test_holds_no_full_length_carrier(self):
+        # 64 base symbols at 5 dB, one thread.  The traced peak is 4.58
+        # output sizes; with one full-length carrier cached per subband
+        # and multiplied into each resynthesized stream it was 6.57.
+        spec = make_spec(method="E_ICEF_WOLA", duration_symbols_base=64,
+                         papr_target_db=5.0)
+        dims = derive_dims(spec)
+        grids = make_grids(spec, dims)
+        out, peak = traced_peak(icef.run_e_icef, spec, dims, grids)
+        assert peak <= 5.0 * out.samples.nbytes
+
     @staticmethod
     def _one_round(seed=1):
         spec = tiny_spec(method="E_ICEF_WOLA", max_iterations=1, seed=seed)
@@ -365,8 +376,8 @@ class TestRunAggregate:
 
     def test_one_round_matches_a_hand_built_round(self):
         # One round on upconverted ``ofdm_modulate`` streams, kept as the
-        # bit-exact reference for the runner's cached-carrier synthesis and
-        # its single observation of the clipping noise per subband.
+        # bit-exact reference for the runner's synthesis and its single
+        # observation of the clipping noise per subband.
         dims, grids, info, observe, _, composite, clipped = self._one_round()
         values = [g.values + observe(clipped - composite, m)
                   for m, g in enumerate(grids)]

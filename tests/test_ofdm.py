@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mixnum import ofdm
+from mixnum import ofdm, wola
 
 from conftest import make_spec, rng, tiny_spec
 
@@ -207,56 +207,94 @@ class TestModem:
     @pytest.mark.parametrize("offset_frac", [0.0, 0.5, 1.0])
     def test_windows_match_a_per_symbol_copy(self, tiny_dims, offset_frac):
         # Arbitrary samples with a trailing partial symbol: the receiver
-        # takes, bit for bit, the L samples at symbol_start + l_cp + offset
-        # and downconverts them by the carrier at those absolute indexes,
-        # as the carrier's ramp over one window times its phase at the
-        # window start.
+        # takes the L samples at symbol_start + l_cp + offset, mixes them
+        # down sample by sample by the carrier at those absolute indexes
+        # and transforms them.  The receiver instead reads shifted bins of
+        # the raw window and applies one phase per row, so the two differ
+        # by the rounding of an L-point transform: about eps * log2(L)
+        # (2.4e-15) of the rms value.  1e-13 of the peak leaves margin for
+        # that and is still far below a carrier whose phase is not
+        # reduced in integers (2e-12 on these short streams).
         bd = tiny_dims.bwps[1]
-        l, l_cp = bd.l_ofdm_os, bd.l_cp_os
+        l, l_cp, c = bd.l_ofdm_os, bd.l_cp_os, bd.center_scs
         stride = l + l_cp
         offset = -int(round(offset_frac * l_cp))
         g = rng("receiver windows")
         n = bd.num_symbols * stride + stride // 2
         x = g.standard_normal(n) + 1j * g.standard_normal(n)
-        ramp = ofdm.subband_carrier(bd, l, 0, l, conjugate=True)
         windows = np.empty((bd.num_symbols, l), dtype=np.complex128)
         for s in range(bd.num_symbols):
             start = s * stride + l_cp + offset
-            phase = np.exp(-2j * np.pi * bd.center_scs * start / l)
-            windows[s] = x[start: start + l] * ramp * phase
+            k = start + np.arange(l)
+            windows[s] = x[start: start + l] * np.exp(-2j * np.pi * (c * k % l) / l)
         ref = ofdm.dft(windows)[:, np.mod(bd.active_base, l)]
         if offset:
             ref = ref * np.exp(-2j * np.pi * bd.active_base * offset / l)[None, :]
         sig = ofdm.ComplexSignal(samples=x, sample_rate_hz=tiny_dims.fs_oversampled_hz)
         rec = ofdm.ofdm_demodulate(sig, tiny_dims, 1, offset)
-        assert np.array_equal(rec.values, ref)
+        assert np.max(np.abs(rec.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("bwp_index", [0, 1])
     @pytest.mark.parametrize("at_baseband", [True, False])
-    def test_stream_matches_a_per_column_reference(self, tiny_dims, tiny_grids,
+    def test_stream_matches_a_symbol_row_reference(self, tiny_dims, tiny_grids,
                                                    bwp_index, at_baseband):
-        # The symbol-per-row modem, kept as the bit-exact reference: an
-        # (S, L) spectrum, IDFT along the rows, CP stacked on axis 1 and
-        # the stream read row by row.  The carrier is the left operand
-        # of the upconversion; for streams above 256 KiB, numpy's temporary
-        # elision turns ``flat * subband_carrier(...)`` into exactly this.
+        # The baseband modem on (S, L) rows, kept as the bit-exact
+        # reference: an (S, L) spectrum, IDFT along the rows, CP stacked
+        # on axis 1 and the stream read row by row.  At the carrier, the
+        # reference mixes that stream sample by sample by the carrier,
+        # its phase reduced in integers; the modem shifts bins and applies
+        # one phase per symbol instead, so the two agree to the rounding
+        # of an L-point transform (see the window test above for the
+        # 1e-13 of the peak).
         grid, bd = tiny_grids[bwp_index], tiny_dims.bwps[bwp_index]
-        l, l_cp = bd.l_ofdm_os, bd.l_cp_os
+        l, l_cp, c = bd.l_ofdm_os, bd.l_cp_os, bd.center_scs
         x_f = np.zeros((grid.num_symbols, l), dtype=np.complex128)
         x_f[:, np.mod(bd.active_base, l)] = grid.values
         body = ofdm.idft(x_f)
         ref = np.concatenate([body[:, l - l_cp:], body], axis=1).reshape(-1)
-        if not at_baseband:
-            ref = ofdm.subband_carrier(bd, l, 0, ref.size) * ref
         sig = ofdm.ofdm_modulate(grid, tiny_dims, at_baseband=at_baseband)
-        assert np.array_equal(sig.samples, ref)
+        if at_baseband:
+            assert np.array_equal(sig.samples, ref)
+        else:
+            n = np.arange(ref.size)
+            ref = ref * np.exp(2j * np.pi * (c * n % l) / l)
+            assert np.max(np.abs(sig.samples - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    def test_symbol_slice_takes_the_same_columns(self, tiny_dims, tiny_grids):
+    def test_symbol_slice_takes_the_same_rows(self, tiny_dims, tiny_grids):
+        # A slice of symbols gets the same bodies, carrier phase included,
+        # as the same rows of the whole grid.
         grid = tiny_grids[1]
-        full = ofdm.grid_to_spectrum(grid, tiny_dims)
-        part = ofdm.grid_to_spectrum(grid, tiny_dims, symbols=slice(5, 12))
+        full = ofdm.symbol_bodies(grid, tiny_dims)
+        part = ofdm.symbol_bodies(grid, tiny_dims, slice(5, 12))
         assert part.shape == (7, full.shape[1])
         assert np.array_equal(part, full[5:12])
+
+    @pytest.mark.parametrize("wola_factor", [None, 0.5])
+    def test_symbols_congruent_modulo_l_are_bit_identical(self, wola_factor):
+        # Every symbol carries the same payload row.  The carrier repeats
+        # every l samples, so two symbols whose first body samples are
+        # congruent modulo l must give the same samples bit for bit; a
+        # carrier whose phase grows with the sample index does not.  For
+        # the 60 kHz BWP, 128 strides of 2192 samples are 137 * 2048, so
+        # symbols s and s + 128 qualify (33 base symbols give 132).
+        from mixnum.scenario import derive_dims
+
+        dims = derive_dims(make_spec(duration_symbols_base=33))
+        bd = dims.bwps[1]
+        stride, lag = bd.stride_os, 128
+        assert lag * stride % bd.l_ofdm_os == 0
+        row = ofdm.generate_grid(dims, 1, 3).values[0]
+        grid = ofdm.ResourceGrid(1, np.tile(row, (bd.num_symbols, 1)))
+        if wola_factor is None:
+            x = ofdm.ofdm_modulate(grid, dims).samples
+        else:
+            x = wola.modulate_wola(grid, dims, wola_factor).samples
+        # Inner symbols: WOLA's first symbol has no predecessor's tail and
+        # its last none of a successor's head.
+        for s in (1, 2, bd.num_symbols - lag - 2):
+            a = x[s * stride: (s + 1) * stride]
+            b = x[(s + lag) * stride: (s + lag + 1) * stride]
+            assert a.tobytes() == b.tobytes()
 
     def test_carrier_phase_is_continuous_across_symbols(self, tiny_dims):
         # A single center subcarrier must come out as one uninterrupted

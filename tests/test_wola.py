@@ -186,25 +186,28 @@ class TestModulateAndRecover:
         err = np.max(np.abs(rec.values - tiny_grids[0].values))
         assert err > 1e-3
 
-    @pytest.mark.parametrize("chunk_samples", [7, 1000, 12345, 27510, 1 << 18])
+    @pytest.mark.parametrize("chunk_samples", [1, 7, 1000, 12345, 27510, 1 << 18])
     def test_threads_and_chunks_leave_the_stream_unchanged(
             self, monkeypatch, fast_switching, tiny_dims, tiny_grids,
             chunk_samples):
-        # The whole-batch overlap-add of all bodies and the whole-stream
-        # carrier multiply, kept as the bit-exact reference.  27510 samples
-        # are three 15 kHz windows (8 symbols) or twelve 60 kHz ones (32),
-        # so chunks end mid-stream and leave a remainder.  7 samples is
-        # near the carrier multiply's floor of 2: the streams' last chunks
-        # hold 2 (70345 samples) and 5 (70194).
+        # The whole-batch overlap-add of all bodies, kept as the bit-exact
+        # reference: each body is the inverse transform of the allocation
+        # at the carrier bins times the carrier's phase at its first body
+        # sample, reduced in integers.  27510 samples are three 15 kHz
+        # windows (8 symbols) or twelve 60 kHz ones (32), so chunks end
+        # mid-stream and leave a remainder; 1 and 7 samples give one
+        # symbol per chunk.
         spec = tiny_spec()
         refs = []
         for g in tiny_grids:
             bd = tiny_dims.bwps[g.bwp_index]
+            l, l_cp, c = bd.l_ofdm_os, bd.l_cp_os, bd.center_scs
             params = wola.WolaParams.from_dims(bd, spec.wola_extension_factor)
-            bodies = ofdm.idft(ofdm.grid_to_spectrum(g, tiny_dims))
-            flat = _batch_assemble(bodies, params)
-            flat *= ofdm.subband_carrier(bd, bd.l_ofdm_os, 0, flat.size)
-            refs.append(flat.tobytes())
+            x_f = np.zeros((g.num_symbols, l), dtype=np.complex128)
+            x_f[:, np.mod(bd.active_base + c, l)] = g.values
+            n0 = np.arange(g.num_symbols) * bd.stride_os + l_cp
+            bodies = ofdm.idft(x_f) * np.exp(2j * np.pi * (c * n0 % l) / l)[:, None]
+            refs.append(_batch_assemble(bodies, params).tobytes())
         monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", chunk_samples)
         for threads in (1, 2, 3):
             for g, ref in zip(tiny_grids, refs):
