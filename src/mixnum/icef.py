@@ -207,13 +207,13 @@ def run_none(spec: ScenarioSpec, dims: DerivedDims,
              info: dict | None = None, threads: int = 1) -> ComplexSignal:
     """Plain aggregated CP-OFDM + WOLA composite without PAPR processing.
 
-    Both clipping runners shape and sum their processed grids here.
-    ``threads`` worker threads run WOLA synthesis; the output does not
-    depend on it.
+    Both clipping runners shape and sum their processed grids here.  The
+    composite is built in one buffer (``wola.modulate_composite``): each
+    BWP is added into it one chunk of symbols at a time, so no second
+    full-length stream exists.  ``threads`` worker threads run WOLA
+    synthesis; the output does not depend on it.
     """
     if info is not None:
         info["iterations"] = 0
-    return wola.aggregate([
-        wola.modulate_wola(g, dims, spec.wola_extension_factor, threads=threads)
-        for g in grids
-    ])
+    return wola.modulate_composite(grids, dims, spec.wola_extension_factor,
+                                   threads=threads)

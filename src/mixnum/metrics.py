@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -143,6 +144,67 @@ def welch_segment_len(fs: float, rbw_hz: float, n: int) -> int:
     return min(2 ** int(round(np.log2(min(fs / rbw_hz, 2 * n)))), n)
 
 
+def _pairwise_half(n: int) -> int:
+    """Where numpy's pairwise sum splits ``n`` values."""
+    return n // 2 - n // 2 % 8
+
+
+def pairwise_sum(rows: Callable[[slice], np.ndarray], n: int, row_len: int,
+                 pmap) -> np.ndarray:
+    """Column sums of ``n`` rows, bit for bit as numpy sums each column
+    when it lies along a contiguous axis (``np.sum``, ``np.mean``).
+
+    ``rows(sl)`` returns rows ``sl`` as a (k, ``row_len``) array.  numpy
+    splits ``n`` values at ``n/2`` rounded down to a multiple of 8, down
+    to leaves of at most 128 values.  A leaf sends value ``i`` below its
+    last multiple of 8 to running accumulator ``i mod 8`` (the first 8
+    start them) and adds the 8 in a fixed tree; it adds its last ``n mod
+    8`` values one at a time (to -0.0 in a leaf shorter than 8).  Each
+    leaf is one task on ``pmap`` and takes its rows in fixed chunks,
+    carrying its accumulators across them, so only a chunk of rows exists
+    per task.
+    """
+    def leaves(lo: int, m: int) -> list[tuple[int, int]]:
+        if m <= 128:
+            return [(lo, m)]
+        half = _pairwise_half(m)
+        return leaves(lo, half) + leaves(lo + half, m - half)
+
+    def leaf(span: tuple[int, int]) -> np.ndarray:
+        lo, m = span
+        m8 = m - m % 8
+        acc = np.empty((8, row_len))
+        rest = []
+        for sl in stage_chunks(m, row_len):
+            block = rows(slice(lo + sl.start, lo + sl.stop))
+            i = sl.start
+            while i < min(sl.stop, m8):
+                j, k = i % 8, min(8 - i % 8, sl.stop - i)
+                part = block[i - sl.start: i - sl.start + k]
+                if i < 8:
+                    acc[j: j + k] = part
+                else:
+                    acc[j: j + k] += part
+                i += k
+            rest.extend(block[max(m8 - sl.start, 0):].copy())
+        total = ((((acc[0] + acc[1]) + (acc[2] + acc[3]))
+                  + ((acc[4] + acc[5]) + (acc[6] + acc[7]))) if m8
+                 else np.full(row_len, -0.0))
+        for row in rest:
+            total += row
+        return total
+
+    sums = iter(pmap(leaf, leaves(0, n)))
+
+    def join(m: int) -> np.ndarray:
+        if m <= 128:
+            return next(sums)
+        half = _pairwise_half(m)
+        return join(half) + join(m - half)
+
+    return join(n)
+
+
 def psd_welch(signal: ComplexSignal, rbw_hz: float = 30e3, *,
               threads: int = 1, mean_power: float | None = None) -> PsdEstimate:
     """Hann-windowed, 50 %-overlap averaged periodogram.
@@ -151,11 +213,12 @@ def psd_welch(signal: ComplexSignal, rbw_hz: float = 30e3, *,
     the requested resolution bandwidth.  This is Welch's estimate as
     ``scipy.signal.welch`` computes it (two-sided, density scaling, no
     detrending), bit for bit: the window is scaled by a sequential sum,
-    and the segment powers are stored frequency-major and averaged along
-    their contiguous rows, which numpy sums pairwise.  Segments are
-    transformed in fixed chunks of rows on ``threads`` worker threads.
-    ``psd_db`` is relative to ``mean_power``, ``signal_power(signal)`` unless
-    the caller passes it.
+    and each frequency's segment powers are summed in numpy's pairwise
+    order over segments (``pairwise_sum``), then divided by their count.
+    Segment powers exist only one chunk of segments at a time, on
+    ``threads`` worker threads; no (segments x frequencies) matrix is
+    built.  ``psd_db`` is relative to ``mean_power``,
+    ``signal_power(signal)`` unless the caller passes it.
     """
     x = signal.samples
     fs = signal.sample_rate_hz
@@ -165,19 +228,13 @@ def psd_welch(signal: ComplexSignal, rbw_hz: float = 30e3, *,
     win = _hann(nperseg)
     win = win * (1 / np.sqrt(sum(win * win) / (1 / fs)))
     segments = np.lib.stride_tricks.sliding_window_view(x, nperseg)[::hop]
-    power = np.empty((nperseg, n_seg))
 
-    def periodograms(sl: slice) -> None:
+    def periodograms(sl: slice) -> np.ndarray:
         spec = np.fft.fft(segments[sl] * win)
-        power[:, sl] = (spec.real ** 2 + spec.imag ** 2).T
-
-    def average(sl: slice) -> np.ndarray:
-        return power[sl].mean(axis=1)
+        return spec.real ** 2 + spec.imag ** 2
 
     with chunk_map(threads) as pmap:
-        pmap(periodograms, stage_chunks(n_seg, nperseg))
-        density = np.concatenate(pmap(average, stage_chunks(nperseg, n_seg)))
-    del power
+        density = pairwise_sum(periodograms, n_seg, nperseg, pmap) / n_seg
     freq = np.fft.fftshift(np.fft.fftfreq(nperseg, 1 / fs))
     density = np.fft.fftshift(density)
     total = signal_power(signal) if mean_power is None else mean_power
@@ -310,11 +367,11 @@ def measure_all(signal: ComplexSignal, spec: ScenarioSpec, dims: DerivedDims,
 
     When ``artifacts`` is a dict, the intermediate CCDF curve and PSD
     estimate are stored in it under ``"ccdf"`` and ``"psd"``.  Welch runs
-    first, then MSE, then the CCDF, so Welch's segment powers are freed
-    before the per-sample ratios exist; the signal's mean power, which
-    both Welch and the ratios use, is computed once.  The MSE demodulation
-    and the Welch segments run on ``threads`` worker threads, one stage
-    after the other; the report does not depend on it.
+    first, then MSE, then the CCDF, so Welch's chunks of segment powers are
+    freed before the per-sample ratios exist; the signal's mean power,
+    which both Welch and the ratios use, is computed once.  The MSE
+    demodulation and the Welch segments run on ``threads`` worker threads,
+    one stage after the other; the report does not depend on it.
     """
     power = signal_power(signal)
     psd = psd_welch(signal, spec.measure.psd_rbw_hz, threads=threads,

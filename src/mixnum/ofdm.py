@@ -141,18 +141,24 @@ def generate_grid(dims: DerivedDims, bwp_index: int, seed: int) -> ResourceGrid:
 
     Payload bits come from a counter-based generator keyed by
     (seed, bwp, symbol), so any symbol's data is identical no matter in
-    which order or batch the grid is produced.  ``seed`` must fit in 64
-    bits (the scenario checks it).
+    which order or batch the grid is produced.  One generator serves the
+    grid: each symbol sets its key, with counter, buffer and uint32 carry
+    zeroed, the state ``Philox(key=...)`` starts from.  ``seed`` must fit
+    in 64 bits (the scenario checks it).
     """
     bd = dims.bwps[bwp_index]
     k = bd.num_subcarriers
     bits = np.empty((bd.num_symbols, k * bits_per_symbol(bd.modulation)),
                     dtype=np.int64)
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    draw = np.random.Generator(bitgen)
+    fresh = bitgen.state
     for s in range(bd.num_symbols):
-        key = np.array([seed, ((bwp_index & 0xFFFFFFFF) << 32) | (s & 0xFFFFFFFF)],
-                       dtype=np.uint64)
-        bits[s] = np.random.Generator(np.random.Philox(key=key)).integers(
-            0, 2, size=bits.shape[1])
+        fresh["state"]["key"] = np.array(
+            [seed, ((bwp_index & 0xFFFFFFFF) << 32) | (s & 0xFFFFFFFF)],
+            dtype=np.uint64)
+        bitgen.state = fresh
+        bits[s] = draw.integers(0, 2, size=bits.shape[1])
     values = qam_map(bits, bd.modulation).reshape(bd.num_symbols, k)
     return ResourceGrid(bwp_index=bwp_index, values=values)
 

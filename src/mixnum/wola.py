@@ -10,6 +10,7 @@ smoothed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -84,61 +85,88 @@ def wola_symbol(body: np.ndarray, params: WolaParams) -> np.ndarray:
     half = params.l_ext // 2
     ext = np.concatenate([body[..., params.l_ofdm - params.l_cp - half:],
                           body, body[..., :half]], axis=-1)
-    return ext * build_rc_window(params)
+    ext *= build_rc_window(params)
+    return ext
 
 
-def wola_assemble(body_rows: Callable[[slice], np.ndarray], n_sym: int,
-                  params: WolaParams, *, threads: int = 1) -> np.ndarray:
-    """Overlap-add ``n_sym`` windowed symbols into one sample stream.
+def wola_add(out: np.ndarray, body_rows: Callable[[slice], np.ndarray],
+             n_sym: int, params: WolaParams, *, threads: int = 1) -> None:
+    """Overlap-add ``n_sym`` windowed symbols onto ``out[:S*stride + l_ext/2]``.
 
     ``body_rows(sl)`` returns the (n, L) bodies of symbols ``sl``; it is
     called once per fixed chunk of symbols, on ``threads`` worker threads,
     so no batch of all bodies exists.  Windowed symbols are placed at the
     CP-OFDM stride; the half-extension lead-in of the first symbol (which
     would sit before time zero) is dropped so sample 0 is the nominal
-    start of symbol 0 in every BWP and multi-BWP aggregation stays time
-    aligned.  Output length is ``S*stride + l_ext/2``.
+    start of symbol 0 in every BWP and multi-BWP sums stay time aligned.
 
-    Since ``l_ext <= l_cp``, a window overlaps only its successor: each
-    chunk adds the first ``stride`` samples of its windows into their own
-    stride-long rows of a zero buffer and keeps a copy of the ``l_ext``
-    samples after them; a second pass adds those tails into the head of
-    the next row.  So every sample is ``0.0 + x`` or ``(0.0 + x) + y``,
-    as with one add per symbol, whatever the chunks.
+    Since ``l_ext <= l_cp``, a window overlaps only its successor, in the
+    first ``l_ext`` samples of the successor's stride (its head).  Each
+    stream sample is built on its own, ``x`` or in a head ``x + y`` (its
+    own window, then the predecessor's tail), and added to ``out`` once.
+    A chunk adds all its samples but its first head and hands back that
+    head and its last tail; a pass over the chunk edges then adds each
+    head plus the tail carried from the chunk before.  An ``out`` that
+    starts at +0.0 never holds -0.0 (a sum is -0.0 only when both terms
+    are), so it gets the bits of adding ``0.0 + x`` or ``(0.0 + x) + y``,
+    whatever the chunks.
     """
-    stride = params.stride
-    buf = np.zeros((n_sym + 1) * stride, dtype=np.complex128)
-    rows = buf.reshape(n_sym + 1, stride)
-    tails = np.empty((n_sym, params.l_ext), dtype=np.complex128)
+    stride, l_ext, half = params.stride, params.l_ext, params.l_ext // 2
+    chunks = stage_chunks(n_sym, params.window_len)
 
-    def shape(sl: slice) -> None:
+    def shape(sl: slice) -> tuple[np.ndarray, np.ndarray]:
         windowed = wola_symbol(body_rows(sl), params)
-        rows[sl] += windowed[:, :stride]
-        tails[sl] = windowed[:, stride:]
-
-    def overlap(sl: slice) -> None:
-        rows[sl.start + 1: sl.stop + 1, :params.l_ext] += tails[sl]
+        # Row r: symbol r's samples after its head, then symbol r+1's head.
+        rows = out[sl.start * stride + half: sl.stop * stride + half]
+        rows = rows.reshape(-1, stride)
+        rows[:, :stride - l_ext] += windowed[:, l_ext:stride]
+        rows[:-1, stride - l_ext:] += (windowed[1:, :l_ext]
+                                       + windowed[:-1, stride:])
+        return windowed[0, :l_ext].copy(), windowed[-1, stride:].copy()
 
     with chunk_map(threads) as pmap:
-        pmap(shape, stage_chunks(n_sym, params.window_len))
-        pmap(overlap, stage_chunks(n_sym, params.l_ext))
-    return buf[params.l_ext // 2: n_sym * stride + params.l_ext]
+        edges = pmap(shape, chunks)
+    tail = None
+    for sl, (head, next_tail) in zip(chunks, edges):
+        if tail is not None:
+            head = head + tail
+        start = sl.start * stride - half
+        lo = max(start, 0)
+        out[lo: start + l_ext] += head[lo - start:]
+        tail = next_tail
+    end = n_sym * stride - half
+    out[end: end + l_ext] += tail
+
+
+def modulate_composite(grids: list[ResourceGrid], dims: DerivedDims,
+                       extension_factor: float, *,
+                       threads: int = 1) -> ComplexSignal:
+    """Sum of the BWPs' WOLA-shaped streams, built in one buffer.
+
+    The buffer is as long as the longest stream.  That BWP is added first
+    and the others follow in list order, each one chunk of symbols at a
+    time (``wola_add``), so the sum has ``aggregate``'s bits and no second
+    full-length stream exists.  Each BWP's symbol bodies come at its
+    carrier (``symbol_bodies``), so this equals shaping at baseband and
+    mixing each stream by its carrier.
+    """
+    params = [WolaParams.from_dims(dims.bwps[g.bwp_index], extension_factor)
+              for g in grids]
+    lengths = [g.num_symbols * p.stride + p.l_ext // 2
+               for g, p in zip(grids, params)]
+    first = lengths.index(max(lengths))
+    out = np.zeros(lengths[first], dtype=np.complex128)
+    for m in [first] + [m for m in range(len(grids)) if m != first]:
+        wola_add(out, partial(symbol_bodies, grids[m], dims),
+                 grids[m].num_symbols, params[m], threads=threads)
+    return ComplexSignal(samples=out, sample_rate_hz=dims.fs_oversampled_hz)
 
 
 def modulate_wola(grid: ResourceGrid, dims: DerivedDims,
                   extension_factor: float, *,
                   threads: int = 1) -> ComplexSignal:
-    """WOLA-shaped oversampled waveform of one BWP.
-
-    The symbol bodies come at the BWP's carrier (``symbol_bodies``), so
-    this equals shaping at baseband and mixing the stream by the carrier.
-    Each chunk of symbols is synthesized from the grid, transformed and
-    windowed on its own (``wola_assemble``), on ``threads`` worker threads.
-    """
-    params = WolaParams.from_dims(dims.bwps[grid.bwp_index], extension_factor)
-    flat = wola_assemble(lambda sl: symbol_bodies(grid, dims, sl),
-                         grid.num_symbols, params, threads=threads)
-    return ComplexSignal(samples=flat, sample_rate_hz=dims.fs_oversampled_hz)
+    """WOLA-shaped oversampled waveform of one BWP."""
+    return modulate_composite([grid], dims, extension_factor, threads=threads)
 
 
 def aggregate(signals: list[ComplexSignal]) -> ComplexSignal:
@@ -146,7 +174,9 @@ def aggregate(signals: list[ComplexSignal]) -> ComplexSignal:
 
     The streams share one sample rate.  The sum is taken in the longest
     stream's own buffer, which the result takes over; the other streams
-    are added to it in list order.
+    are added to it in list order.  No runner calls it: it is the
+    reference that ``modulate_composite`` equals, over ``modulate_wola``
+    streams.
     """
     longest = max(signals, key=len)
     out = longest.samples

@@ -442,6 +442,42 @@ class TestRunNone:
         ])
         assert np.array_equal(out.samples, rebuilt.samples)
 
+    @pytest.mark.parametrize("chunk_samples", [1, 35000, 1 << 18])
+    @pytest.mark.parametrize("swapped", [False, True])
+    def test_one_buffer_equals_the_sum_of_streams(self, monkeypatch,
+                                                  fast_switching, swapped,
+                                                  chunk_samples):
+        # Separate modulate_wola streams summed by aggregate, kept as the
+        # bit-exact reference.  35000 samples give chunks of 3 and 15
+        # symbols (8 and 32 in all), 1 sample one symbol per chunk.  With
+        # the BWPs swapped the 15 kHz BWP, whose stream is longer by
+        # (402 - 100) / 2 samples, is second in the list but added first.
+        raw = _spec_dict(duration_symbols_base=8)
+        if swapped:
+            raw["bwps"] = raw["bwps"][::-1]
+        spec = scenario_from_dict(raw)
+        dims = derive_dims(spec)
+        grids = make_grids(spec, dims)
+        streams = [wola.modulate_wola(g, dims, spec.wola_extension_factor)
+                   for g in grids]
+        assert (len(streams[1]) > len(streams[0])) == swapped
+        ref = wola.aggregate(streams).samples.tobytes()
+        monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", chunk_samples)
+        for threads in (1, 2, 3):
+            out = icef.run_none(spec, dims, grids, threads=threads)
+            assert out.samples.tobytes() == ref
+
+    def test_holds_one_full_length_stream(self, monkeypatch):
+        # 64 base symbols, one thread, chunks of 1 and 7 symbols.  The
+        # traced peak is 1.16 output sizes: the composite and one chunk.
+        # With every BWP's stream built in full and then summed it was 2.18.
+        spec = make_spec(method="NONE", duration_symbols_base=64)
+        dims = derive_dims(spec)
+        grids = make_grids(spec, dims)
+        monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", 2**14)
+        out, peak = traced_peak(icef.run_none, spec, dims, grids)
+        assert peak <= 1.3 * out.samples.nbytes
+
     def test_reports_zero_iterations(self, tiny_dims, tiny_grids):
         info: dict = {}
         icef.run_none(tiny_spec(), tiny_dims, tiny_grids, info=info)

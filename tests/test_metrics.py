@@ -173,6 +173,7 @@ class TestPsdWelch:
         (3001, 30e3),            # shorter than the 4096-sample segment
         (4096, 30e3),            # exactly one segment
         (4096 * 3 + 777, 30e3),  # not a multiple of the hop
+        (400_000, 1e6),          # 6249 segments: a pairwise tree 6 levels deep
     ])
     def test_matches_scipy_welch_bit_for_bit(self, n, rbw_hz):
         # scipy.signal.welch, the call psd_welch replaced, as the oracle.
@@ -201,6 +202,47 @@ class TestPsdWelch:
             est = psd_welch(_sig(x), 30e3, threads=threads)
             assert est.density.tobytes() == ref.density.tobytes()
             assert est.psd_db.tobytes() == ref.psd_db.tobytes()
+
+    @given(st.integers(1, 300), st.integers(1, 20), st.integers(1, 3))
+    def test_pairwise_sum_matches_numpy_mean(self, n, chunk_rows, threads):
+        # Rows of 3 values, fed in chunks of 1-20 rows, so chunks end inside
+        # the 8-row groups of a leaf; 300 rows split twice, into leaves of
+        # 72-84 rows.  numpy's own mean along a contiguous axis is the
+        # oracle.
+        g = rng(f"pairwise {n}")
+        rows = g.exponential(size=(n, 3)) * g.exponential(size=(n, 1)) ** 4
+        seen = []
+
+        def take(sl):
+            seen.append(sl)
+            return rows[sl]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", 3 * chunk_rows)
+            with ofdm.chunk_map(threads) as pmap:
+                total = metrics.pairwise_sum(take, n, 3, pmap)
+        assert (total / n).tobytes() == rows.T.copy().mean(axis=1).tobytes()
+        # Every row is taken once, in chunks of at most chunk_rows rows.
+        spans = sorted((sl.start, sl.stop) for sl in seen)
+        assert [a for a, _ in spans] == [0] + [b for _, b in spans[:-1]]
+        assert spans[-1][1] == n
+        assert max(b - a for a, b in spans) <= chunk_rows
+
+    def test_holds_no_segment_power_matrix(self, monkeypatch):
+        # 64 base symbols, 561 k samples, 273 segments of 4096; chunks of 4
+        # segments.  The traced peak is 0.13 signal sizes; the
+        # frequency-major matrix of all segment powers made it 1.07.
+        spec = make_spec(method="NONE", duration_symbols_base=64)
+        dims = derive_dims(spec)
+        sig = icef.run_none(spec, dims, make_grids(spec, dims))
+        power = signal_power(sig)
+        monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", 2**14)
+        est, peak = traced_peak(psd_welch, sig, spec.measure.psd_rbw_hz,
+                                mean_power=power)
+        assert peak <= 0.25 * sig.samples.nbytes
+        monkeypatch.undo()
+        ref = psd_welch(sig, spec.measure.psd_rbw_hz, mean_power=power)
+        assert est.density.tobytes() == ref.density.tobytes()
 
 
 class TestAclr:
@@ -381,10 +423,12 @@ class TestMeasureAll:
         assert isinstance(artifacts["psd"], PsdEstimate)
 
     def test_holds_one_working_array_beside_the_signal(self):
-        # 128 base symbols, 1.12 M samples.  Welch's segment powers take
-        # 16 B a sample and the sorted ratios 8 B, one after the other:
-        # the traced peak is 1.47 signal sizes.  A full-length curve (sorted
-        # dB plus probabilities) held across Welch makes it 2.47.
+        # 128 base symbols, 1.12 M samples.  Welch holds one chunk of
+        # segment powers at a time and the sorted ratios take 8 B a
+        # sample: the traced peak is 0.52 signal sizes (1.47 while Welch
+        # stored all segment powers, 16 B a sample).  A full-length curve
+        # (sorted dB plus probabilities) held across Welch adds a signal
+        # size.
         spec = make_spec(method="NONE", duration_symbols_base=128)
         dims = derive_dims(spec)
         grids = make_grids(spec, dims)

@@ -155,21 +155,35 @@ class TestGridGeneration:
         d = ofdm.generate_grid(tiny_dims, 1, spec.seed)
         assert a.values.shape != d.values.shape or not np.array_equal(a.values, d.values)
 
-    def test_matches_a_per_symbol_reference(self, tiny_dims):
+    @staticmethod
+    def _per_symbol_grid(dims, m, seed):
         # The symbol-per-row generator, kept as the bit-exact reference:
-        # one generator and one mapping call per symbol, into an (S, K)
-        # array.
-        for m, bd in enumerate(tiny_dims.bwps):
-            k = bd.num_subcarriers
-            nbits = ofdm.bits_per_symbol(bd.modulation)
-            ref = np.empty((bd.num_symbols, k), dtype=np.complex128)
-            for s in range(bd.num_symbols):
-                key = np.array([7, (m << 32) | s], dtype=np.uint64)
-                bits = np.random.Generator(np.random.Philox(key=key)).integers(
-                    0, 2, size=k * nbits)
-                ref[s] = ofdm.qam_map(bits, bd.modulation)
-            grid = ofdm.generate_grid(tiny_dims, m, 7)
-            assert grid.values.tobytes() == ref.tobytes()
+        # one fresh generator and one mapping call per symbol, into an
+        # (S, K) array.
+        bd = dims.bwps[m]
+        k = bd.num_subcarriers
+        nbits = ofdm.bits_per_symbol(bd.modulation)
+        ref = np.empty((bd.num_symbols, k), dtype=np.complex128)
+        for s in range(bd.num_symbols):
+            key = np.array([seed, (m << 32) | s], dtype=np.uint64)
+            bits = np.random.Generator(np.random.Philox(key=key)).integers(
+                0, 2, size=k * nbits)
+            ref[s] = ofdm.qam_map(bits, bd.modulation)
+        return ref
+
+    def test_matches_a_per_symbol_reference(self, tiny_dims):
+        for m in range(tiny_dims.num_bwps):
+            ref = self._per_symbol_grid(tiny_dims, m, 7)
+            assert ofdm.generate_grid(tiny_dims, m, 7).values.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 2**63 + 5, 2**64 - 1])
+    def test_one_generator_per_grid_restarts_each_symbol(self, tiny_dims, seed):
+        # The grid's one generator, re-keyed per symbol with its counter,
+        # buffer and uint32 carry zeroed, draws what a fresh generator per
+        # symbol draws, up to the largest 64-bit seed.
+        for m in range(tiny_dims.num_bwps):
+            ref = self._per_symbol_grid(tiny_dims, m, seed)
+            assert ofdm.generate_grid(tiny_dims, m, seed).values.tobytes() == ref.tobytes()
 
     def test_values_live_on_the_declared_constellation(self, tiny_dims):
         spec = tiny_spec()

@@ -27,7 +27,9 @@ def _batch_assemble(bodies, p):
 
 
 def _assemble(bodies, p, threads=1):
-    return wola.wola_assemble(bodies.__getitem__, len(bodies), p, threads=threads)
+    out = np.zeros(len(bodies) * p.stride + p.l_ext // 2, dtype=np.complex128)
+    wola.wola_add(out, bodies.__getitem__, len(bodies), p, threads=threads)
+    return out
 
 
 class TestRaisedCosineRamp:
