@@ -163,6 +163,12 @@ def pairwise_sum(rows: Callable[[slice], np.ndarray], n: int, row_len: int,
     leaf is one task on ``pmap`` and takes its rows in fixed chunks,
     carrying its accumulators across them, so only a chunk of rows exists
     per task.
+
+    This copies numpy's private ``pairwise_sum`` (its umath loop helpers),
+    checked against numpy 2.4.6; numpy does not promise that algorithm.
+    After any numpy upgrade, ``test_metrics.py``'s
+    ``test_pairwise_sum_matches_numpy_mean`` and
+    ``test_matches_scipy_welch_bit_for_bit[400000-1000000.0]`` must pass.
     """
     def leaves(lo: int, m: int) -> list[tuple[int, int]]:
         if m <= 128:

@@ -163,10 +163,9 @@ def modulate_composite(grids: list[ResourceGrid], dims: DerivedDims,
 
 
 def modulate_wola(grid: ResourceGrid, dims: DerivedDims,
-                  extension_factor: float, *,
-                  threads: int = 1) -> ComplexSignal:
+                  extension_factor: float) -> ComplexSignal:
     """WOLA-shaped oversampled waveform of one BWP."""
-    return modulate_composite([grid], dims, extension_factor, threads=threads)
+    return modulate_composite([grid], dims, extension_factor)
 
 
 def aggregate(signals: list[ComplexSignal]) -> ComplexSignal:

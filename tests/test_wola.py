@@ -213,8 +213,9 @@ class TestModulateAndRecover:
         monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", chunk_samples)
         for threads in (1, 2, 3):
             for g, ref in zip(tiny_grids, refs):
-                out = wola.modulate_wola(g, tiny_dims, spec.wola_extension_factor,
-                                         threads=threads)
+                out = wola.modulate_composite([g], tiny_dims,
+                                              spec.wola_extension_factor,
+                                              threads=threads)
                 assert out.samples.tobytes() == ref
 
     def test_zero_extension_matches_plain_cp_modulator(self, tiny_dims, tiny_grids):
