@@ -130,6 +130,7 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims,
     stop = 10.0 ** (spec.stop_epsilon_db / 10.0)
     with chunk_map(threads) as pmap:
         pmap(synthesize, stage_chunks(n_blocks, n))
+        del step  # it holds the nominal-rate subband streams
         v_f_orig = cur.copy() if keep_spectra else None
         amp = amp0 = float(np.sqrt(energies.sum() / total_kept * tau))
         for _ in range(spec.max_iterations):

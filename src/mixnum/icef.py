@@ -11,7 +11,10 @@ Two flavours operate on WOLA-shaped CP-OFDM bandwidth parts:
   peaks.
 
 In both cases the clipping noise is confined to each BWP's own active
-subcarriers; nothing is ever written outside the allocation.
+subcarriers; nothing is ever written outside the allocation.  Every
+time-domain symbol comes from ``ofdm.symbol_bodies`` and every composite
+from ``wola.modulate_composite``; the aggregate-aware variant's plain-CP
+composite is the WOLA composite at zero extension.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ofdm import (ComplexSignal, ResourceGrid, chunk_map, dft,
-                   grid_to_spectrum, idft, ofdm_demodulate, ofdm_modulate,
-                   stage_chunks)
+                   ofdm_demodulate, stage_chunks, symbol_bodies)
 from .scenario import DerivedDims, ScenarioSpec
 from . import ofdm, wola
 
@@ -80,7 +82,7 @@ def _clip_symbols(spec: ScenarioSpec, dims: DerivedDims, grid: ResourceGrid,
     vals_cur = vals_orig.copy()
     budget = (ofdm.evm_limit(bd.modulation) ** 2
               * np.sum(np.abs(vals_orig) ** 2, axis=1))
-    bodies = idft(grid_to_spectrum(grid, dims))
+    bodies = symbol_bodies(grid, dims, at_baseband=True)
     iters = np.zeros(bd.num_symbols, dtype=np.int64)
 
     def ceilings(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,9 +105,9 @@ def _clip_symbols(spec: ScenarioSpec, dims: DerivedDims, grid: ResourceGrid,
         noise *= np.sqrt(np.minimum(
             1.0, budget[idx] / np.maximum(noise_pow, 1e-300)))[:, None]
         vals_cur[idx] = vals = vals_orig[idx] + noise
-        spec_rows = np.zeros((idx.size, l), dtype=np.complex128)
-        spec_rows[:, rows] = vals
-        bodies[sl] = fresh = idft(spec_rows)
+        bodies[sl] = fresh = symbol_bodies(
+            ResourceGrid(bwp_index=grid.bwp_index, values=vals), dims,
+            at_baseband=True)
         amps[idx], still = ceilings(fresh)
         return still
 
@@ -133,73 +135,58 @@ def run_e_icef(spec: ScenarioSpec, dims: DerivedDims,
     subtracting both the payload and the inter-numerology interference
     (the other subbands' streams seen through the window), with one
     observation per subband and round instead of three; the two forms
-    agree to rounding.  Each subband is then resynthesized
-    (``ofdm_modulate``, which places it at its carrier in frequency, so
-    no full-length carrier is built).  The iteration stops early once the
+    agree to rounding.  The plain-CP composite is the WOLA composite at
+    zero extension (``wola.modulate_composite``), rebuilt in one buffer
+    from the updated grids each round.  The iteration stops early once the
     composite peak-to-average ratio meets the target.
 
-    Each subband's observe-and-resynthesize step is one task on
-    ``threads`` worker threads, and the composite is summed in subband
-    order, so the output is byte-identical for any thread count.  The
-    output is ``run_none`` of the final grids.  ``cancel_ini=False``
-    (ablation experiments only) sets each grid to its observation of the
-    clipped composite, so the other subbands' interference is folded in as
-    if it were clipping noise.
+    Synthesis and each subband's observation run in fixed chunks of
+    symbols on ``threads`` worker threads, and the subbands are summed and
+    observed in list order, so the output is byte-identical for any
+    thread count.  The output is ``run_none`` of the final grids.
+    ``cancel_ini=False`` (ablation experiments only) sets each grid to its
+    observation of the clipped composite, so the other subbands'
+    interference is folded in as if it were clipping noise.
     """
-    n_bwp = dims.num_bwps
-    vals = [g.values.copy() for g in grids]
+    cur = [ResourceGrid(bwp_index=m, values=g.values)
+           for m, g in enumerate(grids)]
     # With one subband there is no interference to leave in.
-    ablate = not cancel_ini and n_bwp > 1
-
-    def observe(samples: np.ndarray, m: int) -> np.ndarray:
-        sig = ComplexSignal(samples=samples, sample_rate_hz=dims.fs_oversampled_hz)
-        return ofdm_demodulate(sig, dims, m).values
-
-    def synthesize(m: int) -> np.ndarray:
-        return ofdm_modulate(ResourceGrid(bwp_index=m, values=vals[m]), dims).samples
-
-    def update(m: int, heard: np.ndarray) -> np.ndarray:
-        seen = observe(heard, m)
-        vals[m] = seen if ablate else vals[m] + seen
-        return synthesize(m)
-
+    ablate = not cancel_ini and len(cur) > 1
     target_lin = 10.0 ** (spec.papr_target_db / 10.0)
     stop_lin = target_lin * 10.0 ** (spec.stop_epsilon_db / 10.0)
     iterations = 0
     # peak_trace[k] is the aggregate peak-to-average ratio after k rounds
     peak_trace: list[float] = []
-    with chunk_map(threads) as pmap:
-
-        def compose(step) -> np.ndarray:
-            streams = pmap(step, range(n_bwp))
-            composite = streams[0]
-            for stream in streams[1:]:
-                composite += stream
-            return composite
-
-        composite = compose(synthesize)
-        while True:
-            mag = np.abs(composite)
-            power = mag ** 2
-            mean = np.mean(power)
-            papr = float(np.max(power) / mean)
-            peak_trace.append(10.0 * np.log10(papr))
-            del power
-            if iterations >= spec.max_iterations or papr <= stop_lin:
-                break
-            iterations += 1
-            heard = clip_polar(composite, float(np.sqrt(mean * target_lin)), mag)
-            if not ablate:
-                heard -= composite
-            del composite, mag
-            composite = compose(lambda m: update(m, heard))
+    composite = wola.modulate_composite(cur, dims, 0.0, threads=threads)
+    while True:
+        mag = np.abs(composite.samples)
+        power = mag ** 2
+        mean = np.mean(power)
+        papr = float(np.max(power) / mean)
+        peak_trace.append(10.0 * np.log10(papr))
+        del power
+        if iterations >= spec.max_iterations or papr <= stop_lin:
+            break
+        iterations += 1
+        heard = ComplexSignal(
+            samples=clip_polar(composite.samples,
+                               float(np.sqrt(mean * target_lin)), mag),
+            sample_rate_hz=composite.sample_rate_hz)
+        if not ablate:
+            heard.samples -= composite.samples
+        del composite, mag
+        for g in cur:
+            seen = ofdm_demodulate(heard, dims, g.bwp_index,
+                                   threads=threads).values
+            g.values = seen if ablate else g.values + seen
+        del heard
+        composite = wola.modulate_composite(cur, dims, 0.0, threads=threads)
     del composite, mag
-    out_grids = [ResourceGrid(bwp_index=m, values=v) for m, v in enumerate(vals)]
     if info is not None:
         info["iterations"] = iterations
         info["peak_trace_db"] = peak_trace
-        info["grids"] = out_grids
-    return run_none(spec, dims, out_grids, threads=threads)
+        info["grids"] = cur
+    return run_none(spec, dims, cur, threads=threads)
 
 
 def run_none(spec: ScenarioSpec, dims: DerivedDims,

@@ -111,6 +111,16 @@ class TestCompactSpectra:
         out, peak = traced_peak(run_fc_icef, spec, dims, grids)
         assert peak <= 5.5 * out.samples.nbytes
 
+    def test_releases_the_nominal_rate_streams(self):
+        # 64 base symbols, one thread.  The traced peak is 4.16 signal
+        # sizes.  With the bank's nominal-rate subband streams (0.5 signal
+        # sizes) held through the clip loop it was 4.66.
+        spec = make_spec(method="FC_ICEF", duration_symbols_base=64)
+        dims = derive_dims(spec)
+        grids = make_grids(spec, dims)
+        out, peak = traced_peak(run_fc_icef, spec, dims, grids)
+        assert peak <= 4.4 * out.samples.nbytes
+
 
 class TestBlockIterate:
     """FC_ICEF's block-wise clip-and-filter loop, driven through the runner."""

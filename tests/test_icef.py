@@ -331,18 +331,27 @@ class TestRunAggregate:
             assert later <= trace[1] + 1.0
         assert trace[-1] < trace[0]
 
-    def test_thread_count_leaves_the_output_unchanged(self):
+    def test_thread_count_leaves_the_output_unchanged(self, monkeypatch):
+        # Synthesis and observation both run in chunks of symbols: chunks
+        # of 1 to 31 symbols (one row of 2048 or 8192 samples at least)
+        # reproduce the default run byte for byte at every thread count.
         spec = tiny_spec(method="E_ICEF_WOLA")
         dims = derive_dims(spec)
         grids = [ofdm.generate_grid(dims, m, spec.seed) for m in range(2)]
-        runs = []
-        for threads in (1, 2, 3):
+
+        def run(threads):
             info: dict = {}
             out = icef.run_e_icef(spec, dims, grids, info=info, threads=threads)
-            runs.append((out.samples.tobytes(), info["iterations"],
-                         [g.values.tobytes() for g in info["grids"]]))
-        assert runs[0][1] == spec.max_iterations
-        assert runs[1] == runs[0] and runs[2] == runs[0]
+            return (out.samples.tobytes(), info["iterations"],
+                    info["peak_trace_db"],
+                    [g.values.tobytes() for g in info["grids"]])
+
+        ref = run(1)
+        assert ref[1] == spec.max_iterations
+        for chunk_samples in (2048, 1 << 13, 3 * 2048, 31 * 2048):
+            monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", chunk_samples)
+            for threads in (1, 2, 3):
+                assert run(threads) == ref
 
     def test_holds_no_full_length_carrier(self):
         # 64 base symbols at 5 dB, one thread.  The traced peak is 4.58
@@ -354,6 +363,21 @@ class TestRunAggregate:
         grids = make_grids(spec, dims)
         out, peak = traced_peak(icef.run_e_icef, spec, dims, grids)
         assert peak <= 5.0 * out.samples.nbytes
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rebuilds_the_composite_in_one_buffer(self, threads):
+        # 64 base symbols at 5 dB.  The traced peak is 3.22 output sizes:
+        # the composite, its magnitude and the clip's temporaries.  With
+        # one full-length ``ofdm_modulate`` stream per subband, built on
+        # their own pool and then summed, it was 4.16 on one thread and
+        # 5.13 on two.
+        spec = make_spec(method="E_ICEF_WOLA", duration_symbols_base=64,
+                         papr_target_db=5.0)
+        dims = derive_dims(spec)
+        grids = make_grids(spec, dims)
+        out, peak = traced_peak(icef.run_e_icef, spec, dims, grids,
+                                threads=threads)
+        assert peak <= 3.6 * out.samples.nbytes
 
     @staticmethod
     def _one_round(seed=1):

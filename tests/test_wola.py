@@ -218,11 +218,22 @@ class TestModulateAndRecover:
                                               threads=threads)
                 assert out.samples.tobytes() == ref
 
-    def test_zero_extension_matches_plain_cp_modulator(self, tiny_dims, tiny_grids):
-        shaped = wola.modulate_wola(tiny_grids[0], tiny_dims, 0.0)
-        plain = ofdm.ofdm_modulate(tiny_grids[0], tiny_dims)
-        assert shaped.samples.size == plain.samples.size
-        assert np.max(np.abs(shaped.samples - plain.samples)) <= 1e-15
+    def test_zero_extension_matches_plain_cp_modulator(
+            self, monkeypatch, fast_switching, tiny_dims, tiny_grids):
+        # E_ICEF builds its plain-CP composite this way, so the equality is
+        # exact: one BWP, and both BWPs' ``ofdm_modulate`` streams summed in
+        # list order.  35000 samples give chunks of 3 and 15 symbols, 1
+        # sample one symbol per chunk.
+        streams = [ofdm.ofdm_modulate(g, tiny_dims).samples for g in tiny_grids]
+        cases = [(tiny_grids[:1], streams[0].tobytes()),
+                 (tiny_grids, (streams[0] + streams[1]).tobytes())]
+        for chunk_samples in (1, 35000, 1 << 18):
+            monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", chunk_samples)
+            for threads in (1, 2, 3):
+                for grids, ref in cases:
+                    out = wola.modulate_composite(grids, tiny_dims, 0.0,
+                                                  threads=threads)
+                    assert out.samples.tobytes() == ref
 
 
 class TestAggregate:
