@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .ofdm import (ComplexSignal, ResourceGrid, bin_runs, chunk_map, dft,
-                   idft, ofdm_modulate, stage_chunks)
+from .ofdm import (ComplexSignal, ResourceGrid, bin_runs, dft, idft,
+                   ofdm_modulate, pmap, stage_chunks)
 from .scenario import BwpDims, DerivedDims, FcDims, ScenarioSpec
 from .wola import rc_ramp
 
@@ -180,8 +180,7 @@ def run_fc_f_ofdm(spec: ScenarioSpec, dims: DerivedDims,
         kept = ols_extract(step(sl, spectra), fcd, out.size, sl.start)
         out[sl.start * fcd.keep_len: sl.start * fcd.keep_len + kept.size] = kept
 
-    with chunk_map(threads) as pmap:
-        pmap(synthesize, stage_chunks(n_blocks, fcd.inverse_len))
+    pmap(synthesize, stage_chunks(n_blocks, fcd.inverse_len), threads)
     if info is not None:
         info["iterations"] = 0
         info["windows"] = windows

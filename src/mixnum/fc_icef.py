@@ -20,7 +20,7 @@ import numpy as np
 
 from .fc import FcWindow, filter_bank, ols_extract
 from .icef import clip_polar
-from .ofdm import (ComplexSignal, ResourceGrid, bin_runs, chunk_map, dft, idft,
+from .ofdm import (ComplexSignal, ResourceGrid, bin_runs, dft, idft, pmap,
                    stage_chunks)
 from .scenario import DerivedDims, ScenarioSpec
 
@@ -128,18 +128,17 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims,
     total_kept = float(keep) * n_blocks
     tau = 10.0 ** (spec.papr_target_db / 10.0)
     stop = 10.0 ** (spec.stop_epsilon_db / 10.0)
-    with chunk_map(threads) as pmap:
-        pmap(synthesize, stage_chunks(n_blocks, n))
-        del step  # it holds the nominal-rate subband streams
-        v_f_orig = cur.copy() if keep_spectra else None
-        amp = amp0 = float(np.sqrt(energies.sum() / total_kept * tau))
-        for _ in range(spec.max_iterations):
-            amp = float(np.sqrt(energies.sum() / total_kept * tau))
-            active = np.flatnonzero(peaks > amp ** 2 * stop)
-            if active.size == 0:
-                break
-            iters[active] += 1
-            pmap(work, [active[sl] for sl in stage_chunks(active.size, n)])
+    pmap(synthesize, stage_chunks(n_blocks, n), threads)
+    del step  # it holds the nominal-rate subband streams
+    v_f_orig = cur.copy() if keep_spectra else None
+    amp = amp0 = float(np.sqrt(energies.sum() / total_kept * tau))
+    for _ in range(spec.max_iterations):
+        amp = float(np.sqrt(energies.sum() / total_kept * tau))
+        active = np.flatnonzero(peaks > amp ** 2 * stop)
+        if active.size == 0:
+            break
+        iters[active] += 1
+        pmap(work, [active[sl] for sl in stage_chunks(active.size, n)], threads)
 
     if info is not None:
         info["iterations"] = iters

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ofdm import (ComplexSignal, ResourceGrid, chunk_map, dft,
-                   ofdm_demodulate, stage_chunks, symbol_bodies)
+from .ofdm import (ComplexSignal, ResourceGrid, dft, ofdm_demodulate, pmap,
+                   stage_chunks, symbol_bodies)
 from .scenario import DerivedDims, ScenarioSpec
 from . import ofdm, wola
 
@@ -60,8 +60,7 @@ def run_i_icef(spec: ScenarioSpec, dims: DerivedDims,
     contiguous row, so the output is byte-identical for any thread count
     and chunk size.
     """
-    with chunk_map(threads) as pmap:
-        done = [_clip_symbols(spec, dims, grid, pmap) for grid in grids]
+    done = [_clip_symbols(spec, dims, grid, threads) for grid in grids]
     out_grids = [grid for grid, _ in done]
     if info is not None:
         info["iterations"] = np.concatenate([iters for _, iters in done])
@@ -70,7 +69,7 @@ def run_i_icef(spec: ScenarioSpec, dims: DerivedDims,
 
 
 def _clip_symbols(spec: ScenarioSpec, dims: DerivedDims, grid: ResourceGrid,
-                  pmap) -> tuple[ResourceGrid, np.ndarray]:
+                  threads: int) -> tuple[ResourceGrid, np.ndarray]:
     """I_ICEF on one BWP: its processed grid and each symbol's rounds.
     The (S, L) bodies die with the call, before ``run_none`` runs."""
     bd = dims.bwps[grid.bwp_index]
@@ -115,7 +114,7 @@ def _clip_symbols(spec: ScenarioSpec, dims: DerivedDims, grid: ResourceGrid,
         if active.size == 0:
             break
         iters[active] += 1
-        keep = np.concatenate(pmap(clip_rows, stage_chunks(active.size, l)))
+        keep = np.concatenate(pmap(clip_rows, stage_chunks(active.size, l), threads))
         active, bodies = active[keep], bodies[keep]
     return ResourceGrid(bwp_index=grid.bwp_index, values=vals_cur), iters
 

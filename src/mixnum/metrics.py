@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ofdm import (ComplexSignal, ResourceGrid, chunk_map, ofdm_demodulate,
+from .ofdm import (ComplexSignal, ResourceGrid, ofdm_demodulate, pmap,
                    stage_chunks)
 from .scenario import DerivedDims, ScenarioError, ScenarioSpec
 
@@ -150,7 +150,7 @@ def _pairwise_half(n: int) -> int:
 
 
 def pairwise_sum(rows: Callable[[slice], np.ndarray], n: int, row_len: int,
-                 pmap) -> np.ndarray:
+                 threads: int) -> np.ndarray:
     """Column sums of ``n`` rows, bit for bit as numpy sums each column
     when it lies along a contiguous axis (``np.sum``, ``np.mean``).
 
@@ -160,9 +160,9 @@ def pairwise_sum(rows: Callable[[slice], np.ndarray], n: int, row_len: int,
     last multiple of 8 to running accumulator ``i mod 8`` (the first 8
     start them) and adds the 8 in a fixed tree; it adds its last ``n mod
     8`` values one at a time (to -0.0 in a leaf shorter than 8).  Each
-    leaf is one task on ``pmap`` and takes its rows in fixed chunks,
-    carrying its accumulators across them, so only a chunk of rows exists
-    per task.
+    leaf is one task on ``threads`` worker threads and takes its rows in
+    fixed chunks, carrying its accumulators across them, so only a chunk
+    of rows exists per task.
 
     This copies numpy's private ``pairwise_sum`` (its umath loop helpers),
     checked against numpy 2.4.6; numpy does not promise that algorithm.
@@ -200,7 +200,7 @@ def pairwise_sum(rows: Callable[[slice], np.ndarray], n: int, row_len: int,
             total += row
         return total
 
-    sums = iter(pmap(leaf, leaves(0, n)))
+    sums = iter(pmap(leaf, leaves(0, n), threads))
 
     def join(m: int) -> np.ndarray:
         if m <= 128:
@@ -239,8 +239,7 @@ def psd_welch(signal: ComplexSignal, rbw_hz: float = 30e3, *,
         spec = np.fft.fft(segments[sl] * win)
         return spec.real ** 2 + spec.imag ** 2
 
-    with chunk_map(threads) as pmap:
-        density = pairwise_sum(periodograms, n_seg, nperseg, pmap) / n_seg
+    density = pairwise_sum(periodograms, n_seg, nperseg, threads) / n_seg
     freq = np.fft.fftshift(np.fft.fftfreq(nperseg, 1 / fs))
     density = np.fft.fftshift(density)
     total = signal_power(signal) if mean_power is None else mean_power

@@ -13,16 +13,16 @@ Conventions used throughout the package:
   (num_symbols, K) arrays and transform inputs and bodies C-ordered
   (num_symbols, L) arrays, so every transform runs along the last axis
   and a set of symbols is a set of rows;
-* work on many rows or samples is cut into fixed chunks that
-  ``chunk_map`` runs on the ``--threads`` pool; the chunks never depend
-  on the thread count.
+* work on many rows or samples is cut into fixed chunks that ``pmap``
+  runs on the process's one pool of ``--threads`` workers; the chunks
+  never depend on the thread count.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 import json
 
 import numpy as np
@@ -57,21 +57,26 @@ class ResourceGrid:
         return int(self.values.shape[0])
 
 
-@contextmanager
-def chunk_map(threads: int):
-    """Yield ``pmap(fn, chunks)``: the list of ``fn(chunk)`` in chunk order.
+@cache
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """The process's pool of ``threads`` workers, started at first use."""
+    return ThreadPoolExecutor(max_workers=threads)
 
-    With ``threads > 1`` the calls run on that many worker threads (numpy's
-    transforms and element-wise kernels release the interpreter lock);
-    otherwise they run in the calling thread.  The caller fixes the chunks,
-    so their content, and with it every result, is the same for any
-    thread count.
+
+def pmap(fn, chunks, threads: int) -> list:
+    """The list of ``fn(chunk)`` in chunk order.
+
+    With ``threads > 1`` the calls run on the process's shared pool of
+    that many worker threads (numpy's transforms and element-wise kernels
+    release the interpreter lock); otherwise they run in the calling
+    thread.  ``fn`` must not itself call ``pmap`` with ``threads > 1``: it
+    would wait on the pool it runs on.  The caller fixes the chunks, so
+    their content, and with it every result, is the same for any thread
+    count.
     """
     if threads <= 1:
-        yield lambda fn, chunks: [fn(c) for c in chunks]
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield lambda fn, chunks: list(pool.map(fn, chunks))
+        return [fn(c) for c in chunks]
+    return list(_pool(threads).map(fn, chunks))
 
 
 # The full-length stages (WOLA and filter-bank synthesis, the clip loops,
@@ -81,9 +86,9 @@ def chunk_map(threads: int):
 _STAGE_CHUNK_SAMPLES = 1 << 18
 
 
-def stage_chunks(n: int, row_len: int = 1) -> list[slice]:
+def stage_chunks(n: int, row_len: int) -> list[slice]:
     """Fixed slices of ``n`` rows of ``row_len`` samples, one per chunk."""
-    size = max(1, _STAGE_CHUNK_SAMPLES // max(row_len, 1))
+    size = max(1, _STAGE_CHUNK_SAMPLES // row_len)
     return [slice(a, min(a + size, n)) for a in range(0, n, size)]
 
 
@@ -285,8 +290,7 @@ def ofdm_demodulate(signal: ComplexSignal, dims: DerivedDims, bwp_index: int,
             rows[sl, cols] = spectra[:, bins]
         rows[sl] *= phase[sl, None]
 
-    with chunk_map(threads) as pmap:
-        pmap(demodulate, stage_chunks(n_sym, l))
+    pmap(demodulate, stage_chunks(n_sym, l), threads)
     if timing_offset:
         rows *= np.exp(-2j * np.pi * idx * timing_offset / l)
     return ResourceGrid(bwp_index=bwp_index, values=rows)

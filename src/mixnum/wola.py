@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ofdm import (ComplexSignal, ResourceGrid, chunk_map, stage_chunks,
+from .ofdm import (ComplexSignal, ResourceGrid, pmap, stage_chunks,
                    symbol_bodies)
 from .scenario import BwpDims, DerivedDims
 
@@ -124,8 +124,7 @@ def wola_add(out: np.ndarray, body_rows: Callable[[slice], np.ndarray],
                                        + windowed[:-1, stride:])
         return windowed[0, :l_ext].copy(), windowed[-1, stride:].copy()
 
-    with chunk_map(threads) as pmap:
-        edges = pmap(shape, chunks)
+    edges = pmap(shape, chunks, threads)
     tail = None
     for sl, (head, next_tail) in zip(chunks, edges):
         if tail is not None:

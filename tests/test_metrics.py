@@ -219,8 +219,7 @@ class TestPsdWelch:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", 3 * chunk_rows)
-            with ofdm.chunk_map(threads) as pmap:
-                total = metrics.pairwise_sum(take, n, 3, pmap)
+            total = metrics.pairwise_sum(take, n, 3, threads)
         assert (total / n).tobytes() == rows.T.copy().mean(axis=1).tobytes()
         # Every row is taken once, in chunks of at most chunk_rows rows.
         spans = sorted((sl.start, sl.stop) for sl in seen)

@@ -1,16 +1,19 @@
-"""Transforms, QAM mapping, grid generation, and the CP-OFDM modem."""
+"""Transforms, QAM mapping, grid generation, the CP-OFDM modem, and the
+worker pool."""
 
 from __future__ import annotations
 
 import json
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mixnum import ofdm, wola
+from mixnum import cli, icef, metrics, ofdm, wola
+from mixnum.scenario import derive_dims
 
-from conftest import make_spec, rng, tiny_spec
+from conftest import make_grids, make_spec, rng, tiny_spec
 
 
 class TestTransforms:
@@ -341,3 +344,48 @@ class TestModem:
         assert sidecar["sample_rate_hz"] == sig.sample_rate_hz
         assert sidecar["num_samples"] == sig.samples.size
         assert np.array_equal(np.fromfile(path, dtype="<c16"), sig.samples)
+
+
+class TestPool:
+    def test_one_pool_serves_every_run(self, monkeypatch):
+        # 20 rounds of 2 BWPs, each round a WOLA composite and a
+        # demodulation per BWP: every stage maps on the same pool.
+        built = []
+
+        class Counting(ofdm.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(ofdm, "ThreadPoolExecutor", Counting)
+        ofdm._pool.cache_clear()
+        try:
+            spec = make_spec(method="E_ICEF_WOLA", duration_symbols_base=16,
+                             papr_target_db=5.0)
+            dims = derive_dims(spec)
+            grids = make_grids(spec, dims)
+            for _ in range(2):
+                icef.run_e_icef(spec, dims, grids, threads=2)
+        finally:
+            ofdm._pool.cache_clear()
+        assert built == [{"max_workers": 2}]
+
+    def test_no_task_maps_on_the_pool_it_runs_on(self, monkeypatch):
+        # A pool task that called ``pmap`` with threads > 1 would wait on
+        # its own pool; the guard fails such a call instead of waiting.
+        pool = ofdm._pool
+        calls = []
+
+        def guarded(threads):
+            worker = threading.current_thread().name
+            assert not worker.startswith("ThreadPoolExecutor"), worker
+            calls.append(threads)
+            return pool(threads)
+
+        monkeypatch.setattr(ofdm, "_pool", guarded)
+        for method in ("NONE", "FC_F_OFDM", "I_ICEF", "E_ICEF_WOLA",
+                       "FC_ICEF"):
+            spec = tiny_spec(method=method)
+            sig, dims, grids = cli.execute(spec, threads=2)
+            metrics.measure_all(sig, spec, dims, grids, threads=2)
+        assert calls and set(calls) == {2}
