@@ -27,16 +27,15 @@ from .scenario import DerivedDims, ScenarioSpec
 from . import ofdm, wola
 
 
-def clip_polar(x: np.ndarray, threshold_amp, mag=None) -> np.ndarray:
+def clip_polar(x: np.ndarray, threshold_amp) -> np.ndarray:
     """Magnitude-limit samples to ``threshold_amp`` preserving their phase.
 
     The ceiling may be a scalar or anything broadcastable against ``x``
     (e.g. one ceiling per column); samples at or below it pass through
-    bit-exactly.  ``mag`` is ``np.abs(x)`` when the caller already has it.
+    bit-exactly.  Each sample's result depends on that sample alone.
     """
-    mag = np.abs(x) if mag is None else mag
     scale = np.minimum(1.0, np.asarray(threshold_amp)
-                       / np.maximum(mag, 1e-300))
+                       / np.maximum(np.abs(x), 1e-300))
     return x * scale
 
 
@@ -71,7 +70,11 @@ def run_i_icef(spec: ScenarioSpec, dims: DerivedDims,
 def _clip_symbols(spec: ScenarioSpec, dims: DerivedDims, grid: ResourceGrid,
                   threads: int) -> tuple[ResourceGrid, np.ndarray]:
     """I_ICEF on one BWP: its processed grid and each symbol's rounds.
-    The (S, L) bodies die with the call, before ``run_none`` runs."""
+
+    The first pass makes each stage chunk's bodies and ceilings on
+    ``threads`` worker threads, into one (S, L) array; the active rows are
+    kept from it.  The bodies die with the call, before ``run_none``
+    runs."""
     bd = dims.bwps[grid.bwp_index]
     l = bd.l_ofdm_os
     rows = np.mod(bd.active_base, l)
@@ -81,7 +84,6 @@ def _clip_symbols(spec: ScenarioSpec, dims: DerivedDims, grid: ResourceGrid,
     vals_cur = vals_orig.copy()
     budget = (ofdm.evm_limit(bd.modulation) ** 2
               * np.sum(np.abs(vals_orig) ** 2, axis=1))
-    bodies = symbol_bodies(grid, dims, at_baseband=True)
     iters = np.zeros(bd.num_symbols, dtype=np.int64)
 
     def ceilings(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +92,15 @@ def _clip_symbols(spec: ScenarioSpec, dims: DerivedDims, grid: ResourceGrid,
         amp = np.sqrt(np.mean(power, axis=1) * tau)
         return amp, np.max(power, axis=1) > amp ** 2 * stop
 
-    amps, over = ceilings(bodies)
+    bodies = np.empty((bd.num_symbols, l), dtype=np.complex128)
+    amps = np.empty(bd.num_symbols)
+    over = np.empty(bd.num_symbols, dtype=bool)
+
+    def first(sl: slice) -> None:
+        bodies[sl] = fresh = symbol_bodies(grid, dims, sl, at_baseband=True)
+        amps[sl], over[sl] = ceilings(fresh)
+
+    pmap(first, stage_chunks(bd.num_symbols, l), threads)
     active = np.flatnonzero(over)
     # Only the active symbols' bodies are needed from here on.
     bodies = bodies[active]
@@ -141,8 +151,12 @@ def run_e_icef(spec: ScenarioSpec, dims: DerivedDims,
 
     Synthesis and each subband's observation run in fixed chunks of
     symbols on ``threads`` worker threads, and the subbands are summed and
-    observed in list order, so the output is byte-identical for any
-    thread count.  The output is ``run_none`` of the final grids.
+    observed in list order.  The composite's mean power and peak
+    (``ofdm.power_stats``, numpy's pairwise order) and the clip, into one
+    fresh buffer, run in fixed chunks of samples on the same workers, so
+    no full-length magnitude or power array exists and the output is
+    byte-identical for any thread count.  The output is ``run_none`` of
+    the final grids.
     ``cancel_ini=False`` (ablation experiments only) sets each grid to its
     observation of the clipped composite, so the other subbands'
     interference is folded in as if it were clipping noise.
@@ -158,29 +172,31 @@ def run_e_icef(spec: ScenarioSpec, dims: DerivedDims,
     peak_trace: list[float] = []
     composite = wola.modulate_composite(cur, dims, 0.0, threads=threads)
     while True:
-        mag = np.abs(composite.samples)
-        power = mag ** 2
-        mean = np.mean(power)
-        papr = float(np.max(power) / mean)
+        x = composite.samples
+        mean, peak = ofdm.power_stats(x, threads)
+        papr = peak / mean
         peak_trace.append(10.0 * np.log10(papr))
-        del power
         if iterations >= spec.max_iterations or papr <= stop_lin:
             break
         iterations += 1
-        heard = ComplexSignal(
-            samples=clip_polar(composite.samples,
-                               float(np.sqrt(mean * target_lin)), mag),
-            sample_rate_hz=composite.sample_rate_hz)
-        if not ablate:
-            heard.samples -= composite.samples
-        del composite, mag
+        amp = float(np.sqrt(mean * target_lin))
+        heard = ComplexSignal(samples=np.empty_like(x),
+                              sample_rate_hz=composite.sample_rate_hz)
+
+        def clip(sl: slice) -> None:
+            heard.samples[sl] = clip_polar(x[sl], amp)
+            if not ablate:
+                heard.samples[sl] -= x[sl]
+
+        pmap(clip, stage_chunks(x.size, 1), threads)
+        del composite, x
         for g in cur:
             seen = ofdm_demodulate(heard, dims, g.bwp_index,
                                    threads=threads).values
             g.values = seen if ablate else g.values + seen
         del heard
         composite = wola.modulate_composite(cur, dims, 0.0, threads=threads)
-    del composite, mag
+    del composite, x
     if info is not None:
         info["iterations"] = iterations
         info["peak_trace_db"] = peak_trace

@@ -13,30 +13,38 @@ from typing import Callable
 
 import numpy as np
 
-from .ofdm import (ComplexSignal, ResourceGrid, ofdm_demodulate, pmap,
-                   stage_chunks)
+from .ofdm import (ComplexSignal, ResourceGrid, ofdm_demodulate,
+                   pairwise_reduce, pmap, power_stats, stage_chunks)
 from .scenario import DerivedDims, ScenarioError, ScenarioSpec
 
 
-def signal_power(signal: ComplexSignal) -> float:
-    """Mean power of the whole signal: ``|x|^2`` summed pairwise over one
-    full-length array, the reduction the PAPR ratios and Welch share."""
-    p = np.abs(signal.samples)
-    np.square(p, out=p)
-    return float(p.mean())
+def signal_power(signal: ComplexSignal, *, threads: int = 1) -> float:
+    """Mean power of the whole signal, ``np.mean(np.abs(x) ** 2)`` bit for
+    bit (``ofdm.power_stats`` on ``threads`` worker threads), the
+    reduction the PAPR ratios and Welch share."""
+    return power_stats(signal.samples, threads)[0]
 
 
-def papr_per_sample(signal: ComplexSignal,
-                    mean_power: float | None = None) -> np.ndarray:
+def papr_per_sample(signal: ComplexSignal, mean_power: float | None = None,
+                    *, threads: int = 1) -> np.ndarray:
     """Instantaneous-to-mean power ratio for every sample (linear).
 
     ``mean_power`` is ``signal_power(signal)`` when the caller already has
-    it.  The array is fresh, so ``ccdf`` may take it over and sort it in
-    place.
+    it.  The ratios are taken in chunks of samples on ``threads`` worker
+    threads, into one fresh array, so ``ccdf`` may take it over and sort
+    it in place.
     """
-    p = np.abs(signal.samples)
-    np.square(p, out=p)
-    p /= p.mean() if mean_power is None else mean_power
+    x = signal.samples
+    if mean_power is None:
+        mean_power = signal_power(signal, threads=threads)
+    p = np.empty(x.size)
+
+    def ratios(sl: slice) -> None:
+        np.abs(x[sl], out=p[sl])
+        np.square(p[sl], out=p[sl])
+        p[sl] /= mean_power
+
+    pmap(ratios, stage_chunks(x.size, 1), threads)
     return p
 
 
@@ -144,25 +152,20 @@ def welch_segment_len(fs: float, rbw_hz: float, n: int) -> int:
     return min(2 ** int(round(np.log2(min(fs / rbw_hz, 2 * n)))), n)
 
 
-def _pairwise_half(n: int) -> int:
-    """Where numpy's pairwise sum splits ``n`` values."""
-    return n // 2 - n // 2 % 8
-
-
 def pairwise_sum(rows: Callable[[slice], np.ndarray], n: int, row_len: int,
                  threads: int) -> np.ndarray:
     """Column sums of ``n`` rows, bit for bit as numpy sums each column
     when it lies along a contiguous axis (``np.sum``, ``np.mean``).
 
-    ``rows(sl)`` returns rows ``sl`` as a (k, ``row_len``) array.  numpy
-    splits ``n`` values at ``n/2`` rounded down to a multiple of 8, down
-    to leaves of at most 128 values.  A leaf sends value ``i`` below its
-    last multiple of 8 to running accumulator ``i mod 8`` (the first 8
-    start them) and adds the 8 in a fixed tree; it adds its last ``n mod
-    8`` values one at a time (to -0.0 in a leaf shorter than 8).  Each
-    leaf is one task on ``threads`` worker threads and takes its rows in
-    fixed chunks, carrying its accumulators across them, so only a chunk
-    of rows exists per task.
+    ``rows(sl)`` returns rows ``sl`` as a (k, ``row_len``) array.  The rows
+    split as numpy splits ``n`` values (``ofdm.pairwise_reduce``), down to
+    leaves of at most 128.  A leaf sends value ``i`` below its last
+    multiple of 8 to running accumulator ``i mod 8`` (the first 8 start
+    them) and adds the 8 in a fixed tree; it adds its last ``n mod 8``
+    values one at a time (to -0.0 in a leaf shorter than 8).  Each leaf is
+    one task on ``threads`` worker threads and takes its rows in fixed
+    chunks, carrying its accumulators across them, so only a chunk of rows
+    exists per task.
 
     This copies numpy's private ``pairwise_sum`` (its umath loop helpers),
     checked against numpy 2.4.6; numpy does not promise that algorithm.
@@ -170,14 +173,8 @@ def pairwise_sum(rows: Callable[[slice], np.ndarray], n: int, row_len: int,
     ``test_pairwise_sum_matches_numpy_mean`` and
     ``test_matches_scipy_welch_bit_for_bit[400000-1000000.0]`` must pass.
     """
-    def leaves(lo: int, m: int) -> list[tuple[int, int]]:
-        if m <= 128:
-            return [(lo, m)]
-        half = _pairwise_half(m)
-        return leaves(lo, half) + leaves(lo + half, m - half)
-
-    def leaf(span: tuple[int, int]) -> np.ndarray:
-        lo, m = span
+    def leaf(span: slice) -> np.ndarray:
+        lo, m = span.start, span.stop - span.start
         m8 = m - m % 8
         acc = np.empty((8, row_len))
         rest = []
@@ -200,15 +197,7 @@ def pairwise_sum(rows: Callable[[slice], np.ndarray], n: int, row_len: int,
             total += row
         return total
 
-    sums = iter(pmap(leaf, leaves(0, n), threads))
-
-    def join(m: int) -> np.ndarray:
-        if m <= 128:
-            return next(sums)
-        half = _pairwise_half(m)
-        return join(half) + join(m - half)
-
-    return join(n)
+    return pairwise_reduce(leaf, n, 128, threads)
 
 
 def psd_welch(signal: ComplexSignal, rbw_hz: float = 30e3, *,
@@ -242,7 +231,8 @@ def psd_welch(signal: ComplexSignal, rbw_hz: float = 30e3, *,
     density = pairwise_sum(periodograms, n_seg, nperseg, threads) / n_seg
     freq = np.fft.fftshift(np.fft.fftfreq(nperseg, 1 / fs))
     density = np.fft.fftshift(density)
-    total = signal_power(signal) if mean_power is None else mean_power
+    total = (signal_power(signal, threads=threads) if mean_power is None
+             else mean_power)
     rel = density * rbw_hz / max(total, 1e-300)
     psd_db = 10.0 * np.log10(np.maximum(rel, 1e-300))
     return PsdEstimate(freq_hz=freq, density=density, psd_db=psd_db,
@@ -374,11 +364,12 @@ def measure_all(signal: ComplexSignal, spec: ScenarioSpec, dims: DerivedDims,
     estimate are stored in it under ``"ccdf"`` and ``"psd"``.  Welch runs
     first, then MSE, then the CCDF, so Welch's chunks of segment powers are
     freed before the per-sample ratios exist; the signal's mean power,
-    which both Welch and the ratios use, is computed once.  The MSE
-    demodulation and the Welch segments run on ``threads`` worker threads,
-    one stage after the other; the report does not depend on it.
+    which both Welch and the ratios use, is computed once.  The mean
+    power, the Welch segments, the MSE demodulation and the per-sample
+    ratios run on ``threads`` worker threads, one stage after the other;
+    the report does not depend on it.
     """
-    power = signal_power(signal)
+    power = signal_power(signal, threads=threads)
     psd = psd_welch(signal, spec.measure.psd_rbw_hz, threads=threads,
                     mean_power=power)
     aclr_db = aclr(psd, spec.channel_bw_hz, spec.measure.aclr_measurement_bw_hz)
@@ -386,7 +377,7 @@ def measure_all(signal: ComplexSignal, spec: ScenarioSpec, dims: DerivedDims,
     if spec.measure.mask_file:
         margin = mask_margin(psd, spec.measure.mask_file)
     mse = mse_per_bwp(signal, dims, grids, threads=threads)
-    curve = ccdf(papr_per_sample(signal, power))
+    curve = ccdf(papr_per_sample(signal, power, threads=threads))
     papr_db = papr_at_probability(curve, spec.measure.ccdf_probability)
     hist: list[int] = []
     if iterations is not None and np.size(iterations):

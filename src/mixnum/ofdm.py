@@ -13,9 +13,11 @@ Conventions used throughout the package:
   (num_symbols, K) arrays and transform inputs and bodies C-ordered
   (num_symbols, L) arrays, so every transform runs along the last axis
   and a set of symbols is a set of rows;
-* work on many rows or samples is cut into fixed chunks that ``pmap``
-  runs on the process's one pool of ``--threads`` workers; the chunks
-  never depend on the thread count.
+* work on many rows or samples is cut into even chunks (``stage_chunks``)
+  that ``pmap`` runs on the process's one pool of ``--threads`` workers;
+  the chunks never depend on the thread count, and a stream's sums split
+  as numpy's pairwise sum splits them (``pairwise_reduce``), so every
+  stage, its statistics included, gives the same bits on any pool.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
 import json
+import operator
 
 import numpy as np
 
@@ -80,16 +83,83 @@ def pmap(fn, chunks, threads: int) -> list:
 
 
 # The full-length stages (WOLA and filter-bank synthesis, the clip loops,
-# demodulation, Welch's segments) work in chunks of about this many
-# samples.  Their arithmetic is per row or per sample, so the chunk size
-# changes no result.
+# demodulation, Welch's segments, the stream statistics) work in chunks of
+# at most this many samples (or one row).  Their arithmetic is per row or
+# per sample, and their sums split as numpy's do, so the chunk size changes
+# no result.
 _STAGE_CHUNK_SAMPLES = 1 << 18
 
 
 def stage_chunks(n: int, row_len: int) -> list[slice]:
-    """Fixed slices of ``n`` rows of ``row_len`` samples, one per chunk."""
+    """Even slices of ``n`` rows of ``row_len`` samples, one per chunk.
+
+    A chunk holds at most ``_STAGE_CHUNK_SAMPLES // row_len`` rows (one at
+    least).  The count is the fewest such chunks rounded up to a multiple
+    of 4, but at most ``n``, and the rows are dealt out evenly, so sizes
+    differ by at most one row: the chunks never depend on the thread
+    count, and they share out evenly over 1, 2 and 4 workers.
+    """
     size = max(1, _STAGE_CHUNK_SAMPLES // row_len)
-    return [slice(a, min(a + size, n)) for a in range(0, n, size)]
+    fewest = -(-n // size)
+    count = min(n, fewest + -fewest % 4)
+    return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
+
+
+def _pairwise_half(n: int) -> int:
+    """Where numpy's pairwise sum splits ``n`` values."""
+    return n // 2 - n // 2 % 8
+
+
+def pairwise_reduce(leaf, n: int, cap: int, threads: int, join=operator.add):
+    """``leaf`` over numpy's pairwise split of ``n`` values, joined in its
+    tree order.
+
+    numpy sums ``n`` contiguous values by splitting them at ``n/2``
+    rounded down to a multiple of 8, down to blocks of at most 128 values
+    (Higham, SIAM J. Sci. Comput. 14(4), 1993).  Here the split stops at
+    nodes of at most ``cap`` values (``cap >= 128``); each node is one
+    task ``leaf(slice)`` on ``threads`` worker threads, and the results
+    are joined as numpy adds its halves.  So a leaf that sums its node as
+    numpy does makes the whole sum numpy's, bit for bit.  numpy does not
+    promise that split (checked against numpy 2.4.6): after any numpy
+    upgrade, ``test_ofdm.py``'s ``TestPowerStats`` must pass.
+    """
+    def split(lo: int, m: int) -> list[slice]:
+        if m <= cap:
+            return [slice(lo, lo + m)]
+        half = _pairwise_half(m)
+        return split(lo, half) + split(lo + half, m - half)
+
+    done = iter(pmap(leaf, split(0, n), threads))
+
+    def tree(m: int):
+        if m <= cap:
+            return next(done)
+        half = _pairwise_half(m)
+        return join(tree(half), tree(m - half))
+
+    return tree(n)
+
+
+def power_stats(x: np.ndarray, threads: int) -> tuple[float, float]:
+    """Mean and peak of ``|x|^2`` over a 1-D stream, on ``threads`` workers.
+
+    Each leaf of numpy's pairwise split, at most one stage chunk and never
+    below 128 samples, takes its own ``|x|^2`` and reduces it, so this
+    equals ``np.mean(np.abs(x) ** 2)`` and ``np.max(np.abs(x) ** 2)`` bit
+    for bit and no full-length power array exists.
+    """
+    def leaf(sl: slice) -> tuple[float, float]:
+        p = np.abs(x[sl])
+        np.square(p, out=p)
+        return np.add.reduce(p), p.max()
+
+    def join(a, b):
+        return a[0] + b[0], np.maximum(a[1], b[1])
+
+    cap = max(128, _STAGE_CHUNK_SAMPLES)
+    total, peak = pairwise_reduce(leaf, x.size, cap, threads, join)
+    return float(total / x.size), float(peak)
 
 
 def dft(x: np.ndarray, axis: int = -1) -> np.ndarray:

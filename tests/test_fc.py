@@ -221,8 +221,8 @@ class TestFilteredComposite:
     def test_threads_and_chunks_leave_the_batch_unchanged(self, monkeypatch,
                                                           fast_switching, rows):
         # The whole-batch bank, kept as the bit-exact reference, against
-        # FC_ICEF's chunked synthesis with no clipping round: chunks of 2
-        # (at least), 3 and all block rows.  The spectra FC_ICEF keeps on
+        # FC_ICEF's chunked synthesis with no clipping round: the 18 block
+        # rows in chunks of 1, 2 or 3 and 4 or 5 rows.  The spectra FC_ICEF keeps on
         # K_E, expanded, must equal the full sum, +0.0 bits off K_E included.
         spec = tiny_spec(method="FC_ICEF", max_iterations=0)
         dims = derive_dims(spec)
@@ -241,7 +241,8 @@ class TestFilteredComposite:
     def test_streamed_output_equals_the_batch_path(self, monkeypatch,
                                                    fast_switching, chunk_samples):
         # ols_extract of the whole-batch bank's time blocks, bit for bit;
-        # chunks of 1, 5 and all of the 18 block rows.
+        # the 18 block rows in chunks of 1 row, and in four chunks of 4 or 5
+        # rows whether the cap is 5 or 32 rows.
         spec = tiny_spec(method="FC_F_OFDM")
         dims = derive_dims(spec)
         grids = [ofdm.generate_grid(dims, m, spec.seed) for m in range(2)]

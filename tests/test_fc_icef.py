@@ -218,11 +218,11 @@ class TestRunFcIcef:
     @pytest.mark.parametrize("target", [5.0, 8.0])
     def test_threads_and_chunks_leave_the_output_unchanged(self, monkeypatch,
                                                           target):
-        # 32 base symbols give 69 blocks, up to three default chunks of 32
-        # rows a round.  Stage chunks of 1 to 31 rows reproduce the default
-        # run byte for byte at every thread count, in synthesis (the first
-        # ceiling) and in the loop: one-row chunks, and 2-row chunks that
-        # leave a lone last row, included.
+        # 32 base symbols give 69 blocks, four default chunks of 17 or 18
+        # rows in synthesis.  Stage chunks of at most 1 to 31 rows
+        # reproduce the default run byte for byte at every thread count, in
+        # synthesis (the first ceiling) and in the loop: one-row chunks,
+        # and 2-row chunks mixed with lone rows, included.
         spec = tiny_spec(method="FC_ICEF", papr_target_db=target,
                          duration_symbols_base=32)
         dims = derive_dims(spec)

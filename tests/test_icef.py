@@ -267,9 +267,10 @@ class TestRunIndependent:
     @pytest.mark.parametrize("chunk_samples",
                              [2048, 1 << 13, 3 * 2048, 31 * 2048])
     def test_threads_and_chunks_leave_the_output_unchanged(self, monkeypatch,
+                                                          fast_switching,
                                                           chunk_samples):
-        # Chunks of 1 to 31 symbols (one row of 2048 or 8192 samples at
-        # least) reproduce the default run byte for byte at every thread
+        # Chunks of at most 1 to 31 symbols (one row of 2048 or 8192
+        # samples at least) reproduce the default run byte for byte at every thread
         # count.  At seed 2 a 64-QAM symbol sits on its EVM budget, so its
         # noise power sets its output.
         spec = tiny_spec(method="I_ICEF", seed=2)
@@ -287,15 +288,29 @@ class TestRunIndependent:
                 assert got.values.tobytes() == want.values.tobytes()
 
     def test_frees_the_symbol_bodies_before_synthesis(self):
-        # 64 base symbols at 5 dB, one thread.  The traced peak is 3.58
-        # output sizes, and run_none alone takes 3.43; with the last
-        # subband's (S, L) bodies held through run_none it was 4.51.
+        # 64 base symbols at 5 dB, one thread.  The traced peak is 2.00
+        # output sizes (2.53 with the first pass over all bodies at once);
+        # with the last subband's (S, L) bodies held through run_none it
+        # was 4.51.
         spec = make_spec(method="I_ICEF", duration_symbols_base=64,
                          papr_target_db=5.0)
         dims = derive_dims(spec)
         grids = make_grids(spec, dims)
         out, peak = traced_peak(icef.run_i_icef, spec, dims, grids)
         assert peak <= 4.0 * out.samples.nbytes
+
+    def test_first_pass_holds_one_body_array(self):
+        # 64 base symbols at 9 dB, one thread.  The first pass writes each
+        # chunk's bodies into one (S, L) array and takes their ceilings
+        # there: the traced peak is 1.67 output sizes.  Transforming all
+        # the zero-padded spectra at once and squaring every body made it
+        # 2.07.
+        spec = make_spec(method="I_ICEF", duration_symbols_base=64,
+                         papr_target_db=9.0)
+        dims = derive_dims(spec)
+        grids = make_grids(spec, dims)
+        out, peak = traced_peak(icef.run_i_icef, spec, dims, grids)
+        assert peak <= 1.85 * out.samples.nbytes
 
     def test_reduces_the_aggregate_peak(self):
         spec = tiny_spec(method="I_ICEF", max_iterations=8)
@@ -331,9 +346,11 @@ class TestRunAggregate:
             assert later <= trace[1] + 1.0
         assert trace[-1] < trace[0]
 
-    def test_thread_count_leaves_the_output_unchanged(self, monkeypatch):
-        # Synthesis and observation both run in chunks of symbols: chunks
-        # of 1 to 31 symbols (one row of 2048 or 8192 samples at least)
+    def test_thread_count_leaves_the_output_unchanged(self, monkeypatch,
+                                                      fast_switching):
+        # Synthesis and observation both run in chunks of symbols, and the
+        # statistics and the clip in chunks of samples: chunks of at most 1
+        # to 31 symbols (one row of 2048 or 8192 samples at least)
         # reproduce the default run byte for byte at every thread count.
         spec = tiny_spec(method="E_ICEF_WOLA")
         dims = derive_dims(spec)
@@ -354,7 +371,7 @@ class TestRunAggregate:
                 assert run(threads) == ref
 
     def test_holds_no_full_length_carrier(self):
-        # 64 base symbols at 5 dB, one thread.  The traced peak is 4.58
+        # 64 base symbols at 5 dB, one thread.  The traced peak is 2.58
         # output sizes; with one full-length carrier cached per subband
         # and multiplied into each resynthesized stream it was 6.57.
         spec = make_spec(method="E_ICEF_WOLA", duration_symbols_base=64,
@@ -366,8 +383,10 @@ class TestRunAggregate:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_rebuilds_the_composite_in_one_buffer(self, threads):
-        # 64 base symbols at 5 dB.  The traced peak is 3.22 output sizes:
-        # the composite, its magnitude and the clip's temporaries.  With
+        # 64 base symbols at 5 dB.  The traced peak is 2.58 output sizes on
+        # one thread and 2.97 on two: the composite, the clip's buffer and
+        # chunk temporaries.  With a full-length magnitude and power it was
+        # 3.21 on both.  With
         # one full-length ``ofdm_modulate`` stream per subband, built on
         # their own pool and then summed, it was 4.16 on one thread and
         # 5.13 on two.
@@ -472,8 +491,9 @@ class TestRunNone:
                                                   fast_switching, swapped,
                                                   chunk_samples):
         # Separate modulate_wola streams summed by aggregate, kept as the
-        # bit-exact reference.  35000 samples give chunks of 3 and 15
-        # symbols (8 and 32 in all), 1 sample one symbol per chunk.  With
+        # bit-exact reference.  35000 samples allow 3 and 15 symbols a
+        # chunk, so the 8 and 32 symbols go in four chunks of 2 and 8; 1
+        # sample gives one symbol per chunk.  With
         # the BWPs swapped the 15 kHz BWP, whose stream is longer by
         # (402 - 100) / 2 samples, is second in the list but added first.
         raw = _spec_dict(duration_symbols_base=8)
@@ -492,7 +512,7 @@ class TestRunNone:
             assert out.samples.tobytes() == ref
 
     def test_holds_one_full_length_stream(self, monkeypatch):
-        # 64 base symbols, one thread, chunks of 1 and 7 symbols.  The
+        # 64 base symbols, one thread, chunks of 1 and of 6 or 7 symbols.  The
         # traced peak is 1.16 output sizes: the composite and one chunk.
         # With every BWP's stream built in full and then summed it was 2.18.
         spec = make_spec(method="NONE", duration_symbols_base=64)

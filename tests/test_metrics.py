@@ -59,6 +59,24 @@ class TestPaprPerSample:
         shared, own = psd_welch(sig, mean_power=power), psd_welch(sig)
         assert shared.psd_db.tobytes() == own.psd_db.tobytes()
 
+    @pytest.mark.parametrize("chunk_samples", [1, 1000, 1 << 18])
+    def test_threads_and_chunks_leave_the_ratios_unchanged(
+            self, monkeypatch, fast_switching, chunk_samples):
+        # The full-length ratios are the oracle; 20 011 samples in chunks
+        # of 1 sample (mean power in leaves of 128), of 1000 samples, and
+        # in four chunks (one leaf).
+        g = rng("ratio chunks")
+        x = (g.standard_normal(20_011) + 1j * g.standard_normal(20_011)) * 3.0
+        p = np.abs(x) ** 2
+        ref = p / np.mean(p)
+        monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", chunk_samples)
+        for threads in (1, 2, 3):
+            power = signal_power(_sig(x), threads=threads)
+            assert np.float64(power).tobytes() == np.mean(p).tobytes()
+            assert papr_per_sample(_sig(x), threads=threads).tobytes() == ref.tobytes()
+            assert (papr_per_sample(_sig(x), power, threads=threads).tobytes()
+                    == ref.tobytes())
+
 
 class TestCcdf:
     def test_curve_shape_and_monotonicity(self):
@@ -191,8 +209,9 @@ class TestPsdWelch:
     @pytest.mark.parametrize("chunk_samples", [1, 5000, 1 << 15])
     def test_threads_and_chunks_leave_the_estimate_unchanged(
             self, monkeypatch, chunk_samples):
-        # 13 segments of 4096 samples: chunks of 1, 1 and 8 segments, and
-        # of 4096, 384 and 2520 frequency rows for the average.
+        # 13 segments of 4096 samples, one pairwise leaf, in chunks of 1, 1
+        # and 3 or 4 segments; the mean power in leaves of at most 128, 5000
+        # and all 28 795 samples.
         g = rng("welch chunks")
         n = 4096 * 7 + 123
         x = g.standard_normal(n) + 1j * g.standard_normal(n)
@@ -228,8 +247,8 @@ class TestPsdWelch:
         assert max(b - a for a, b in spans) <= chunk_rows
 
     def test_holds_no_segment_power_matrix(self, monkeypatch):
-        # 64 base symbols, 561 k samples, 273 segments of 4096; chunks of 4
-        # segments.  The traced peak is 0.13 signal sizes; the
+        # 64 base symbols, 561 k samples, 273 segments of 4096, in leaves
+        # of 64 to 73 segments; chunks of 3 and 4 segments.  The traced peak is 0.13 signal sizes; the
         # frequency-major matrix of all segment powers made it 1.07.
         spec = make_spec(method="NONE", duration_symbols_base=64)
         dims = derive_dims(spec)
@@ -307,8 +326,8 @@ class TestMse:
     @pytest.mark.parametrize("chunk_samples", [1, 20000, 1 << 18])
     def test_threads_and_chunks_leave_the_result_unchanged(
             self, monkeypatch, tiny_dims, tiny_grids, chunk_samples):
-        # 8 and 32 symbols: one row per chunk, 2 and 9 rows (a remainder
-        # in both), and a single chunk.
+        # 8 and 32 symbols: one row per chunk, and four chunks of 2 and 8
+        # rows at both larger sizes.
         spec = tiny_spec()
         sig = icef.run_none(spec, tiny_dims, tiny_grids)
         offsets = [-bd.l_cp_os // 2 for bd in tiny_dims.bwps]

@@ -4,6 +4,7 @@ worker pool."""
 from __future__ import annotations
 
 import json
+import math
 import threading
 
 import numpy as np
@@ -14,6 +15,8 @@ from mixnum import cli, icef, metrics, ofdm, wola
 from mixnum.scenario import derive_dims
 
 from conftest import make_grids, make_spec, rng, tiny_spec
+
+DESK_SAMPLES = 4_489_216
 
 
 class TestTransforms:
@@ -346,6 +349,56 @@ class TestModem:
         assert np.array_equal(np.fromfile(path, dtype="<c16"), sig.samples)
 
 
+class TestStageChunks:
+    @given(st.integers(0, 5000), st.integers(1, 9000), st.integers(1, 2**14))
+    def test_even_slices_tile_the_rows(self, n, row_len, chunk_samples):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", chunk_samples)
+            chunks = ofdm.stage_chunks(n, row_len)
+        size = max(1, chunk_samples // row_len)
+        assert len(chunks) == min(n, 4 * math.ceil(math.ceil(n / size) / 4))
+        assert [i for c in chunks for i in range(c.start, c.stop)] == list(range(n))
+        sizes = [c.stop - c.start for c in chunks] or [0]
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= size
+
+    def test_the_clip_loops_split_evenly(self):
+        # At the default chunk: 110 active 2048-sample symbols (I_ICEF's
+        # 60 kHz subband at 9 dB, 256 base symbols) and 137 8192-sample
+        # blocks (FC_ICEF at 5 dB, 64 base symbols).  One chunk and
+        # 32/32/32/32/9 rows before the split was even.
+        assert [c.stop - c.start for c in ofdm.stage_chunks(110, 2048)] == [27, 28, 27, 28]
+        assert ({c.stop - c.start for c in ofdm.stage_chunks(137, 8192)}
+                == {17, 18})
+        assert len(ofdm.stage_chunks(137, 8192)) == 8
+
+
+class TestPowerStats:
+    @given(st.integers(1, 5000), st.integers(1, 2**12), st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    def test_match_numpy(self, n, chunk_samples, threads, seed):
+        # Magnitudes over many decades, so a sum in another order shows in
+        # the last bits; leaves of 128 samples up to 2^12.
+        g = rng(seed)
+        x = ((g.standard_normal(n) + 1j * g.standard_normal(n))
+             * g.exponential(size=n) ** 4)
+        p = np.abs(x) ** 2
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", chunk_samples)
+            mean, peak = ofdm.power_stats(x, threads)
+        assert np.float64(mean).tobytes() == np.mean(p).tobytes()
+        assert np.float64(peak).tobytes() == np.max(p).tobytes()
+
+    def test_match_numpy_at_desk_length(self, fast_switching):
+        # 4 489 216 samples in 32 leaves of 140 288 at the default chunk.
+        g = rng("power desk")
+        x = g.standard_normal(DESK_SAMPLES) + 1j * g.standard_normal(DESK_SAMPLES)
+        p = np.abs(x) ** 2
+        for threads in (1, 3):
+            mean, peak = ofdm.power_stats(x, threads)
+            assert np.float64(mean).tobytes() == np.mean(p).tobytes()
+            assert np.float64(peak).tobytes() == np.max(p).tobytes()
+
+
 class TestPool:
     def test_one_pool_serves_every_run(self, monkeypatch):
         # 20 rounds of 2 BWPs, each round a WOLA composite and a
@@ -389,3 +442,30 @@ class TestPool:
             sig, dims, grids = cli.execute(spec, threads=2)
             metrics.measure_all(sig, spec, dims, grids, threads=2)
         assert calls and set(calls) == {2}
+
+    def test_every_map_of_two_rows_gets_two_tasks(self, monkeypatch):
+        # I_ICEF on 8 base symbols at 9 dB, in chunks of 2^15 samples: 4
+        # rows of the 15 kHz subband and 16 of the 60 kHz one.  Each
+        # round's active rows of a subband fit in one such chunk, so with
+        # chunks filled in order every round ran as one task and left a
+        # worker idle.
+        pool = ofdm._pool
+        maps = []
+
+        class Recording:
+            def __init__(self, threads):
+                self.pool = pool(threads)
+
+            def map(self, fn, chunks):
+                chunks = list(chunks)
+                maps.append([c.stop - c.start if isinstance(c, slice)
+                             else len(c) for c in chunks])
+                return self.pool.map(fn, chunks)
+
+        monkeypatch.setattr(ofdm, "_pool", Recording)
+        monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", 1 << 15)
+        spec = tiny_spec(method="I_ICEF", papr_target_db=9.0)
+        dims = derive_dims(spec)
+        icef.run_i_icef(spec, dims, make_grids(spec, dims), threads=2)
+        assert any(sum(rows) <= 16 for rows in maps)
+        assert all(len(rows) >= 2 for rows in maps if sum(rows) >= 2), maps

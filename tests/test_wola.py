@@ -136,7 +136,8 @@ class TestSymbolShaping:
         # The symbol-per-column assembly, kept as the bit-exact reference:
         # one add per symbol into a zero buffer.  Bodies of negative zeros
         # check that every output sample is still ``0.0 + x``, for chunks
-        # of 1, 2 and all symbols and any thread count.
+        # of 1 symbol, four chunks of 1, 1, 1 and 2 symbols, and any thread
+        # count.
         p = wola.WolaParams(l_ofdm=32, l_cp=8, l_ext=4)
         g = rng("overlap-add")
         bodies = g.standard_normal((5, 32)) + 1j * g.standard_normal((5, 32))
@@ -188,7 +189,8 @@ class TestModulateAndRecover:
         err = np.max(np.abs(rec.values - tiny_grids[0].values))
         assert err > 1e-3
 
-    @pytest.mark.parametrize("chunk_samples", [1, 7, 1000, 12345, 27510, 1 << 18])
+    @pytest.mark.parametrize("chunk_samples",
+                             [1, 7, 1000, 7000, 12345, 27510, 1 << 18])
     def test_threads_and_chunks_leave_the_stream_unchanged(
             self, monkeypatch, fast_switching, tiny_dims, tiny_grids,
             chunk_samples):
@@ -196,9 +198,10 @@ class TestModulateAndRecover:
         # reference: each body is the inverse transform of the allocation
         # at the carrier bins times the carrier's phase at its first body
         # sample, reduced in integers.  27510 samples are three 15 kHz
-        # windows (8 symbols) or twelve 60 kHz ones (32), so chunks end
-        # mid-stream and leave a remainder; 1 and 7 samples give one
-        # symbol per chunk.
+        # windows (8 symbols) or twelve 60 kHz ones (32), so the streams go
+        # in four chunks that end mid-stream; 7000 samples split the 32
+        # symbols into 12 chunks of 2 or 3; 1 and 7 samples give one symbol
+        # per chunk.
         spec = tiny_spec()
         refs = []
         for g in tiny_grids:
@@ -222,8 +225,9 @@ class TestModulateAndRecover:
             self, monkeypatch, fast_switching, tiny_dims, tiny_grids):
         # E_ICEF builds its plain-CP composite this way, so the equality is
         # exact: one BWP, and both BWPs' ``ofdm_modulate`` streams summed in
-        # list order.  35000 samples give chunks of 3 and 15 symbols, 1
-        # sample one symbol per chunk.
+        # list order.  35000 samples allow 3 and 15 symbols a chunk, so the
+        # 8 and 32 symbols go in four chunks of 2 and 8; 1 sample gives one
+        # symbol per chunk.
         streams = [ofdm.ofdm_modulate(g, tiny_dims).samples for g in tiny_grids]
         cases = [(tiny_grids[:1], streams[0].tobytes()),
                  (tiny_grids, (streams[0] + streams[1]).tobytes())]
