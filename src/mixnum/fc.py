@@ -120,9 +120,7 @@ def ols_extract(blocks: np.ndarray, fc: FcDims, length: int,
     output samples.  Row 0 is block ``first_block``, whose samples start at
     output sample ``first_block * keep_len``.
     """
-    keep = fc.keep_len
-    discard = (fc.inverse_len - keep) // 2
-    return blocks[:, discard: discard + keep].reshape(-1)[: length - first_block * keep]
+    return blocks[:, fc.keep_slice].reshape(-1)[: length - first_block * fc.keep_len]
 
 
 def filter_bank(dims: DerivedDims, grids: list[ResourceGrid]) -> tuple[

@@ -88,8 +88,7 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims,
     """
     windows, n_blocks, step = filter_bank(dims, grids)
     n, keep = dims.fc.inverse_len, dims.fc.keep_len
-    discard = (n - keep) // 2
-    keep_slice = slice(discard, discard + keep)
+    keep_slice = dims.fc.keep_slice
     weights = window_weights(windows, n)
     runs = _support_runs(weights)
     h_w = weights[weights != 0]

@@ -46,12 +46,15 @@ def run_i_icef(spec: ScenarioSpec, dims: DerivedDims,
 
     Every symbol of every BWP runs the clip/filter kernel with a ceiling
     referenced to that symbol's own current mean power, then the shaped
-    subband streams are aggregated.  Each round the symbol's accumulated
-    noise (current minus reference values on the active subcarriers) is
-    scaled down, when needed, so its power stays within the squared EVM
-    limit of the BWP's modulation times the symbol's payload power.
-    Other subbands are never consulted, so summing the streams recombines
-    their residual peaks.
+    subband streams are aggregated.  Between rounds a symbol is only its
+    grid values: each round remakes the time body of every symbol still
+    active, and a symbol whose peak no longer exceeds its ceiling drops
+    out unclipped.  A clipped symbol's accumulated noise (current minus
+    reference values on the active subcarriers) is scaled down, when
+    needed, so its power stays within the squared EVM limit of the BWP's
+    modulation times the symbol's payload power.  Other subbands are
+    never consulted, so summing the streams recombines their residual
+    peaks.
 
     Each round splits the active symbols into fixed chunks of rows whose
     content does not depend on ``threads`` and runs them on that many
@@ -71,10 +74,12 @@ def _clip_symbols(spec: ScenarioSpec, dims: DerivedDims, grid: ResourceGrid,
                   threads: int) -> tuple[ResourceGrid, np.ndarray]:
     """I_ICEF on one BWP: its processed grid and each symbol's rounds.
 
-    The first pass makes each stage chunk's bodies and ceilings on
-    ``threads`` worker threads, into one (S, L) array; the active rows are
-    kept from it.  The bodies die with the call, before ``run_none``
-    runs."""
+    Between rounds a symbol is only its grid row.  Each round runs one
+    task per stage chunk of the active rows on ``threads`` worker threads:
+    it makes their bodies from the current values, takes each ceiling from
+    the body's own mean power, and clips and filters the rows whose peak
+    still exceeds it; only those rows stay active.  No body outlives its
+    task."""
     bd = dims.bwps[grid.bwp_index]
     l = bd.l_ofdm_os
     rows = np.mod(bd.active_base, l)
@@ -85,47 +90,31 @@ def _clip_symbols(spec: ScenarioSpec, dims: DerivedDims, grid: ResourceGrid,
     budget = (ofdm.evm_limit(bd.modulation) ** 2
               * np.sum(np.abs(vals_orig) ** 2, axis=1))
     iters = np.zeros(bd.num_symbols, dtype=np.int64)
-
-    def ceilings(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each body row's ceiling and whether its peak still exceeds it."""
-        power = np.abs(x) ** 2
-        amp = np.sqrt(np.mean(power, axis=1) * tau)
-        return amp, np.max(power, axis=1) > amp ** 2 * stop
-
-    bodies = np.empty((bd.num_symbols, l), dtype=np.complex128)
-    amps = np.empty(bd.num_symbols)
-    over = np.empty(bd.num_symbols, dtype=bool)
-
-    def first(sl: slice) -> None:
-        bodies[sl] = fresh = symbol_bodies(grid, dims, sl, at_baseband=True)
-        amps[sl], over[sl] = ceilings(fresh)
-
-    pmap(first, stage_chunks(bd.num_symbols, l), threads)
-    active = np.flatnonzero(over)
-    # Only the active symbols' bodies are needed from here on.
-    bodies = bodies[active]
+    active = np.arange(bd.num_symbols)
 
     def clip_rows(sl: slice) -> np.ndarray:
-        """One round on active rows ``sl``; which of them stay active."""
-        idx = active[sl]
-        clipped_f = dft(clip_polar(bodies[sl], amps[idx, None]))
+        """One round on active rows ``sl``: which of them it clipped."""
+        body = symbol_bodies(
+            ResourceGrid(bwp_index=grid.bwp_index, values=vals_cur[active[sl]]),
+            dims, at_baseband=True)
+        power = np.abs(body) ** 2
+        amp = np.sqrt(np.mean(power, axis=1) * tau)
+        over = np.max(power, axis=1) > amp ** 2 * stop
+        idx = active[sl][over]
+        clipped_f = dft(clip_polar(body[over], amp[over, None]))
         noise = clipped_f[:, rows] - vals_orig[idx]
         noise_pow = np.sum(np.abs(noise) ** 2, axis=1)
         noise *= np.sqrt(np.minimum(
             1.0, budget[idx] / np.maximum(noise_pow, 1e-300)))[:, None]
-        vals_cur[idx] = vals = vals_orig[idx] + noise
-        bodies[sl] = fresh = symbol_bodies(
-            ResourceGrid(bwp_index=grid.bwp_index, values=vals), dims,
-            at_baseband=True)
-        amps[idx], still = ceilings(fresh)
-        return still
+        vals_cur[idx] = vals_orig[idx] + noise
+        return over
 
     for _ in range(spec.max_iterations):
+        active = active[np.concatenate(
+            pmap(clip_rows, stage_chunks(active.size, l), threads))]
+        iters[active] += 1
         if active.size == 0:
             break
-        iters[active] += 1
-        keep = np.concatenate(pmap(clip_rows, stage_chunks(active.size, l), threads))
-        active, bodies = active[keep], bodies[keep]
     return ResourceGrid(bwp_index=grid.bwp_index, values=vals_cur), iters
 
 

@@ -266,20 +266,24 @@ def load_mask(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Read an emission mask CSV of (frequency offset Hz, limit dB/RBW).
 
     Offsets are magnitudes from the channel center; the mask is applied
-    symmetrically.  Comment lines starting with ``#`` and a header row are
-    both tolerated; a row of one field or a non-finite value is an error.
+    symmetrically.  Comment lines starting with ``#`` are skipped, and the
+    first other row may be a header; a row of one field, a later row that
+    is not numbers or a non-finite value is an error.
     """
     offs, limits = [], []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
+        rows = (r for r in csv.reader(fh)
+                if r and not r[0].lstrip().startswith("#"))
+        for n, row in enumerate(rows):
             if len(row) < 2:
                 raise ValueError(f"mask file {path!r} has a row of one field {row}")
             try:
                 off, lim = float(row[0]), float(row[1])
             except ValueError:
-                continue
+                if n == 0:
+                    continue
+                raise ValueError(
+                    f"mask file {path!r} has a row that is not numbers {row}") from None
             if not (np.isfinite(off) and np.isfinite(lim)):
                 raise ValueError(f"mask file {path!r} has a non-finite row {row}")
             offs.append(off)

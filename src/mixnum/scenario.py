@@ -167,6 +167,11 @@ class FcDims:
         return self.interpolation * self.step_len
 
     @property
+    def keep_slice(self) -> slice:  # the kept samples of each inverse block
+        discard = (self.inverse_len - self.keep_len) // 2
+        return slice(discard, discard + self.keep_len)
+
+    @property
     def head_pad(self) -> int:  # zeros before the first block: half the overlap
         return (self.transform_len - self.step_len) // 2
 

@@ -219,7 +219,8 @@ class TestRunCommand:
         "1e7,-30\n",                      # one point
         None,                             # no file
         "1e7,-30\n1.5e7\n2e7,-40\n",      # a row of one field
-    ], ids=["non_finite", "one_point", "missing", "one_field"])
+        "1e7,-30\nabc,-35\n2e7,-40\n",    # a row after the first not numbers
+    ], ids=["non_finite", "one_point", "missing", "one_field", "not_numbers"])
     def test_bad_mask_file_is_a_scenario_error(self, tmp_path, capsys, text):
         # Checked before the run, so no --out is left behind.
         mask = tmp_path / "mask.csv"

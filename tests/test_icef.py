@@ -288,10 +288,10 @@ class TestRunIndependent:
                 assert got.values.tobytes() == want.values.tobytes()
 
     def test_frees_the_symbol_bodies_before_synthesis(self):
-        # 64 base symbols at 5 dB, one thread.  The traced peak is 2.00
-        # output sizes (2.53 with the first pass over all bodies at once);
-        # with the last subband's (S, L) bodies held through run_none it
-        # was 4.51.
+        # 64 base symbols at 5 dB, one thread.  No body outlives its round
+        # task, so the traced peak, 1.67 output sizes, is run_none's
+        # synthesis; with the last subband's (S, L) bodies held through
+        # run_none it was 4.51.
         spec = make_spec(method="I_ICEF", duration_symbols_base=64,
                          papr_target_db=5.0)
         dims = derive_dims(spec)
@@ -300,17 +300,30 @@ class TestRunIndependent:
         assert peak <= 4.0 * out.samples.nbytes
 
     def test_first_pass_holds_one_body_array(self):
-        # 64 base symbols at 9 dB, one thread.  The first pass writes each
-        # chunk's bodies into one (S, L) array and takes their ceilings
-        # there: the traced peak is 1.67 output sizes.  Transforming all
-        # the zero-padded spectra at once and squaring every body made it
-        # 2.07.
+        # 64 base symbols at 9 dB, one thread.  The first round makes and
+        # tests one stage chunk's bodies per task, and the traced peak,
+        # 1.65 output sizes, is run_none's synthesis.  A first pass that
+        # transformed all the zero-padded spectra at once and squared every
+        # body made it 2.07.
         spec = make_spec(method="I_ICEF", duration_symbols_base=64,
                          papr_target_db=9.0)
         dims = derive_dims(spec)
         grids = make_grids(spec, dims)
         out, peak = traced_peak(icef.run_i_icef, spec, dims, grids)
         assert peak <= 1.85 * out.samples.nbytes
+
+    def test_rounds_keep_no_bodies_between_them(self):
+        # 64 base symbols at 5 dB, one thread: every symbol runs all 20
+        # rounds.  Each round task makes its rows' bodies from their grid
+        # values, so the traced peak is 1.67 output sizes.  Keeping an
+        # (S, L) body array across rounds and gathering its active rows
+        # every round made it 2.02.
+        spec = make_spec(method="I_ICEF", duration_symbols_base=64,
+                         papr_target_db=5.0)
+        dims = derive_dims(spec)
+        grids = make_grids(spec, dims)
+        out, peak = traced_peak(icef.run_i_icef, spec, dims, grids)
+        assert peak <= 1.8 * out.samples.nbytes
 
     def test_reduces_the_aggregate_peak(self):
         spec = tiny_spec(method="I_ICEF", max_iterations=8)

@@ -394,6 +394,12 @@ class TestMask:
         with pytest.raises(ValueError, match="non-finite"):
             load_mask(str(path))
 
+    def test_only_the_first_row_may_be_a_header(self, tmp_path):
+        path = tmp_path / "mask.csv"
+        self._write_mask(path, [(10e6, -20.0), ("abc", -35.0), (20e6, -30.0)])
+        with pytest.raises(ValueError, match="not numbers"):
+            load_mask(str(path))
+
     @staticmethod
     def _flat_estimate(level_db):
         freq = np.arange(-2048, 2048) * 30e3
