@@ -134,21 +134,21 @@ def run_e_icef(spec: ScenarioSpec, dims: DerivedDims,
     (the other subbands' streams seen through the window), with one
     observation per subband and round instead of three; the two forms
     agree to rounding.  The plain-CP composite is the WOLA composite at
-    zero extension (``wola.modulate_composite``), rebuilt in one buffer
-    from the updated grids each round.  The iteration stops early once the
-    composite peak-to-average ratio meets the target.
+    zero extension (``wola.modulate_composite``).  The clip writes the
+    noise over the composite, which nothing reads after it; every subband
+    observes that one buffer, freed before the composite is rebuilt from
+    the updated grids.  The iteration stops once the ratio meets the target.
 
     Synthesis and each subband's observation run in fixed chunks of
     symbols on ``threads`` worker threads, and the subbands are summed and
     observed in list order.  The composite's mean power and peak
-    (``ofdm.power_stats``, numpy's pairwise order) and the clip, into one
-    fresh buffer, run in fixed chunks of samples on the same workers, so
-    no full-length magnitude or power array exists and the output is
-    byte-identical for any thread count.  The output is ``run_none`` of
-    the final grids.
-    ``cancel_ini=False`` (ablation experiments only) sets each grid to its
-    observation of the clipped composite, so the other subbands'
-    interference is folded in as if it were clipping noise.
+    (``ofdm.power_stats``, numpy's pairwise order) and the in-place clip
+    run in fixed chunks of samples on the same workers, so no full-length
+    magnitude or power array exists and the output is byte-identical for
+    any thread count.  The output is ``run_none`` of the final grids.
+    ``cancel_ini=False`` (ablation experiments only) writes the clipped
+    samples instead and sets each grid to its observation of them, so the
+    other subbands' interference is folded in as if it were clipping noise.
     """
     cur = [ResourceGrid(bwp_index=m, values=g.values)
            for m, g in enumerate(grids)]
@@ -169,21 +169,17 @@ def run_e_icef(spec: ScenarioSpec, dims: DerivedDims,
             break
         iterations += 1
         amp = float(np.sqrt(mean * target_lin))
-        heard = ComplexSignal(samples=np.empty_like(x),
-                              sample_rate_hz=composite.sample_rate_hz)
 
         def clip(sl: slice) -> None:
-            heard.samples[sl] = clip_polar(x[sl], amp)
-            if not ablate:
-                heard.samples[sl] -= x[sl]
+            clipped = clip_polar(x[sl], amp)
+            x[sl] = clipped if ablate else clipped - x[sl]
 
         pmap(clip, stage_chunks(x.size, 1), threads)
-        del composite, x
         for g in cur:
-            seen = ofdm_demodulate(heard, dims, g.bwp_index,
+            seen = ofdm_demodulate(composite, dims, g.bwp_index,
                                    threads=threads).values
             g.values = seen if ablate else g.values + seen
-        del heard
+        del composite, x
         composite = wola.modulate_composite(cur, dims, 0.0, threads=threads)
     del composite, x
     if info is not None:

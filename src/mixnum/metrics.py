@@ -331,8 +331,9 @@ class MetricsReport:
 
 def check_settings(spec: ScenarioSpec, dims: DerivedDims) -> None:
     """Raise ScenarioError unless the Welch resolution is below the sample
-    rate and its segment fits in the shortest stream, and each ACLR band
-    spans a Welch bin, misses the main band and ends below Nyquist.
+    rate and its segment fits in the shortest stream, the rate holds both
+    adjacent channels, and each ACLR band spans a Welch bin, misses the
+    main band and ends below Nyquist.
     """
     m, fs, bd = spec.measure, dims.fs_oversampled_hz, dims.bwps[0]
     if m.psd_rbw_hz >= fs:
@@ -342,11 +343,13 @@ def check_settings(spec: ScenarioSpec, dims: DerivedDims) -> None:
     if seg > n:
         raise ScenarioError(f"measure.psd_rbw_hz: {m.psd_rbw_hz:g} Hz needs a Welch "
                             f"segment longer than the {n}-sample stream")
+    lo, cbw = fs / seg, spec.channel_bw_hz
+    if fs - 2 * cbw < lo:  # no Welch bin fits beside both adjacent channels
+        raise ScenarioError(f"oversampling: the rate must reach {2 * cbw + lo:g} Hz")
     # The lower bound gives every half-open ACLR band a Welch bin (aclr
     # relies on it); with the upper bound, at most fs/3, it makes the
     # segment at least 4 samples (psd_welch's Hann window relies on that).
-    lo = fs / seg
-    hi = min(spec.channel_bw_hz, fs - 2 * spec.channel_bw_hz)
+    hi = min(cbw, fs - 2 * cbw)
     if not lo <= m.aclr_measurement_bw_hz <= hi:
         raise ScenarioError(f"measure.aclr_measurement_bw_hz must lie in [{lo:g}, "
                             f"{hi:g}] Hz for this channel and sample rate")

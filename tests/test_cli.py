@@ -205,6 +205,8 @@ class TestRunCommand:
         # subcarrier centre of one lies on the other's.
         (["bwps.0.num_prbs=2", "bwps.0.center_offset_hz=0",
           "bwps.1.num_prbs=1", "bwps.1.center_offset_hz=540e3"], "bwps[1]"),
+        # 30.72 Msps cannot hold the two 20 MHz adjacent channels.
+        (["oversampling=1"], "oversampling"),
     ])
     def test_refused_before_the_run(self, tmp_path, capsys, sets, path):
         rc = cli.main(["run", "--out", str(tmp_path / "big"),

@@ -102,9 +102,9 @@ class TestCompactSpectra:
         # 64 base symbols, 561,152 samples, one thread.  The (B, N) time
         # blocks take 2 signal sizes (N is twice the kept length), the K_E
         # rows 0.29 (1200 of 8192 bins) and the output copy 1; the rest is
-        # the subband streams and one chunk's temporaries.  The traced peak
-        # is 4.66 signal sizes; full (B, N) spectra and a (B, N) magnitude
-        # array make it 7.94.
+        # chunk temporaries.  The traced peak is 3.56 signal sizes (4.66
+        # while the subband streams lived through the clip loop); full
+        # (B, N) spectra and a (B, N) magnitude array made it 7.94.
         spec = make_spec(method="FC_ICEF", duration_symbols_base=64)
         dims = derive_dims(spec)
         grids = make_grids(spec, dims)
@@ -112,9 +112,10 @@ class TestCompactSpectra:
         assert peak <= 5.5 * out.samples.nbytes
 
     def test_releases_the_nominal_rate_streams(self):
-        # 64 base symbols, one thread.  The traced peak is 4.16 signal
-        # sizes.  With the bank's nominal-rate subband streams (0.5 signal
-        # sizes) held through the clip loop it was 4.66.
+        # 64 base symbols, one thread.  The traced peak is 3.56 signal
+        # sizes (4.16 when the streams were first released).  With the
+        # bank's nominal-rate subband streams (0.5 signal sizes) held
+        # through the clip loop it was 4.66.
         spec = make_spec(method="FC_ICEF", duration_symbols_base=64)
         dims = derive_dims(spec)
         grids = make_grids(spec, dims)

@@ -384,7 +384,7 @@ class TestRunAggregate:
                 assert run(threads) == ref
 
     def test_holds_no_full_length_carrier(self):
-        # 64 base symbols at 5 dB, one thread.  The traced peak is 2.58
+        # 64 base symbols at 5 dB, one thread.  The traced peak is 1.73
         # output sizes; with one full-length carrier cached per subband
         # and multiplied into each resynthesized stream it was 6.57.
         spec = make_spec(method="E_ICEF_WOLA", duration_symbols_base=64,
@@ -396,10 +396,11 @@ class TestRunAggregate:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_rebuilds_the_composite_in_one_buffer(self, threads):
-        # 64 base symbols at 5 dB.  The traced peak is 2.58 output sizes on
-        # one thread and 2.97 on two: the composite, the clip's buffer and
-        # chunk temporaries.  With a full-length magnitude and power it was
-        # 3.21 on both.  With
+        # 64 base symbols at 5 dB.  The traced peak is 1.73 output sizes on
+        # one thread and 2.23 on two: the composite, which the clip
+        # overwrites with its noise, and chunk temporaries.  With a second
+        # buffer for the noise it was 2.60 and 2.97; with a full-length
+        # magnitude and power too, 3.21 on both.  With
         # one full-length ``ofdm_modulate`` stream per subband, built on
         # their own pool and then summed, it was 4.16 on one thread and
         # 5.13 on two.
@@ -411,13 +412,28 @@ class TestRunAggregate:
                                 threads=threads)
         assert peak <= 3.6 * out.samples.nbytes
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_clips_the_composite_in_place(self, monkeypatch, threads):
+        # 64 base symbols at 5 dB, chunks of 2^14 samples.  The traced peak
+        # is 1.35 output sizes on one thread and 1.39 on two: the composite,
+        # overwritten by its clipping noise, and chunk temporaries.  With
+        # the noise in a second full-length buffer it was 2.26 and 2.32.
+        spec = make_spec(method="E_ICEF_WOLA", duration_symbols_base=64,
+                         papr_target_db=5.0)
+        dims = derive_dims(spec)
+        grids = make_grids(spec, dims)
+        monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", 2**14)
+        out, peak = traced_peak(icef.run_e_icef, spec, dims, grids,
+                                threads=threads)
+        assert peak <= 1.6 * out.samples.nbytes
+
     @staticmethod
-    def _one_round(seed=1):
+    def _one_round(seed=1, cancel_ini=True):
         spec = tiny_spec(method="E_ICEF_WOLA", max_iterations=1, seed=seed)
         dims = derive_dims(spec)
         grids = [ofdm.generate_grid(dims, m, spec.seed) for m in range(2)]
         info: dict = {}
-        icef.run_e_icef(spec, dims, grids, info=info)
+        icef.run_e_icef(spec, dims, grids, info=info, cancel_ini=cancel_ini)
         assert info["iterations"] == 1
 
         def observe(x, m):
@@ -430,13 +446,16 @@ class TestRunAggregate:
         a = float(np.sqrt(np.mean(np.abs(composite) ** 2) * target_lin))
         return dims, grids, info, observe, streams, composite, clip_polar(composite, a)
 
-    def test_one_round_matches_a_hand_built_round(self):
+    @pytest.mark.parametrize("cancel_ini", [True, False])
+    def test_one_round_matches_a_hand_built_round(self, cancel_ini):
         # One round on upconverted ``ofdm_modulate`` streams, kept as the
         # bit-exact reference for the runner's synthesis and its single
-        # observation of the clipping noise per subband.
-        dims, grids, info, observe, _, composite, clipped = self._one_round()
-        values = [g.values + observe(clipped - composite, m)
-                  for m, g in enumerate(grids)]
+        # observation per subband: of the clipping noise, or under the
+        # ablation of the clipped composite itself.
+        dims, grids, info, observe, _, composite, clipped = self._one_round(
+            cancel_ini=cancel_ini)
+        values = [g.values + observe(clipped - composite, m) if cancel_ini
+                  else observe(clipped, m) for m, g in enumerate(grids)]
         for m in range(2):
             assert np.array_equal(info["grids"][m].values, values[m])
         after = np.abs(np.sum([ofdm.ofdm_modulate(ofdm.ResourceGrid(m, v), dims).samples
