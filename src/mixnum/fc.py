@@ -124,21 +124,22 @@ def ols_extract(blocks: np.ndarray, fc: FcDims, length: int,
 
 
 def filter_bank(dims: DerivedDims, grids: list[ResourceGrid]) -> tuple[
-        list[FcWindow], int, Callable[[slice, np.ndarray], np.ndarray]]:
+        list[FcWindow], int, Callable[[slice], tuple[np.ndarray, np.ndarray]]]:
     """Subband windows, block count and the bank's step on a chunk of rows.
 
     Subband CP-OFDM streams are synthesized at the nominal rate with the
-    allocation centered on DC; ``step(sl, spectra)`` cuts block rows
-    ``sl`` out of each, maps them to their carrier positions, sums them
-    into ``spectra`` (zeroed rows) and returns the time blocks of ``sl``.
+    allocation centered on DC; ``step(sl)`` cuts block rows ``sl`` out of
+    each, maps them to their carrier positions, sums them into (rows, N)
+    spectra of its own and returns those spectra and the time blocks.
     """
     fcd = dims.fc
     windows = [design_window(bd, fcd) for bd in dims.bwps]
     streams = [ofdm_modulate(g, dims, oversampled=False, at_baseband=True).samples
                for g in grids]
 
-    def step(sl: slice, spectra: np.ndarray) -> np.ndarray:
-        return combine(spectra, [
+    def step(sl: slice) -> tuple[np.ndarray, np.ndarray]:
+        spectra = np.zeros((sl.stop - sl.start, fcd.inverse_len), dtype=np.complex128)
+        return spectra, combine(spectra, [
             subband_forward(segment(x, fcd, sl), w, fcd, sl.start)
             for x, w in zip(streams, windows)], windows)
 
@@ -147,15 +148,14 @@ def filter_bank(dims: DerivedDims, grids: list[ResourceGrid]) -> tuple[
 
 def fc_subband_spectra(dims: DerivedDims, grids: list[ResourceGrid]
                        ) -> tuple[np.ndarray, np.ndarray, list[FcWindow]]:
-    """The whole filter bank in one batch: the (B, N) spectra and time
-    blocks of every block, and the subband windows.
+    """The whole filter bank in one batch, its step on every row: the
+    (B, N) spectra and time blocks of every block, and the subband windows.
 
     The runners go through the bank in chunks of rows instead; this form
     is for inspecting the full sum.
     """
     windows, n_blocks, step = filter_bank(dims, grids)
-    spectra = np.zeros((n_blocks, dims.fc.inverse_len), dtype=np.complex128)
-    return spectra, step(slice(0, n_blocks), spectra), windows
+    return (*step(slice(0, n_blocks)), windows)
 
 
 def run_fc_f_ofdm(spec: ScenarioSpec, dims: DerivedDims,
@@ -174,8 +174,7 @@ def run_fc_f_ofdm(spec: ScenarioSpec, dims: DerivedDims,
     out = np.empty(bd.num_symbols * bd.stride_os, dtype=np.complex128)
 
     def synthesize(sl: slice) -> None:
-        spectra = np.zeros((sl.stop - sl.start, fcd.inverse_len), dtype=np.complex128)
-        kept = ols_extract(step(sl, spectra), fcd, out.size, sl.start)
+        kept = ols_extract(step(sl)[1], fcd, out.size, sl.start)
         out[sl.start * fcd.keep_len: sl.start * fcd.keep_len + kept.size] = kept
 
     pmap(synthesize, stage_chunks(n_blocks, fcd.inverse_len), threads)

@@ -106,8 +106,8 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims,
         energies[rows] = np.sum(mag[:, keep_slice] ** 2, axis=1)
 
     def synthesize(sl: slice) -> None:
-        spectra = np.zeros((sl.stop - sl.start, n), dtype=np.complex128)
-        store(sl, step(sl, spectra))
+        spectra, fresh = step(sl)
+        store(sl, fresh)
         for cols, bins in runs:
             cur[sl, cols] = spectra[:, bins]
 

@@ -15,9 +15,11 @@ Conventions used throughout the package:
   and a set of symbols is a set of rows;
 * work on many rows or samples is cut into even chunks (``stage_chunks``)
   that ``pmap`` runs on the process's one pool of ``--threads`` workers;
-  the chunks never depend on the thread count, and a stream's sums split
-  as numpy's pairwise sum splits them (``pairwise_reduce``), so every
-  stage, its statistics included, gives the same bits on any pool.
+  a chunk task takes nothing from another chunk and writes only its own
+  rows or samples; the chunks never depend on the thread count, and a
+  stream's sums split as numpy's pairwise sum splits them
+  (``pairwise_reduce``), so every stage, its statistics included, gives
+  the same bits on any pool.
 """
 
 from __future__ import annotations

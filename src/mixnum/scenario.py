@@ -328,7 +328,9 @@ def validate_scenario(spec: ScenarioSpec) -> None:
         fc = spec.fc
         _require(0.0 < fc.overlap_factor < 1.0, "fc.overlap_factor must lie in (0, 1)")
         _require(fc.transition_bins >= 0, "fc.transition_bins must be >= 0")
-        lm = fs_nominal / fc.bin_spacing_hz
+        lm = fs_nominal / fc.bin_spacing_hz if fc.bin_spacing_hz > 0 else math.inf
+        _require(math.isfinite(lm),
+                 "fc.bin_spacing_hz must be positive, with a finite nominal rate ratio")
         _require(abs(lm - round(lm)) < 1e-9 and _is_pow2(int(round(lm))),
                  "fc.bin_spacing_hz must divide the nominal rate into a power of two")
 

@@ -104,37 +104,31 @@ def wola_add(out: np.ndarray, body_rows: Callable[[slice], np.ndarray],
     first ``l_ext`` samples of the successor's stride (its head).  Each
     stream sample is built on its own, ``x`` or in a head ``x + y`` (its
     own window, then the predecessor's tail), and added to ``out`` once.
-    A chunk adds all its samples but its first head and hands back that
-    head and its last tail; a pass over the chunk edges then adds each
-    head plus the tail carried from the chunk before.  An ``out`` that
-    starts at +0.0 never holds -0.0 (a sum is -0.0 only when both terms
-    are), so it gets the bits of adding ``0.0 + x`` or ``(0.0 + x) + y``,
-    whatever the chunks.
+    A chunk adds every sample of its span: its rows, whose last ends in
+    the head of the symbol after the chunk (windowed too, if ``l_ext``) or
+    in the stream's last tail, and in the first chunk ``out[:l_ext/2]``.
+    An ``out`` that starts at +0.0 never holds -0.0 (a sum is -0.0 only
+    when both terms are), so it gets the bits of adding ``0.0 + x`` or
+    ``(0.0 + x) + y``, whatever the chunks.
     """
     stride, l_ext, half = params.stride, params.l_ext, params.l_ext // 2
-    chunks = stage_chunks(n_sym, params.window_len)
 
-    def shape(sl: slice) -> tuple[np.ndarray, np.ndarray]:
-        windowed = wola_symbol(body_rows(sl), params)
-        # Row r: symbol r's samples after its head, then symbol r+1's head.
+    def shape(sl: slice) -> None:
+        n = sl.stop - sl.start
+        more = int(l_ext > 0 and sl.stop < n_sym)
+        windowed = wola_symbol(body_rows(slice(sl.start, sl.stop + more)), params)
+        # Row r: symbol r's samples after its head, then symbol r+1's head
+        # plus symbol r's tail (the stream's last tail alone).
         rows = out[sl.start * stride + half: sl.stop * stride + half]
         rows = rows.reshape(-1, stride)
-        rows[:, :stride - l_ext] += windowed[:, l_ext:stride]
-        rows[:-1, stride - l_ext:] += (windowed[1:, :l_ext]
-                                       + windowed[:-1, stride:])
-        return windowed[0, :l_ext].copy(), windowed[-1, stride:].copy()
+        rows[:, :stride - l_ext] += windowed[:n, l_ext:stride]
+        seams = windowed[:n, stride:]
+        seams[:n + more - 1] += windowed[1:, :l_ext]
+        rows[:, stride - l_ext:] += seams
+        if sl.start == 0:
+            out[:half] += windowed[0, half:l_ext]
 
-    edges = pmap(shape, chunks, threads)
-    tail = None
-    for sl, (head, next_tail) in zip(chunks, edges):
-        if tail is not None:
-            head = head + tail
-        start = sl.start * stride - half
-        lo = max(start, 0)
-        out[lo: start + l_ext] += head[lo - start:]
-        tail = next_tail
-    end = n_sym * stride - half
-    out[end: end + l_ext] += tail
+    pmap(shape, stage_chunks(n_sym, params.window_len), threads)
 
 
 def modulate_composite(grids: list[ResourceGrid], dims: DerivedDims,

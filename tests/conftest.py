@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, settings
 
 from mixnum.scenario import (default_scenario_dict, derive_dims,
                              scenario_from_dict)
-from mixnum import ofdm
+from mixnum import ofdm, wola
 
 settings.register_profile(
     "suite",
@@ -40,6 +40,21 @@ def tiny_spec(**overrides):
 def make_grids(spec, dims):
     """The payload grids ``cli.execute`` hands a runner for ``spec``."""
     return [ofdm.generate_grid(dims, m, spec.seed) for m in range(dims.num_bwps)]
+
+
+def batch_assemble(bodies, p):
+    """Whole-batch overlap-add of a (S, L) body batch, the bit-exact reference.
+
+    Every window's first ``stride`` samples are added into their own row of
+    a zero buffer and the ``l_ext`` after them into the head of the next.
+    """
+    windowed = wola.wola_symbol(bodies, p)
+    n_sym = bodies.shape[0]
+    buf = np.zeros((n_sym + 1) * p.stride, dtype=np.complex128)
+    rows = buf.reshape(n_sym + 1, p.stride)
+    rows[:-1] += windowed[:, :p.stride]
+    rows[1:, :p.l_ext] += windowed[:, p.stride:]
+    return buf[p.l_ext // 2: n_sym * p.stride + p.l_ext]
 
 
 def rng(tag) -> np.random.Generator:

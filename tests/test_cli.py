@@ -207,6 +207,10 @@ class TestRunCommand:
           "bwps.1.num_prbs=1", "bwps.1.center_offset_hz=540e3"], "bwps[1]"),
         # 30.72 Msps cannot hold the two 20 MHz adjacent channels.
         (["oversampling=1"], "oversampling"),
+        # A zero spacing divided by zero; the least subnormal one gives an
+        # infinite ratio that round() cannot take.
+        (["method=FC_ICEF", "fc.bin_spacing_hz=0"], "fc.bin_spacing_hz"),
+        (["method=FC_ICEF", "fc.bin_spacing_hz=5e-324"], "fc.bin_spacing_hz"),
     ])
     def test_refused_before_the_run(self, tmp_path, capsys, sets, path):
         rc = cli.main(["run", "--out", str(tmp_path / "big"),

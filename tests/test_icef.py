@@ -11,7 +11,8 @@ from mixnum import icef, ofdm, wola
 from mixnum.icef import clip_polar
 from mixnum.scenario import derive_dims, scenario_from_dict
 
-from conftest import make_grids, make_spec, rng, tiny_spec, traced_peak
+from conftest import (batch_assemble, make_grids, make_spec, rng, tiny_spec,
+                      traced_peak)
 
 
 def _spec_dict(**top):
@@ -522,11 +523,12 @@ class TestRunNone:
     def test_one_buffer_equals_the_sum_of_streams(self, monkeypatch,
                                                   fast_switching, swapped,
                                                   chunk_samples):
-        # Separate modulate_wola streams summed by aggregate, kept as the
-        # bit-exact reference.  35000 samples allow 3 and 15 symbols a
-        # chunk, so the 8 and 32 symbols go in four chunks of 2 and 8; 1
-        # sample gives one symbol per chunk.  With
-        # the BWPs swapped the 15 kHz BWP, whose stream is longer by
+        # The reference shares no code with the chunked writer: each BWP's
+        # bodies overlap-added in one batch, then the streams summed into
+        # one zero buffer, longest first.  35000 samples allow 3 and 15
+        # symbols a chunk, so the 8 and 32 symbols go in four chunks of 2
+        # and 8; 1 sample gives one symbol per chunk.  With the BWPs
+        # swapped the 15 kHz BWP, whose stream is longer by
         # (402 - 100) / 2 samples, is second in the list but added first.
         raw = _spec_dict(duration_symbols_base=8)
         if swapped:
@@ -534,10 +536,16 @@ class TestRunNone:
         spec = scenario_from_dict(raw)
         dims = derive_dims(spec)
         grids = make_grids(spec, dims)
-        streams = [wola.modulate_wola(g, dims, spec.wola_extension_factor)
-                   for g in grids]
+        streams = []
+        for g in grids:
+            p = wola.WolaParams.from_dims(dims.bwps[g.bwp_index],
+                                          spec.wola_extension_factor)
+            streams.append(batch_assemble(ofdm.symbol_bodies(g, dims), p))
         assert (len(streams[1]) > len(streams[0])) == swapped
-        ref = wola.aggregate(streams).samples.tobytes()
+        ref = np.zeros(max(map(len, streams)), dtype=np.complex128)
+        for s in sorted(streams, key=len, reverse=True):
+            ref[:len(s)] += s
+        ref = ref.tobytes()
         monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", chunk_samples)
         for threads in (1, 2, 3):
             out = icef.run_none(spec, dims, grids, threads=threads)

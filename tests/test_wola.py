@@ -8,22 +8,7 @@ from hypothesis import given, strategies as st
 
 from mixnum import ofdm, wola
 
-from conftest import rng, tiny_spec
-
-
-def _batch_assemble(bodies, p):
-    """Whole-batch overlap-add of a (S, L) body batch, the bit-exact reference.
-
-    Every window's first ``stride`` samples are added into their own row of
-    a zero buffer and the ``l_ext`` after them into the head of the next.
-    """
-    windowed = wola.wola_symbol(bodies, p)
-    n_sym = bodies.shape[0]
-    buf = np.zeros((n_sym + 1) * p.stride, dtype=np.complex128)
-    rows = buf.reshape(n_sym + 1, p.stride)
-    rows[:-1] += windowed[:, :p.stride]
-    rows[1:, :p.l_ext] += windowed[:, p.stride:]
-    return buf[p.l_ext // 2: n_sym * p.stride + p.l_ext]
+from conftest import batch_assemble, rng, tiny_spec
 
 
 def _assemble(bodies, p, threads=1):
@@ -212,7 +197,7 @@ class TestModulateAndRecover:
             x_f[:, np.mod(bd.active_base + c, l)] = g.values
             n0 = np.arange(g.num_symbols) * bd.stride_os + l_cp
             bodies = ofdm.idft(x_f) * np.exp(2j * np.pi * (c * n0 % l) / l)[:, None]
-            refs.append(_batch_assemble(bodies, params).tobytes())
+            refs.append(batch_assemble(bodies, params).tobytes())
         monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES", chunk_samples)
         for threads in (1, 2, 3):
             for g, ref in zip(tiny_grids, refs):
