@@ -8,18 +8,20 @@ on a larger inverse transform centered on the subband's carrier position
 (which both translates and interpolates).  Adding the mapped blocks of
 all subbands, inverse-transforming the sum and keeping the central part
 of every block (overlap-save) yields the composite wideband waveform.
-Every step is per block, so the bank runs on fixed chunks of block rows.
+Every step is per block, so the bank runs on chunks of block rows cut
+from the symbols they cover.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .ofdm import (ComplexSignal, ResourceGrid, bin_runs, dft, idft,
-                   ofdm_modulate, pmap, stage_chunks)
+                   ofdm_span, pmap, stage_chunks)
 from .scenario import BwpDims, DerivedDims, FcDims, ScenarioSpec
 from .wola import rc_ramp
 
@@ -55,20 +57,23 @@ def design_window(bd: BwpDims, fc: FcDims) -> FcWindow:
 
 
 def segment(x: np.ndarray, fc: FcDims, rows: slice = slice(None)) -> np.ndarray:
-    """Cut overlapping forward-transform blocks ``rows`` out of samples ``x``.
+    """Overlapping forward-transform blocks ``rows`` of samples ``x``."""
+    return _cut(lambda a, b: x[a:b], fc, *rows.indices(fc.num_blocks(x.size))[:2])
 
-    Half an overlap of zeros is prepended so the first kept output region
-    starts exactly at the first input sample; the tail is zero-padded to
-    complete the final block.  Only the blocks in ``rows`` are built, from
-    the samples they cover, one per row of a (B, L) array.
+
+def _cut(read: Callable[[int, int], np.ndarray], fc: FcDims, first: int,
+         stop: int) -> np.ndarray:
+    """Blocks ``first`` to ``stop`` of a stream, one per row of a (B, L) array,
+    from the samples [a, b) they cover, ``read(a, b)`` (cut short at the
+    stream's end).  Half an overlap of zeros goes in front, so the first kept
+    output region starts at the first sample, and zeros complete the last block.
     """
     l, step, pad = fc.transform_len, fc.step_len, fc.head_pad
-    first, stop, _ = rows.indices(fc.num_blocks(x.size))
     # Sample i of the padded stream is source sample i - pad; this chunk
     # of it starts at its first block.
     a = first * step - pad
     padded = np.zeros((stop - first - 1) * step + l, dtype=np.complex128)
-    src = x[max(a, 0): a + padded.size]
+    src = read(max(a, 0), a + padded.size)
     padded[max(-a, 0): max(-a, 0) + src.size] = src
     return np.lib.stride_tricks.sliding_window_view(padded, l)[::step].copy()
 
@@ -127,23 +132,23 @@ def filter_bank(dims: DerivedDims, grids: list[ResourceGrid]) -> tuple[
         list[FcWindow], int, Callable[[slice], tuple[np.ndarray, np.ndarray]]]:
     """Subband windows, block count and the bank's step on a chunk of rows.
 
-    Subband CP-OFDM streams are synthesized at the nominal rate with the
-    allocation centered on DC; ``step(sl)`` cuts block rows ``sl`` out of
-    each, maps them to their carrier positions, sums them into (rows, N)
-    spectra of its own and returns those spectra and the time blocks.
+    ``step(sl)`` cuts block rows ``sl`` of each subband's nominal-rate
+    CP-OFDM stream, allocation on DC, from the symbols they cover, maps
+    them to their carrier positions, sums them into (rows, N) spectra of
+    its own and returns those spectra and the time blocks.
     """
     fcd = dims.fc
     windows = [design_window(bd, fcd) for bd in dims.bwps]
-    streams = [ofdm_modulate(g, dims, oversampled=False, at_baseband=True).samples
-               for g in grids]
+    reads = [partial(ofdm_span, g, dims, oversampled=False, at_baseband=True)
+             for g in grids]
 
     def step(sl: slice) -> tuple[np.ndarray, np.ndarray]:
         spectra = np.zeros((sl.stop - sl.start, fcd.inverse_len), dtype=np.complex128)
         return spectra, combine(spectra, [
-            subband_forward(segment(x, fcd, sl), w, fcd, sl.start)
-            for x, w in zip(streams, windows)], windows)
+            subband_forward(_cut(read, fcd, sl.start, sl.stop), w, fcd, sl.start)
+            for read, w in zip(reads, windows)], windows)
 
-    return windows, fcd.num_blocks(streams[0].size), step
+    return windows, fcd.num_blocks(grids[0].num_symbols * dims.bwps[0].stride), step
 
 
 def fc_subband_spectra(dims: DerivedDims, grids: list[ResourceGrid]

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fc import FcWindow, filter_bank, ols_extract
-from .icef import clip_polar
+from .fc import FcWindow, filter_bank
+from .icef import clip_in_place
 from .ofdm import (ComplexSignal, ResourceGrid, bin_runs, dft, idft, pmap,
                    stage_chunks)
 from .scenario import DerivedDims, ScenarioSpec
@@ -87,8 +87,7 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims,
     expanded, as (B, N).
     """
     windows, n_blocks, step = filter_bank(dims, grids)
-    n, keep = dims.fc.inverse_len, dims.fc.keep_len
-    keep_slice = dims.fc.keep_slice
+    n, keep, keep_slice = dims.fc.inverse_len, dims.fc.keep_len, dims.fc.keep_slice
     weights = window_weights(windows, n)
     runs = _support_runs(weights)
     h_w = weights[weights != 0]
@@ -112,15 +111,15 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims,
             cur[sl, cols] = spectra[:, bins]
 
     def work(rows: np.ndarray) -> None:
-        x = blocks[rows]
+        x = blocks[rows]  # then their noise, its spectrum, the new blocks
+        clip_in_place(x, np.abs(x), amp, noise=True)
+        dft(x, out=x)
         spectra = cur[rows]
-        noise = dft(clip_polar(x, amp) - x)
         for cols, bins in runs:
-            spectra[:, cols] += h_w[cols] * noise[:, bins]
+            spectra[:, cols] += h_w[cols] * x[:, bins]
         cur[rows] = spectra
-        # Reusing the noise spectrum's buffer saves a fresh (rows, N) array.
-        noise.fill(0)
-        store(rows, idft(_expand(spectra, runs, noise)))
+        x.fill(0)
+        store(rows, idft(_expand(spectra, runs, x), out=x))
 
     keep_spectra = bool(info.get("keep_spectra")) if info is not None else False
     iters = np.zeros(n_blocks, dtype=np.int64)
@@ -128,7 +127,6 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims,
     tau = 10.0 ** (spec.papr_target_db / 10.0)
     stop = 10.0 ** (spec.stop_epsilon_db / 10.0)
     pmap(synthesize, stage_chunks(n_blocks, n), threads)
-    del step  # it holds the nominal-rate subband streams
     v_f_orig = cur.copy() if keep_spectra else None
     amp = amp0 = float(np.sqrt(energies.sum() / total_kept * tau))
     for _ in range(spec.max_iterations):
@@ -148,6 +146,10 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims,
             for key, compact in (("v_f_orig", v_f_orig), ("v_f_proc", cur)):
                 full = np.zeros((n_blocks, n), dtype=np.complex128)
                 info[key] = _expand(compact, runs, full)
+    # Overlap-save in place, in block order (onto earlier rows only).
+    for sl in stage_chunks(n_blocks, n):
+        blocks.reshape(-1)[sl.start * keep: sl.stop * keep] = (
+            blocks[sl, keep_slice].reshape(-1))
     bd = dims.bwps[0]
-    samples = ols_extract(blocks, dims.fc, bd.num_symbols * bd.stride_os)
-    return ComplexSignal(samples=samples, sample_rate_hz=dims.fs_oversampled_hz)
+    blocks.resize(bd.num_symbols * bd.stride_os)
+    return ComplexSignal(samples=blocks, sample_rate_hz=dims.fs_oversampled_hz)

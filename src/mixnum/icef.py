@@ -27,16 +27,22 @@ from .scenario import DerivedDims, ScenarioSpec
 from . import ofdm, wola
 
 
-def clip_polar(x: np.ndarray, threshold_amp) -> np.ndarray:
-    """Magnitude-limit samples to ``threshold_amp`` preserving their phase.
-
-    The ceiling may be a scalar or anything broadcastable against ``x``
-    (e.g. one ceiling per column); samples at or below it pass through
-    bit-exactly.  Each sample's result depends on that sample alone.
+def clip_in_place(x: np.ndarray, mag: np.ndarray, threshold_amp, *,
+                  noise: bool = False) -> None:
+    """Magnitude-limit the samples of ``x`` (``mag = np.abs(x)``) above the
+    positive ``threshold_amp`` (broadcast against ``x``), in place: onto it
+    along their phase, or with ``noise`` to ``clip(x) - x`` and the rest to
+    +0.0.  Those samples take the operations of ``x * min(1, amp / max(mag,
+    1e-300))``, whose scale is below 1 exactly there, so they keep its bits.
     """
-    scale = np.minimum(1.0, np.asarray(threshold_amp)
-                       / np.maximum(np.abs(x), 1e-300))
-    return x * scale
+    hit = mag > threshold_amp
+    old = x[hit]
+    clipped = old * (np.broadcast_to(threshold_amp, x.shape)[hit]
+                     / np.maximum(mag[hit], 1e-300))
+    if noise:
+        clipped -= old
+        x.fill(0)
+    x[hit] = clipped
 
 
 def run_i_icef(spec: ScenarioSpec, dims: DerivedDims,
@@ -97,11 +103,12 @@ def _clip_symbols(spec: ScenarioSpec, dims: DerivedDims, grid: ResourceGrid,
         body = symbol_bodies(
             ResourceGrid(bwp_index=grid.bwp_index, values=vals_cur[active[sl]]),
             dims, at_baseband=True)
-        power = np.abs(body) ** 2
-        amp = np.sqrt(np.mean(power, axis=1) * tau)
-        over = np.max(power, axis=1) > amp ** 2 * stop
+        mag = np.abs(body)
+        amp = np.sqrt(np.mean(mag ** 2, axis=1) * tau)
+        over = np.max(mag, axis=1) ** 2 > amp ** 2 * stop
         idx = active[sl][over]
-        clipped_f = dft(clip_polar(body[over], amp[over, None]))
+        clip_in_place(body, mag, amp[:, None])
+        clipped_f = dft(body[over])
         noise = clipped_f[:, rows] - vals_orig[idx]
         noise_pow = np.sum(np.abs(noise) ** 2, axis=1)
         noise *= np.sqrt(np.minimum(
@@ -171,8 +178,7 @@ def run_e_icef(spec: ScenarioSpec, dims: DerivedDims,
         amp = float(np.sqrt(mean * target_lin))
 
         def clip(sl: slice) -> None:
-            clipped = clip_polar(x[sl], amp)
-            x[sl] = clipped if ablate else clipped - x[sl]
+            clip_in_place(x[sl], np.abs(x[sl]), amp, noise=not ablate)
 
         pmap(clip, stage_chunks(x.size, 1), threads)
         for g in cur:

@@ -108,20 +108,28 @@ def mse_per_bwp(signal: ComplexSignal, dims: DerivedDims,
     comparing, so flat scaling and rotation do not count as error.  The
     receiver timing is the middle of the cyclic prefix, which keeps the
     analysis window clear of symbol-edge shaping.  ``threads`` worker
-    threads demodulate the symbols.
+    threads demodulate the symbols and take the fit's inner products.
     """
+    def vdot(a: np.ndarray, b: np.ndarray) -> complex:
+        """``np.vdot(a, b)`` on pool leaves, each part summed as ``np.sum``
+        does (BLAS would split it by the host's CPU count)."""
+        def leaf(sl: slice) -> complex:
+            p = np.conj(a[sl]) * b[sl]
+            return complex(np.add.reduce(p.real), np.add.reduce(p.imag))
+
+        return pairwise_reduce(leaf, a.size, threads)
+
     def error_db(m: int) -> float:
         rx = ofdm_demodulate(signal, dims, m,
                              timing_offset=-dims.bwps[m].l_cp_os // 2,
                              threads=threads)
         x = grids[m].values.reshape(-1)
         err = rx.values.reshape(-1)  # the received rows, then their error
-        denom = np.vdot(x, x)
-        g = np.vdot(x, err) / denom
+        denom = vdot(x, x)
+        g = vdot(x, err) / denom
         err -= g * x
         ref_power = np.abs(g) ** 2 * denom.real
-        mse = np.abs(err) ** 2
-        return float(10.0 * np.log10(max(mse.sum() / ref_power, 1e-300)))
+        return float(10.0 * np.log10(max(vdot(err, err).real / ref_power, 1e-300)))
 
     return [error_db(m) for m in range(len(grids))]
 
@@ -197,7 +205,7 @@ def pairwise_sum(rows: Callable[[slice], np.ndarray], n: int, row_len: int,
             total += row
         return total
 
-    return pairwise_reduce(leaf, n, 128, threads)
+    return pairwise_reduce(leaf, n, threads, 128)
 
 
 def psd_welch(signal: ComplexSignal, rbw_hz: float = 30e3, *,

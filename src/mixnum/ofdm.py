@@ -112,20 +112,23 @@ def _pairwise_half(n: int) -> int:
     return n // 2 - n // 2 % 8
 
 
-def pairwise_reduce(leaf, n: int, cap: int, threads: int, join=operator.add):
+def pairwise_reduce(leaf, n: int, threads: int, cap: int = 0, join=operator.add):
     """``leaf`` over numpy's pairwise split of ``n`` values, joined in its
     tree order.
 
     numpy sums ``n`` contiguous values by splitting them at ``n/2``
     rounded down to a multiple of 8, down to blocks of at most 128 values
     (Higham, SIAM J. Sci. Comput. 14(4), 1993).  Here the split stops at
-    nodes of at most ``cap`` values (``cap >= 128``); each node is one
-    task ``leaf(slice)`` on ``threads`` worker threads, and the results
-    are joined as numpy adds its halves.  So a leaf that sums its node as
-    numpy does makes the whole sum numpy's, bit for bit.  numpy does not
+    nodes of at most ``cap`` values (``cap >= 128``; one stage chunk, but
+    128 at least, if 0); each node is one task ``leaf(slice)`` on
+    ``threads`` worker threads, and the results are joined as numpy adds
+    its halves.  So a leaf that sums its node as numpy does makes the whole
+    sum numpy's, bit for bit.  numpy does not
     promise that split (checked against numpy 2.4.6): after any numpy
     upgrade, ``test_ofdm.py``'s ``TestPowerStats`` must pass.
     """
+    cap = cap or max(128, _STAGE_CHUNK_SAMPLES)
+
     def split(lo: int, m: int) -> list[slice]:
         if m <= cap:
             return [slice(lo, lo + m)]
@@ -159,19 +162,18 @@ def power_stats(x: np.ndarray, threads: int) -> tuple[float, float]:
     def join(a, b):
         return a[0] + b[0], np.maximum(a[1], b[1])
 
-    cap = max(128, _STAGE_CHUNK_SAMPLES)
-    total, peak = pairwise_reduce(leaf, x.size, cap, threads, join)
+    total, peak = pairwise_reduce(leaf, x.size, threads, join=join)
     return float(total / x.size), float(peak)
 
 
-def dft(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Unnormalized forward DFT."""
-    return np.fft.fft(x, axis=axis)
+def dft(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Unnormalized forward DFT (into ``out``, which may be ``x``)."""
+    return np.fft.fft(x, axis=axis, out=out)
 
 
-def idft(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Inverse DFT carrying the 1/L normalization."""
-    return np.fft.ifft(x, axis=axis)
+def idft(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse DFT carrying the 1/L normalization (into ``out``, which may be ``x``)."""
+    return np.fft.ifft(x, axis=axis, out=out)
 
 
 # Gray-coded square QAM with unit mean power, bits grouped I/Q-alternating.
@@ -311,22 +313,28 @@ def symbol_bodies(grid: ResourceGrid, dims: DerivedDims,
     return body
 
 
-def ofdm_modulate(grid: ResourceGrid, dims: DerivedDims, *,
-                  oversampled: bool = True,
-                  at_baseband: bool = False) -> ComplexSignal:
-    """Synthesize the CP-OFDM sample stream of one BWP.
-
-    Each symbol is its body (``symbol_bodies``: at the BWP's carrier
-    unless ``at_baseband`` is requested) with its last ``l_cp`` samples
-    prepended as the cyclic prefix (every symbol uses the same CP length).
+def ofdm_span(grid: ResourceGrid, dims: DerivedDims, a: int, b: int, *,
+              oversampled: bool = True, at_baseband: bool = False) -> np.ndarray:
+    """Samples [a, b) of one BWP's CP-OFDM stream (cut short at its end),
+    made from the symbols under them only: each is its body
+    (``symbol_bodies``) with its last ``l_cp`` samples in front as the CP.
     """
-    bd = dims.bwps[grid.bwp_index]
-    l, l_cp = _transform_dims(bd, oversampled)
-    body = symbol_bodies(grid, dims, oversampled=oversampled,
-                         at_baseband=at_baseband)
+    l, l_cp = _transform_dims(dims.bwps[grid.bwp_index], oversampled)
+    s0 = a // (l + l_cp)
+    body = symbol_bodies(grid, dims, slice(s0, -(-b // (l + l_cp))),
+                         oversampled=oversampled, at_baseband=at_baseband)
     flat = np.concatenate([body[:, l - l_cp:], body], axis=1).reshape(-1)
+    return flat[a - s0 * (l + l_cp): b - s0 * (l + l_cp)]
+
+
+def ofdm_modulate(grid: ResourceGrid, dims: DerivedDims, *, oversampled: bool = True,
+                  at_baseband: bool = False) -> ComplexSignal:
+    """The whole CP-OFDM sample stream of one BWP (``ofdm_span``)."""
+    l, l_cp = _transform_dims(dims.bwps[grid.bwp_index], oversampled)
     rate = dims.fs_oversampled_hz if oversampled else dims.fs_nominal_hz
-    return ComplexSignal(samples=flat, sample_rate_hz=rate)
+    return ComplexSignal(ofdm_span(grid, dims, 0, grid.num_symbols * (l + l_cp),
+                                   oversampled=oversampled,
+                                   at_baseband=at_baseband), rate)
 
 
 def ofdm_demodulate(signal: ComplexSignal, dims: DerivedDims, bwp_index: int,

@@ -80,12 +80,13 @@ def wola_symbol(body: np.ndarray, params: WolaParams) -> np.ndarray:
     The extension places ``l_cp + l_ext/2`` tail samples of the body in
     front (CP plus half the extra extension) and ``l_ext/2`` head samples
     behind, then multiplies by the RC window.  A batch holds one body per
-    row.
+    row.  A window of ones is skipped (``wola_add``'s +0.0 start hides it).
     """
     half = params.l_ext // 2
     ext = np.concatenate([body[..., params.l_ofdm - params.l_cp - half:],
                           body, body[..., :half]], axis=-1)
-    ext *= build_rc_window(params)
+    if params.l_ext:
+        ext *= build_rc_window(params)
     return ext
 
 

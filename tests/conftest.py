@@ -57,6 +57,19 @@ def batch_assemble(bodies, p):
     return buf[p.l_ext // 2: n_sym * p.stride + p.l_ext]
 
 
+def clip_polar(x: np.ndarray, threshold_amp) -> np.ndarray:
+    """Magnitude-limit samples to ``threshold_amp`` preserving their phase,
+    as a fresh array: the out-of-place reference for
+    ``icef.clip_in_place``.
+
+    The ceiling may be a scalar or anything broadcastable against ``x``;
+    samples at or below it are multiplied by exactly 1.
+    """
+    scale = np.minimum(1.0, np.asarray(threshold_amp)
+                       / np.maximum(np.abs(x), 1e-300))
+    return x * scale
+
+
 def rng(tag) -> np.random.Generator:
     """Deterministic generator keyed by an int or a short string label."""
     if isinstance(tag, str):

@@ -109,6 +109,25 @@ class TestRunCommand:
             for name in ("ccdf.csv", "psd.csv", "report.json", "waveform.c128"):
                 assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_blas_threads_leave_the_report_unchanged(self, tmp_path):
+        # numpy's BLAS splits a long dot product by the host's CPU count,
+        # not by --threads, so no result may come from BLAS.  NONE at 64
+        # base symbols, in a child process with one OpenBLAS thread and in
+        # one with the default; np.vdot in the MSE fit moved mse_db there.
+        code = "import sys; from mixnum import cli; sys.exit(cli.main(sys.argv[1:]))"
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        reports = []
+        for blas in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+            out = tmp_path / f"blas{len(blas)}"
+            subprocess.run([sys.executable, "-c", code, "run", "--out", str(out),
+                            "--set", "method=NONE",
+                            "--set", "duration_symbols_base=64"],
+                           env={**env, **blas}, capture_output=True, check=True)
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_seed_beyond_64_bits_is_a_scenario_error(self, tmp_path):
         # The payload generator is keyed by 64 bits of seed; a wider seed
         # would draw another seed's payload under its own digest.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from mixnum.fc import (FcWindow, combine, design_window, ols_extract, segment,
 from mixnum.fc_icef import run_fc_icef
 from mixnum.scenario import FcDims, derive_dims
 
-from conftest import make_grids, rng, tiny_spec
+from conftest import make_grids, make_spec, rng, tiny_spec, traced_peak
 
 
 def _tiny_fcd(interp=4):
@@ -94,6 +96,32 @@ class TestSegmentAndExtract:
         rows = slice(3, 7)
         part = ols_extract(segment(x, fcd, rows), fcd, x.size, rows.start)
         assert np.array_equal(part, x[3 * fcd.step_len: 7 * fcd.step_len])
+
+
+    @pytest.mark.parametrize("chunk_rows", [1, 5, 1000])
+    def test_blocks_cut_from_symbol_rows_equal_the_stream_cut(self, monkeypatch,
+                                                             chunk_rows):
+        # The bank cuts each chunk's blocks from the symbols under it; the
+        # reference is segment of the whole ofdm_modulate stream.  8 base
+        # symbols give 18 blocks of 2048 samples every 1024: block 0 starts
+        # in the head pad, the 60 kHz subband's 548-sample symbols meet in
+        # every block and the 15 kHz subband's 2192-sample ones in most,
+        # and block 17 runs past the stream's end.  The chunks are single
+        # rows, four or five rows, and the four default chunks.
+        spec = tiny_spec(method="FC_F_OFDM")
+        dims = derive_dims(spec)
+        fcd = dims.fc
+        monkeypatch.setattr(ofdm, "_STAGE_CHUNK_SAMPLES",
+                            chunk_rows * fcd.inverse_len)
+        for g in make_grids(spec, dims):
+            x = ofdm.ofdm_modulate(g, dims, oversampled=False,
+                                   at_baseband=True).samples
+            ref = segment(x, fcd)
+            read = partial(ofdm.ofdm_span, g, dims, oversampled=False,
+                           at_baseband=True)
+            for sl in ofdm.stage_chunks(ref.shape[0], fcd.inverse_len):
+                got = fc._cut(read, fcd, sl.start, sl.stop)
+                assert got.tobytes() == ref[sl].tobytes()
 
 
 class TestSubbandForward:
@@ -254,6 +282,17 @@ class TestFilteredComposite:
             out = fc.run_fc_f_ofdm(spec, dims, grids, threads=threads)
             assert out.sample_rate_hz == dims.fs_oversampled_hz
             assert out.samples.tobytes() == ref.tobytes()
+
+    def test_builds_no_nominal_rate_stream(self):
+        # 64 base symbols, 561,152 samples, one thread: the output (1
+        # signal size) and chunk temporaries.  The traced peak is 1.57
+        # signal sizes; it was 2.07 while the bank built each subband's
+        # whole nominal-rate stream (0.5 signal sizes together).
+        spec = make_spec(method="FC_F_OFDM", duration_symbols_base=64)
+        dims = derive_dims(spec)
+        out, peak = traced_peak(fc.run_fc_f_ofdm, spec, dims,
+                                make_grids(spec, dims))
+        assert peak <= 1.8 * out.samples.nbytes
 
     def test_out_of_band_rejection(self):
         # The filtered composite must be strongly suppressed between and

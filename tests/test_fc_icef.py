@@ -7,10 +7,9 @@ import pytest
 
 from mixnum import fc, metrics, ofdm
 from mixnum.fc_icef import run_fc_icef, window_weights
-from mixnum.icef import clip_polar
 from mixnum.scenario import derive_dims
 
-from conftest import make_grids, make_spec, tiny_spec, traced_peak
+from conftest import clip_polar, make_grids, make_spec, tiny_spec, traced_peak
 
 
 class TestWindowWeights:
@@ -100,11 +99,12 @@ class TestCompactSpectra:
 
     def test_holds_the_time_blocks_and_the_k_e_rows(self):
         # 64 base symbols, 561,152 samples, one thread.  The (B, N) time
-        # blocks take 2 signal sizes (N is twice the kept length), the K_E
-        # rows 0.29 (1200 of 8192 bins) and the output copy 1; the rest is
-        # chunk temporaries.  The traced peak is 3.56 signal sizes (4.66
-        # while the subband streams lived through the clip loop); full
-        # (B, N) spectra and a (B, N) magnitude array made it 7.94.
+        # blocks take 2 signal sizes (N is twice the kept length) and the
+        # K_E rows 0.29 (1200 of 8192 bins); the rest is chunk
+        # temporaries.  The traced peak is 3.05 signal sizes (3.56 with an
+        # output copy beside the blocks, 4.66 while the subband streams
+        # lived through the clip loop); full (B, N) spectra and a (B, N)
+        # magnitude array made it 7.94.
         spec = make_spec(method="FC_ICEF", duration_symbols_base=64)
         dims = derive_dims(spec)
         grids = make_grids(spec, dims)
@@ -112,7 +112,7 @@ class TestCompactSpectra:
         assert peak <= 5.5 * out.samples.nbytes
 
     def test_releases_the_nominal_rate_streams(self):
-        # 64 base symbols, one thread.  The traced peak is 3.56 signal
+        # 64 base symbols, one thread.  The traced peak is 3.05 signal
         # sizes (4.16 when the streams were first released).  With the
         # bank's nominal-rate subband streams (0.5 signal sizes) held
         # through the clip loop it was 4.66.
@@ -121,6 +121,31 @@ class TestCompactSpectra:
         grids = make_grids(spec, dims)
         out, peak = traced_peak(run_fc_icef, spec, dims, grids)
         assert peak <= 4.4 * out.samples.nbytes
+
+    @pytest.mark.parametrize("threads, bound", [(1, 3.3), (2, 4.0)])
+    def test_hands_its_block_store_over_as_the_output(self, threads, bound):
+        # 64 base symbols, 5 dB.  The blocks' kept samples move to the
+        # front of the store, which becomes the output, so no output copy
+        # exists beside the (B, N) blocks, and the clip tasks write only
+        # the samples they clip, in the gathered rows.  The traced peak is
+        # 3.05 signal sizes on one thread and 3.70 on two; with an output
+        # copy and out-of-place clips it was 3.55 and 4.27.
+        spec = make_spec(method="FC_ICEF", duration_symbols_base=64,
+                         papr_target_db=5.0)
+        dims = derive_dims(spec)
+        grids = make_grids(spec, dims)
+        out, peak = traced_peak(run_fc_icef, spec, dims, grids, threads=threads)
+        assert peak <= bound * out.samples.nbytes
+
+    def test_samples_own_exactly_the_stream(self):
+        # The store shrinks to the stream, so the samples pin no discarded
+        # block halves while they are measured and written.
+        spec = tiny_spec(method="FC_ICEF")
+        dims = derive_dims(spec)
+        out = run_fc_icef(spec, dims, make_grids(spec, dims))
+        bd = dims.bwps[0]
+        assert out.samples.base is None and out.samples.flags.owndata
+        assert out.samples.shape == (bd.num_symbols * bd.stride_os,)
 
 
 class TestBlockIterate:

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mixnum import icef, ofdm, wola
-from mixnum.icef import clip_polar
 from mixnum.scenario import derive_dims, scenario_from_dict
 
-from conftest import (batch_assemble, make_grids, make_spec, rng, tiny_spec,
-                      traced_peak)
+from conftest import (batch_assemble, clip_polar, make_grids, make_spec, rng,
+                      tiny_spec, traced_peak)
 
 
 def _spec_dict(**top):
@@ -23,12 +22,22 @@ def _spec_dict(**top):
     return d
 
 
+def _clipped(x, amp, noise=False):
+    """``icef.clip_in_place`` on a copy of ``x``."""
+    y = x.copy()
+    icef.clip_in_place(y, np.abs(y), amp, noise=noise)
+    return y
+
+
 class TestClipPolar:
+    """``icef.clip_in_place``, the one per-sample operation the three clip
+    loops share."""
+
     @given(st.integers(0, 2**32 - 1), st.floats(0.2, 3.0))
     def test_magnitude_capped_and_phase_preserved(self, seed, amp):
         g = rng(seed)
         x = g.standard_normal(128) + 1j * g.standard_normal(128)
-        y = clip_polar(x, amp)
+        y = _clipped(x, amp)
         assert np.max(np.abs(y)) <= amp * (1 + 1e-12)
         clipped = np.abs(x) > amp
         # Clipped samples land exactly on the ceiling, along the original ray.
@@ -36,13 +45,17 @@ class TestClipPolar:
         inner = y * np.conj(x)
         assert (inner.real >= 0).all()
         assert np.max(np.abs(inner.imag)) <= 1e-9 * np.max(np.abs(x)) ** 2
+        # The noise form writes the change at the clipped samples only.
+        noise = _clipped(x, amp, noise=True)
+        assert np.array_equal(noise[clipped], y[clipped] - x[clipped])
+        assert not noise[~clipped].view(np.uint64).any()
 
     @given(st.integers(0, 2**32 - 1))
     def test_samples_at_or_below_the_ceiling_pass_bit_exact(self, seed):
         g = rng(seed)
         x = g.standard_normal(128) + 1j * g.standard_normal(128)
         amp = float(np.median(np.abs(x)))
-        y = clip_polar(x, amp)
+        y = _clipped(x, amp)
         keep = np.abs(x) <= amp
         assert np.array_equal(y[keep], x[keep])
 
@@ -50,12 +63,34 @@ class TestClipPolar:
         g = rng("columns")
         x = g.standard_normal((64, 3)) + 1j * g.standard_normal((64, 3))
         amps = np.array([0.4, 0.9, 2.0])
-        y = clip_polar(x, amps[None, :])
-        for c in range(3):
-            assert np.array_equal(y[:, c], clip_polar(x[:, c], amps[c]))
+        for noise in (False, True):
+            y = _clipped(x, amps[None, :], noise)
+            for c in range(3):
+                assert np.array_equal(y[:, c], _clipped(x[:, c], amps[c], noise))
 
     def test_zero_input_stays_zero(self):
-        assert (clip_polar(np.zeros(4, dtype=np.complex128), 1.0) == 0).all()
+        for noise in (False, True):
+            y = _clipped(np.zeros(4, dtype=np.complex128), 1.0, noise)
+            assert not y.view(np.uint64).any()
+
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from(["scalar", "per_row", "at_magnitude"]))
+    def test_equals_the_out_of_place_form_bit_for_bit(self, seed, ceiling):
+        # The loops' old form, clip_polar(x) and clip_polar(x) - x on every
+        # sample, against the in-place one: per-row ceilings, ceilings equal
+        # to some samples' magnitudes (those pass unclipped) and an all-zero
+        # row.
+        g = rng(seed)
+        x = g.standard_normal((6, 64)) + 1j * g.standard_normal((6, 64))
+        x[2] = 0
+        mag = np.abs(x)
+        amp = {"scalar": float(np.median(mag)),
+               "per_row": np.quantile(mag, 0.7, axis=1)[:, None] + 0.1,
+               "at_magnitude": np.where(g.random(x.shape) < 0.5, mag, 0.5) + (mag == 0),
+               }[ceiling]
+        ref = clip_polar(x, amp)
+        assert _clipped(x, amp).tobytes() == ref.tobytes()
+        assert _clipped(x, amp, noise=True).tobytes() == (ref - x).tobytes()
 
 
 class TestIcefSymbol:

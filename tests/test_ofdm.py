@@ -289,6 +289,26 @@ class TestModem:
         assert part.shape == (7, full.shape[1])
         assert np.array_equal(part, full[5:12])
 
+    @pytest.mark.parametrize("oversampled, at_baseband",
+                             [(True, False), (False, True)])
+    def test_a_span_equals_the_same_samples_of_the_stream(
+            self, tiny_dims, tiny_grids, oversampled, at_baseband):
+        # A span makes only the symbols under it, carrier phase included,
+        # and gets the same samples as the whole stream: inside one
+        # symbol, across CP and symbol edges, from the start and past
+        # the end (cut short there).
+        opts = {"oversampled": oversampled, "at_baseband": at_baseband}
+        for grid in tiny_grids:
+            bd = tiny_dims.bwps[grid.bwp_index]
+            l_cp, stride = ((bd.l_cp_os, bd.stride_os) if oversampled
+                            else (bd.l_cp, bd.stride))
+            whole = ofdm.ofdm_modulate(grid, tiny_dims, **opts).samples
+            n = whole.size
+            for a, b in ((0, 5), (3, stride - 1), (stride - 2, stride + l_cp + 1),
+                         (2 * stride + 7, 5 * stride), (n - 9, n + 50)):
+                got = ofdm.ofdm_span(grid, tiny_dims, a, b, **opts)
+                assert got.tobytes() == whole[a:b].tobytes()
+
     @pytest.mark.parametrize("wola_factor", [None, 0.5])
     def test_symbols_congruent_modulo_l_are_bit_identical(self, wola_factor):
         # Every symbol carries the same payload row.  The carrier repeats
