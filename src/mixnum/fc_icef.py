@@ -151,5 +151,8 @@ def run_fc_icef(spec: ScenarioSpec, dims: DerivedDims,
         blocks.reshape(-1)[sl.start * keep: sl.stop * keep] = (
             blocks[sl, keep_slice].reshape(-1))
     bd = dims.bwps[0]
-    blocks.resize(bd.num_symbols * bd.stride_os)
+    try:
+        blocks.resize(bd.num_symbols * bd.stride_os)
+    except ValueError:  # a profiler or tracer also holds the store
+        blocks = blocks.reshape(-1)[: bd.num_symbols * bd.stride_os].copy()
     return ComplexSignal(samples=blocks, sample_rate_hz=dims.fs_oversampled_hz)

@@ -37,6 +37,18 @@ def tiny_spec(**overrides):
     return make_spec(**defaults)
 
 
+# A carrier of three numerologies, 15/30/60 kHz side by side, so that
+# sums over the BWPs have more than two terms.
+THREE_BWPS = [
+    {"scs_hz": 15000.0, "num_prbs": 24, "modulation": "QPSK",
+     "center_offset_hz": -6e6},
+    {"scs_hz": 30000.0, "num_prbs": 12, "modulation": "16QAM",
+     "center_offset_hz": 0.0},
+    {"scs_hz": 60000.0, "num_prbs": 6, "modulation": "64QAM",
+     "center_offset_hz": 6e6},
+]
+
+
 def make_grids(spec, dims):
     """The payload grids ``cli.execute`` hands a runner for ``spec``."""
     return [ofdm.generate_grid(dims, m, spec.seed) for m in range(dims.num_bwps)]

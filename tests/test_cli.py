@@ -15,7 +15,7 @@ import pytest
 from mixnum import cli, metrics, ofdm
 from mixnum.scenario import ScenarioError
 
-from conftest import full_ccdf, rng
+from conftest import THREE_BWPS, full_ccdf, rng, tiny_spec
 
 
 TINY = ["--set", "duration_symbols_base=8", "--set", "max_iterations=5"]
@@ -108,6 +108,15 @@ class TestRunCommand:
                             "--dump-waveform") == 0
             for name in ("ccdf.csv", "psd.csv", "report.json", "waveform.c128"):
                 assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("method", cli.METHODS)
+    def test_three_bwps_give_one_waveform_on_any_pool(self, method):
+        # A carrier of 15, 30 and 60 kHz BWPs: every method's sums over
+        # the subbands have three terms.
+        spec = tiny_spec(method=method, bwps=THREE_BWPS)
+        ref = cli.execute(spec, threads=1)[0].samples.tobytes()
+        for threads in (2, 3):
+            assert cli.execute(spec, threads=threads)[0].samples.tobytes() == ref
 
     def test_blas_threads_leave_the_report_unchanged(self, tmp_path):
         # numpy's BLAS splits a long dot product by the host's CPU count,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import cProfile
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,18 @@ class TestCompactSpectra:
         bd = dims.bwps[0]
         assert out.samples.base is None and out.samples.flags.owndata
         assert out.samples.shape == (bd.num_symbols * bd.stride_os,)
+
+    def test_runs_under_a_profiler(self):
+        # An enabled profiler holds one more reference to the store, so
+        # numpy refuses to resize it in place; the runner then copies the
+        # stream out instead, with the same bytes.
+        spec = tiny_spec(method="FC_ICEF")
+        dims = derive_dims(spec)
+        grids = make_grids(spec, dims)
+        plain = run_fc_icef(spec, dims, grids)
+        out = cProfile.Profile().runcall(run_fc_icef, spec, dims, grids)
+        assert out.samples.tobytes() == plain.samples.tobytes()
+        assert out.samples.base is None and out.samples.flags.owndata
 
 
 class TestBlockIterate:

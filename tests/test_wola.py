@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mixnum import ofdm, wola
+from mixnum.scenario import derive_dims
 
-from conftest import batch_assemble, rng, tiny_spec
+from conftest import (THREE_BWPS, batch_assemble, make_grids, rng,
+                      tiny_spec)
 
 
 def _assemble(bodies, p, threads=1):
@@ -233,3 +235,16 @@ class TestAggregate:
         assert out.samples.size == 10
         assert (out.samples[:6] == 3.0).all()
         assert (out.samples[6:] == 1.0).all()
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
+    def test_composite_of_three_bwps_is_the_sum_of_their_streams(self, order):
+        # Three terms do not commute in floating point, so the writer must
+        # add them as ``aggregate`` does: the longest stream (15 kHz, the
+        # widest WOLA tail) first, then the others in list order.
+        spec = tiny_spec(bwps=THREE_BWPS)
+        dims = derive_dims(spec)
+        grids = [make_grids(spec, dims)[m] for m in order]
+        ext = spec.wola_extension_factor
+        ref = wola.aggregate([wola.modulate_wola(g, dims, ext) for g in grids])
+        out = wola.modulate_composite(grids, dims, ext)
+        assert out.samples.tobytes() == ref.samples.tobytes()
