@@ -1,15 +1,15 @@
 """Fast-convolution filter bank: block-wise filtering, translation, interpolation.
 
-Subband streams at the nominal rate are chopped into overlapping blocks,
-one block per row of a C-ordered array; each block is transformed,
-weighted by a frequency-domain window and phase-rotated so the
-translation stays phase-continuous from block to block.  Its bins belong
-on a larger inverse transform centered on the subband's carrier position
-(which both translates and interpolates).  Adding the mapped blocks of
-all subbands, inverse-transforming the sum and keeping the central part
-of every block (overlap-save) yields the composite wideband waveform.
-Every step is per block, so the bank runs on chunks of block rows cut
-from the symbols they cover.
+Subband streams at the nominal rate are chopped into overlapping blocks, one
+block per row of a C-ordered array; each block is transformed, weighted by a
+frequency-domain window and rotated by the modem's carrier phase
+(``ofdm.carrier_phase``), so the translation stays phase-continuous from
+block to block.  Its bins belong on a larger inverse transform centered on
+the subband's carrier position (which both translates and interpolates).
+Adding the mapped blocks of all subbands, inverse-transforming the sum and
+keeping the central part of every block (overlap-save) yields the composite
+wideband waveform.  Every step is per block, so the bank runs on chunks of
+block rows cut from the symbols they cover.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .ofdm import (ComplexSignal, ResourceGrid, bin_runs, dft, idft,
-                   ofdm_span, pmap, stage_chunks)
+from .ofdm import (ComplexSignal, ResourceGrid, bin_runs, carrier_phase, dft,
+                   idft, ofdm_span, pmap, stage_chunks)
 from .scenario import BwpDims, DerivedDims, FcDims, ScenarioSpec
 from .wola import rc_ramp
 
@@ -84,19 +84,18 @@ def subband_forward(blocks: np.ndarray, window: FcWindow, fc: FcDims,
 
     Returns the window's support columns: signed bin ``k`` of the forward
     transform, ``-half <= k < half``, is column ``half + k`` and belongs on
-    output bin ``(center + k) mod N``.  Row ``r`` is block
-    ``first_block + r`` of the stream; its rotation
-    ``exp(j*2*pi*(first_block + r)*theta)`` with ``theta = center*step/L``
-    keeps the implied frequency translation coherent across consecutive
-    blocks.  The N/L amplitude factor is folded in so passband gain is unity.
+    output bin ``(center + k) mod N``.  Row ``r`` is block ``first_block +
+    r``; its rotation, ``carrier_phase`` at its first sample ``(first_block
+    + r)*step``, keeps the implied frequency translation coherent across
+    consecutive blocks.  The N/L amplitude factor is folded in so passband
+    gain is unity.
     """
     l, h = fc.transform_len, window.half
     f = dft(blocks)
     out = np.concatenate([f[:, l - h:], f[:, :h]], axis=1)
     out *= (window.gains * fc.interpolation)[None, :]
-    theta = window.center_bin * fc.step_len / l
     r = first_block + np.arange(blocks.shape[0])
-    out *= np.exp(2j * np.pi * theta * r)[:, None]
+    out *= carrier_phase(window.center_bin, r * fc.step_len, l)[:, None]
     return out
 
 

@@ -7,8 +7,8 @@ Conventions used throughout the package:
 * frequency-domain vectors are in natural DFT order, DC at bin 0; signed
   subcarrier indexes are folded with ``k mod L``;
 * a BWP's carrier is a shift of ``center_scs`` bins plus one exact phase
-  per symbol (``symbol_bodies``), removed the same way by the receiver;
-  no full-length carrier array is ever built;
+  per symbol (``carrier_phase``), removed the same way by the receiver and
+  taken per block by the filter bank; no full-length carrier array exists;
 * one OFDM symbol is one contiguous row: grids are C-ordered
   (num_symbols, K) arrays and transform inputs and bodies C-ordered
   (num_symbols, L) arrays, so every transform runs along the last axis
@@ -282,7 +282,7 @@ def grid_to_spectrum(grid: ResourceGrid, dims: DerivedDims) -> np.ndarray:
     return _place(grid.values, int(bd.active_base[0]), bd.l_ofdm_os)
 
 
-def _carrier_phase(center: int, n: np.ndarray, l: int) -> np.ndarray:
+def carrier_phase(center: int, n: np.ndarray, l: int) -> np.ndarray:
     """``exp(2j*pi*center*n/l)``, with ``center*n`` reduced mod ``l`` in
     integers first, so its error does not grow with ``n``."""
     return np.exp(2j * np.pi * ((center * n) % l) / l)
@@ -309,7 +309,7 @@ def symbol_bodies(grid: ResourceGrid, dims: DerivedDims,
     if c:
         first = symbols.indices(grid.num_symbols)[0]
         n0 = (first + np.arange(values.shape[0])) * (l + l_cp) + l_cp
-        body *= _carrier_phase(c, n0, l)[:, None]
+        body *= carrier_phase(c, n0, l)[:, None]
     return body
 
 
@@ -360,8 +360,8 @@ def ofdm_demodulate(signal: ComplexSignal, dims: DerivedDims, bwp_index: int,
     frames = signal.samples[: n_sym * stride].reshape(n_sym, stride)
     idx = bd.active_base
     runs = bin_runs(int(idx[0]) + bd.center_scs, idx.size, l)
-    phase = np.conj(_carrier_phase(bd.center_scs,
-                                   start + stride * np.arange(n_sym), l))
+    phase = np.conj(carrier_phase(bd.center_scs,
+                                  start + stride * np.arange(n_sym), l))
     rows = np.empty((n_sym, idx.size), dtype=np.complex128)
 
     def demodulate(sl: slice) -> None:

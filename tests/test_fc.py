@@ -184,6 +184,26 @@ class TestSubbandForward:
         err = np.max(np.abs(y - y_ref)[margin:-margin]) / np.max(np.abs(y_ref))
         assert err <= 1e-9
 
+    def test_every_desk_rotation_is_exactly_one(self, desk_dims):
+        # Both desk subbands advance a whole number of turns per block
+        # (center_bin * step_len / L = -166 and +166), so every true rotation
+        # is 1 + 0j.  The integer-reduced phase gives exactly that on every
+        # block; a float phase center*step/L * r drifts with r.  Impulse
+        # blocks under a unity window make the output the rotation times N/L.
+        fcd = desk_dims.fc
+        bd0 = desk_dims.bwps[0]
+        n_blocks = fcd.num_blocks(bd0.num_symbols * bd0.stride)
+        impulses = np.zeros((256, fcd.transform_len), dtype=np.complex128)
+        impulses[:, 0] = 1.0
+        for bd in desk_dims.bwps:
+            w = design_window(bd, fcd)
+            unity = FcWindow(center_bin=w.center_bin, half=w.half,
+                             gains=np.ones(w.gains.size))
+            for first in range(0, n_blocks, impulses.shape[0]):
+                rows = impulses[: n_blocks - first]
+                out = subband_forward(rows, unity, fcd, first)
+                assert np.all(out == fcd.interpolation)
+
     def test_wrong_block_length_is_rejected(self):
         # The window gains do not broadcast against a short block.
         fcd = _tiny_fcd()
@@ -239,7 +259,8 @@ class TestFilteredComposite:
             out = np.fft.fftshift(ofdm.dft(segment(x, fcd)), axes=1)
             out *= (weights * fcd.interpolation)[None, :]
             r = np.arange(out.shape[0])
-            out *= np.exp(2j * np.pi * (w.center_bin * fcd.step_len / l) * r)[:, None]
+            out *= np.exp(2j * np.pi * (w.center_bin * fcd.step_len * r % l)
+                          / l)[:, None]
             if total is None:
                 total = np.zeros((out.shape[0], n), dtype=np.complex128)
             total[:, np.mod(w.center_bin - l // 2 + np.arange(l), n)] += out

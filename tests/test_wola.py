@@ -243,7 +243,8 @@ class TestAggregate:
         # widest WOLA tail) first, then the others in list order.
         spec = tiny_spec(bwps=THREE_BWPS)
         dims = derive_dims(spec)
-        grids = [make_grids(spec, dims)[m] for m in order]
+        grids = make_grids(spec, dims)
+        grids = [grids[m] for m in order]
         ext = spec.wola_extension_factor
         ref = wola.aggregate([wola.modulate_wola(g, dims, ext) for g in grids])
         out = wola.modulate_composite(grids, dims, ext)
